@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .calibrate import TargetError, calibrate, load_targets, result_to_json
@@ -125,7 +126,7 @@ def cmd_compare(args) -> int:
     # no grid: compare mean delivery latency per (topic, subscriber)
     per_policy = {}
     for policy in (policy_a, policy_b):
-        run = _with_policy(scenario, policy)
+        run = replace(scenario, comm_mapping=None, policy=policy)
         result = simulate(run, platform, seed=seed)
         per_policy[policy.value] = {
             (r["topic"], r["subscriber"]): r["mean_us"] for r in compute_stats(result)
@@ -139,12 +140,6 @@ def cmd_compare(args) -> int:
         rows.append([key[0], key[1], a, b, (a / b) if a and b else None])
     _write_text(args.out, compare_to_csv(header, rows))
     return 0
-
-
-def _with_policy(scenario, policy):
-    from dataclasses import replace
-
-    return replace(scenario, comm_mapping=None, policy=policy)
 
 
 def cmd_calibrate(args) -> int:

@@ -17,7 +17,7 @@ transition table raises ``GatewayProtocolError``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 class Phase(enum.Enum):
@@ -132,16 +132,18 @@ class FilterDecision(enum.Enum):
 class GatewayState:
     """Immutable snapshot between steps.
 
-    ``held`` is the HMT message parked while the SMT-side cancel resolves;
-    ``outstanding_request`` tracks whether a delegate read is open (or
-    being cancelled).
+    ``held`` is the HMT message parked while the SMT-side cancel resolves.
     """
 
     own_smt_id: str
     own_hmt_id: str
     phase: Phase = Phase.AWAIT_BUFFER
     held: Message | None = None
-    outstanding_request: bool = False
+
+    @property
+    def outstanding_request(self) -> bool:
+        """A delegate read is open (or being cancelled) from the buffer location on."""
+        return self.phase is not Phase.AWAIT_BUFFER
 
 
 def init(own_smt_id: str, own_hmt_id: str) -> tuple[GatewayState, list[Action]]:
@@ -170,29 +172,28 @@ def step(state: GatewayState, event: Event) -> tuple[GatewayState, list[Action]]
     phase = state.phase
 
     if phase is Phase.AWAIT_BUFFER and isinstance(event, BufferLocation):
-        new = _with(state, phase=Phase.POLLING, outstanding_request=True)
-        return new, [RequestSmtMessage()]
+        return replace(state, phase=Phase.POLLING), [RequestSmtMessage()]
 
     if phase is Phase.POLLING and isinstance(event, DelegateResponse):
         m = event.message
         if filter_message(m, "SMT", state) is FilterDecision.ACCEPT:
             # passes through FWD_SMT_TO_HMT and back to POLLING
-            return _with(state), [TransferToHmt(m), RequestSmtMessage()]
-        return _with(state), [Discard(m), RequestSmtMessage()]
+            return state, [TransferToHmt(m), RequestSmtMessage()]
+        return state, [Discard(m), RequestSmtMessage()]
 
     if phase is Phase.POLLING and isinstance(event, HmtArrival):
         m = event.message
         if filter_message(m, "HMT", state) is FilterDecision.ACCEPT:
             # passes through FWD_HMT_TO_MAIN, then parks m until the cancel resolves
-            new = _with(state, phase=Phase.CANCELLING, held=m)
+            new = replace(state, phase=Phase.CANCELLING, held=m)
             return new, [TransferToMain(m), CancelSmtRequest()]
-        return _with(state), [Discard(m)]
+        return state, [Discard(m)]
 
     if phase is Phase.CANCELLING and isinstance(event, CancelResult):
         held = state.held
         if held is None:  # pragma: no cover - unreachable via legal steps
             raise GatewayProtocolError(phase, event)
-        new = _with(state, phase=Phase.POLLING, held=None)
+        new = replace(state, phase=Phase.POLLING, held=None)
         if event.message is None:
             # clean cancel: publish the parked message, reopen the read
             return new, [PublishSmt(held), RequestSmtMessage()]
@@ -203,18 +204,6 @@ def step(state: GatewayState, event: Event) -> tuple[GatewayState, list[Action]]
         return new, [Discard(m2), PublishSmt(held), RequestSmtMessage()]
 
     raise GatewayProtocolError(phase, event)
-
-
-def _with(state: GatewayState, **changes) -> GatewayState:
-    fields = {
-        "own_smt_id": state.own_smt_id,
-        "own_hmt_id": state.own_hmt_id,
-        "phase": state.phase,
-        "held": state.held,
-        "outstanding_request": state.outstanding_request,
-    }
-    fields.update(changes)
-    return GatewayState(**fields)
 
 
 # -- machine-readable transition table ------------------------------------

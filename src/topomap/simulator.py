@@ -36,8 +36,10 @@ import json
 import math
 import random
 import statistics
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from . import gateway as gw
@@ -46,7 +48,9 @@ from .mapping import (
     CommMapping,
     MappingError,
     MappingPolicy,
+    TopicClass,
     TopicImpl,
+    classify_topic,
     map_communication,
 )
 from .platform_model import PlatformModel
@@ -112,8 +116,31 @@ class ScenarioError(ValueError):
     pass
 
 
+def _integer(value, where: str, minimum: int) -> int:
+    # bool is an int subclass and must not pass as a count
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        kind = "a positive" if minimum > 0 else "a non-negative"
+        raise ScenarioError(f"{where} must be {kind} integer, got {value!r}")
+    return value
+
+
+def _number(value, where: str, upper: float = math.inf) -> float:
+    """A finite number in [0, upper)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < upper:
+        kind = "a non-negative number" if upper == math.inf else f"a number in [0, {upper:g})"
+        raise ScenarioError(f"{where} must be {kind}, got {value!r}")
+    return float(value)
+
+
+def _typed(value, kind: type, where: str):
+    if not isinstance(value, kind):
+        name = {dict: "an object", list: "a list", str: "a string"}[kind]
+        raise ScenarioError(f"{where} must be {name}, got {value!r}")
+    return value
+
+
 def scenario_from_json(text: str, base_dir) -> Scenario:
-    """Parse a scenario document; the graph is a path relative to base_dir."""
+    """Parse and range-check a scenario document; the graph is a path relative to base_dir."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -122,29 +149,31 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
         raise ScenarioError("scenario document must be a JSON object")
     if "graph" not in doc:
         raise ScenarioError("scenario: missing required key 'graph'")
-    graph_path = Path(base_dir) / doc["graph"]
+    graph_path = Path(base_dir) / _typed(doc["graph"], str, "graph")
     with open(graph_path, "r", encoding="utf-8") as fh:
         graph, node_mapping = parse_document(fh.read())
     if node_mapping is None:
         raise ScenarioError(f"graph document {doc['graph']!r} has no node_mapping")
 
     workload = []
-    for i, entry in enumerate(doc.get("workload", [])):
-        if "publisher" not in entry or "topic" not in entry:
-            raise ScenarioError(f"workload[{i}]: needs 'publisher' and 'topic'")
+    for i, entry in enumerate(_typed(doc.get("workload", []), list, "workload")):
+        where = f"workload[{i}]"
+        if not isinstance(entry, dict) or "publisher" not in entry or "topic" not in entry:
+            raise ScenarioError(f"{where}: needs 'publisher' and 'topic'")
+        size = entry.get("size_bytes")
         workload.append(
             WorkloadItem(
-                publisher=entry["publisher"],
-                topic=entry["topic"],
-                count=int(entry.get("count", 1)),
-                period_us=float(entry.get("period_us", 10_000.0)),
-                size_bytes=entry.get("size_bytes"),
+                publisher=_typed(entry["publisher"], str, f"{where}.publisher"),
+                topic=_typed(entry["topic"], str, f"{where}.topic"),
+                count=_integer(entry.get("count", 1), f"{where}.count", 0),
+                period_us=_number(entry.get("period_us", 10_000.0), f"{where}.period_us"),
+                size_bytes=None if size is None else _integer(size, f"{where}.size_bytes", 1),
             )
         )
 
     comm_mapping = None
     if "comm_mapping" in doc:
-        comm_mapping = CommMapping.from_dict(doc["comm_mapping"])
+        comm_mapping = CommMapping.from_dict(_typed(doc["comm_mapping"], dict, "comm_mapping"))
     policy = None
     if "policy" in doc:
         try:
@@ -154,27 +183,35 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
 
     grid = None
     if "grid" in doc:
-        g = doc["grid"]
+        g = _typed(doc["grid"], dict, "grid")
         if g.get("publisher_kind") not in ("hw", "sw"):
             raise ScenarioError("grid.publisher_kind must be 'hw' or 'sw'")
         grid = GridSpec(
             publisher_kind=g["publisher_kind"],
-            sizes=tuple(int(s) for s in g["sizes"]),
-            hw_sub_counts=tuple(int(n) for n in g["hw_sub_counts"]),
-            sw_sub_count=int(g.get("sw_sub_count", 0)),
-            reps=int(g.get("reps", 50)),
-            period_us=float(g.get("period_us", 200_000.0)),
+            sizes=tuple(_integer(v, "grid.sizes[]", 1) for v in _typed(g.get("sizes"), list, "grid.sizes")),
+            hw_sub_counts=tuple(
+                _integer(v, "grid.hw_sub_counts[]", 0)
+                for v in _typed(g.get("hw_sub_counts"), list, "grid.hw_sub_counts")
+            ),
+            sw_sub_count=_integer(g.get("sw_sub_count", 0), "grid.sw_sub_count", 0),
+            reps=_integer(g.get("reps", 50), "grid.reps", 1),
+            period_us=_number(g.get("period_us", 200_000.0), "grid.period_us"),
         )
 
+    seed = doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ScenarioError(f"seed must be an integer, got {seed!r}")
+    jitter = doc.get("jitter_pct")
+    compute = _typed(doc.get("compute_us", {}), dict, "compute_us")
     return Scenario(
         graph=graph,
         node_mapping=node_mapping,
         workload=tuple(workload),
-        seed=int(doc.get("seed", 0)),
+        seed=seed,
         comm_mapping=comm_mapping,
         policy=policy,
-        compute_us=tuple(sorted((k, float(v)) for k, v in doc.get("compute_us", {}).items())),
-        jitter_pct=doc.get("jitter_pct"),
+        compute_us=tuple(sorted((k, _number(v, f"compute_us.{k}")) for k, v in compute.items())),
+        jitter_pct=None if jitter is None else _number(jitter, "jitter_pct", upper=1.0),
         grid=grid,
     )
 
@@ -273,10 +310,7 @@ class SimResult:
     memif_segments: list[tuple[int, int, int, float]]  # (t0_ns, t1_ns, flows, bytes)
 
     def kind_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for ev in self.trace:
-            counts[ev.kind] = counts.get(ev.kind, 0) + 1
-        return counts
+        return dict(Counter(ev.kind for ev in self.trace))
 
 
 # -- MEMIF bandwidth pool ---------------------------------------------------
@@ -412,7 +446,6 @@ class _GwActor:
 
     def __init__(self, sim: "_Sim", topic: str, hw_subs: tuple[str, ...], sw_subs: tuple[str, ...]):
         self._sim = sim
-        self.topic = topic
         self.smt_id = f"gw.{topic}"
         self.hmt_id = f"gw.{topic}.hmt"
         self.hw_subs = hw_subs
@@ -472,9 +505,7 @@ class _GwActor:
 
             def after_stream():
                 for sub in self.hw_subs:
-                    sim.trace("HMT_TRANSFER", m.message_id, sub)
-                    dt = sim.jit_ns(sim.platform.osif_roundtrip_us)
-                    sim.deliver_at(sim.now_ns + dt, self.topic, sub, m.seq)
+                    sim.hmt_arrival(m, sub)
                 # own transfer loops back through the tap under the gateway's identity
                 loop = gw.Message(self.hmt_id, m.seq, m.topic, m.size_bytes)
                 self.post(gw.HmtArrival(loop))
@@ -495,9 +526,7 @@ class _GwActor:
 
             def after_publish():
                 for sub in self.sw_subs:
-                    sim.deliver_at(
-                        sim.now_ns + sim.sw_delivery_ns(m.size_bytes), self.topic, sub, m.seq
-                    )
+                    sim.sw_take(sub, m, sim.now_ns)
                 # own publication loops back through the delegate
                 loop = gw.Message(self.smt_id, m.seq, m.topic, m.size_bytes)
                 self.delegate.on_message_available(loop)
@@ -523,6 +552,22 @@ class RelaySpec:
     in_topic: str
     out_topic: str
     compute_us: float
+
+
+@dataclass(frozen=True)
+class _Route:
+    """How one topic's messages travel, fixed when the engine starts.
+
+    ``readers`` are the software-side readers in reader-id order as
+    (copy slot, reader id, take); ``take(message, t_ready)`` schedules the
+    reader's share once its copy is ready.  ``hw_subs`` are served on the
+    hardware side when the topic has one (HMT or GW).
+    """
+
+    impl: TopicImpl
+    readers: tuple[tuple[int, str, Callable[[gw.Message, int], None]], ...]
+    hw_subs: tuple[str, ...]
+    actor: _GwActor | None
 
 
 class _Sim:
@@ -551,25 +596,35 @@ class _Sim:
         self._pub_times: dict[tuple[str, int], int] = {}
         self._next_msg_seq: dict[str, int] = {}
         self._relays = relays or {}
-        self._validate()
-        self._actors: dict[str, _GwActor] = {}
-        for topic_id in graph.topic_ids():
-            if comm_mapping.impl_of(topic_id) is TopicImpl.GW:
-                hw = tuple(n for n in graph.subscribers_of(topic_id) if node_mapping.is_hw(n))
-                sw = tuple(n for n in graph.subscribers_of(topic_id) if not node_mapping.is_hw(n))
-                self._actors[topic_id] = _GwActor(self, topic_id, hw, sw)
+        self._routes = {topic_id: self._route(topic_id) for topic_id in graph.topic_ids()}
 
-    def _validate(self):
-        for topic_id in self.graph.topic_ids():
-            impl = self.comm_mapping.impl_of(topic_id)
-            endpoints = set(self.graph.publishers_of(topic_id)) | set(
-                self.graph.subscribers_of(topic_id)
-            )
-            placements = {self.node_mapping.placement_of(n) for n in endpoints}
-            if impl is TopicImpl.HMT and Placement.SW in placements:
+    def _route(self, topic_id: str) -> _Route:
+        """Decide once how a topic's messages travel; rejects impossible mappings."""
+        impl = self.comm_mapping.impl_of(topic_id)
+        if impl is not TopicImpl.SMT:
+            cls = classify_topic(self.graph, self.node_mapping, topic_id)
+            if impl is TopicImpl.HMT and cls is not TopicClass.ALL_HW:
                 raise MappingError(f"topic {topic_id!r}: HMT cannot serve software endpoints")
-            if impl is TopicImpl.GW and len(placements) < 2:
+            if impl is TopicImpl.GW and cls is not TopicClass.MIXED:
                 raise MappingError(f"topic {topic_id!r}: a gateway only makes sense for mixed endpoints")
+        subs = self.graph.subscribers_of(topic_id)
+        hw_subs = tuple(n for n in subs if self.node_mapping.is_hw(n))
+        sw_subs = tuple(n for n in subs if n not in hw_subs)
+
+        def pull(sub):
+            return lambda m, t: self.at(t, lambda: self._delegate_pull(m, sub))
+
+        readers = [(sub, partial(self.sw_take, sub)) for sub in sw_subs]
+        actor = None
+        if impl is TopicImpl.SMT:
+            readers += [(sub, pull(sub)) for sub in hw_subs]
+        elif impl is TopicImpl.GW:
+            # hardware subscribers listen on the HMT side, the gateway reads the SMT side
+            actor = _GwActor(self, topic_id, hw_subs, sw_subs)
+            notify = actor.delegate.on_message_available
+            readers.append((actor.smt_id, lambda m, t: self.at(t, lambda: notify(m))))
+        readers.sort(key=lambda reader: reader[0])
+        return _Route(impl, tuple((slot, *reader) for slot, reader in enumerate(readers)), hw_subs, actor)
 
     # -- primitives --
 
@@ -577,11 +632,14 @@ class _Sim:
         heapq.heappush(self._heap, (t_ns, self._seq, fn))
         self._seq += 1
 
-    def jit_ns(self, us: float) -> int:
-        factor = 1.0
+    def _jitter_factor(self) -> float:
+        # draws from the generator only when jitter is on
         if self._jitter > 0:
-            factor += self._rng.uniform(-self._jitter, self._jitter)
-        return _us_to_ns(us * factor)
+            return 1.0 + self._rng.uniform(-self._jitter, self._jitter)
+        return 1.0
+
+    def jit_ns(self, us: float) -> int:
+        return _us_to_ns(us * self._jitter_factor())
 
     def jit_bytes(self, nbytes: int) -> float:
         """MEMIF arbitration jitter, charged as effective bytes moved.
@@ -589,13 +647,12 @@ class _Sim:
         Keeps the pool's aggregate throughput exactly at the configured
         bandwidth; dedicated HMT streams carry no such noise.
         """
-        factor = 1.0
-        if self._jitter > 0:
-            factor += self._rng.uniform(-self._jitter, self._jitter)
-        return nbytes * factor
+        return nbytes * self._jitter_factor()
 
-    def sw_delivery_ns(self, size_bytes: int) -> int:
-        return _us_to_ns(self.platform.sw_dds_latency_us(size_bytes))
+    def sw_take(self, subscriber: str, message: gw.Message, t_ready: int):
+        """A software subscriber's copy is ready; software-side delivery follows."""
+        t_deliver = t_ready + _us_to_ns(self.platform.sw_dds_latency_us(message.size_bytes))
+        self.deliver_at(t_deliver, message.topic, subscriber, message.seq)
 
     def trace(self, kind: str, message_id: str, endpoint: str):
         self._trace.append(TraceEvent(self.now_ns, kind, message_id, endpoint))
@@ -618,81 +675,40 @@ class _Sim:
     # -- publishing --
 
     def publish(self, publisher: str, topic_id: str, size_bytes: int | None = None, seq: int | None = None):
-        spec = self.graph.topic(topic_id)
-        size = spec.message_size_bytes if size_bytes is None else size_bytes
+        route = self._routes[topic_id]
+        size = self.graph.topic(topic_id).message_size_bytes if size_bytes is None else size_bytes
         if seq is None:
             seq = self._next_msg_seq.get(topic_id, 0)
             self._next_msg_seq[topic_id] = seq + 1
         self._pub_times[(topic_id, seq)] = self.now_ns
         message = gw.Message(publisher, seq, topic_id, size)
         self.trace("PUBLISH", message.message_id, publisher)
-        impl = self.comm_mapping.impl_of(topic_id)
-        pub_is_hw = self.node_mapping.is_hw(publisher)
+        if self.node_mapping.is_hw(publisher):
+            dt = self.jit_ns(self.platform.osif_roundtrip_us) + self.jit_ns(self.platform.delegate_publish_us)
+            self.at(self.now_ns + dt, lambda: self._from_hw(route, message))
+        else:
+            self._smt_fanout(route, message, loaned=False)
 
-        if impl is TopicImpl.SMT:
-            if pub_is_hw:
-                dt = self.jit_ns(self.platform.osif_roundtrip_us) + self.jit_ns(
-                    self.platform.delegate_publish_us
-                )
-                self.at(self.now_ns + dt, lambda: self._smt_fanout(message, loaned=True))
-            else:
-                self._smt_fanout(message, loaned=False)
-        elif impl is TopicImpl.HMT:
-            if not pub_is_hw:
-                raise MappingError(f"software node {publisher!r} cannot publish on HMT topic {topic_id!r}")
-            dt = self.jit_ns(self.platform.osif_roundtrip_us) + self.jit_ns(
-                self.platform.delegate_publish_us
-            )
-            self.at(self.now_ns + dt, lambda: self._hmt_streams(message, include_tap=False))
-        elif impl is TopicImpl.GW:
-            if pub_is_hw:
-                dt = self.jit_ns(self.platform.osif_roundtrip_us) + self.jit_ns(
-                    self.platform.delegate_publish_us
-                )
-                self.at(self.now_ns + dt, lambda: self._hmt_streams(message, include_tap=True))
-            else:
-                self._smt_fanout(message, loaned=False)
-        else:  # pragma: no cover
-            raise AssertionError(impl)
+    def _from_hw(self, route: _Route, message: gw.Message):
+        """A hardware publication, announced and already in main memory."""
+        if route.impl is TopicImpl.SMT:
+            self._smt_fanout(route, message, loaned=True)
+        else:
+            self._hmt_streams(route, message)
 
-    def _smt_readers(self, topic_id: str) -> list[tuple[str, str]]:
-        """(reader_id, kind) on the software side, in reader-id order."""
-        impl = self.comm_mapping.impl_of(topic_id)
-        readers = []
-        for sub in self.graph.subscribers_of(topic_id):
-            if self.node_mapping.is_hw(sub):
-                if impl is TopicImpl.SMT:
-                    readers.append((sub, "delegate"))
-                # on a gateway topic hardware subscribers listen on the HMT side
-            else:
-                readers.append((sub, "sw"))
-        if impl is TopicImpl.GW:
-            readers.append((self._actors[topic_id].smt_id, "gateway"))
-        readers.sort()
-        return readers
-
-    def _smt_fanout(self, message: gw.Message, loaned: bool):
+    def _smt_fanout(self, route: _Route, message: gw.Message, loaned: bool):
         """Hand the message to every software-side reader.
 
-        ``loaned`` fan-out (hardware or gateway publications, already in
-        main memory) reaches all readers at once; a software publisher
-        copies serially, first reader free.
+        ``loaned`` fan-out (hardware publications, already in main memory)
+        reaches all readers at once; a software publisher copies serially,
+        first reader free.
         """
-        topic_id = message.topic
-        size = message.size_bytes
-        copy_ns = _bytes_ns(size, self.platform.sw_copy_bandwidth_bytes_per_s)
-        for i, (reader, kind) in enumerate(self._smt_readers(topic_id)):
-            slot_ns = 0 if loaned else i * copy_ns
-            t_ready = self.now_ns + slot_ns
-            if not loaned and i > 0:
-                self.at(t_ready, lambda r=reader, m=message: self.trace("SW_COPY", m.message_id, r))
-            if kind == "sw":
-                self.deliver_at(t_ready + self.sw_delivery_ns(size), topic_id, reader, message.seq)
-            elif kind == "delegate":
-                self.at(t_ready, lambda r=reader, m=message: self._delegate_pull(m, r))
-            else:  # gateway
-                actor = self._actors[topic_id]
-                self.at(t_ready, lambda m=message, a=actor: a.delegate.on_message_available(m))
+        copy_ns = _bytes_ns(message.size_bytes, self.platform.sw_copy_bandwidth_bytes_per_s)
+        for slot, reader, take in route.readers:
+            t_ready = self.now_ns if loaned else self.now_ns + slot * copy_ns
+            if not loaned and slot > 0:
+                self.at(t_ready, lambda r=reader: self.trace("SW_COPY", message.message_id, r))
+            take(message, t_ready)
 
     def _delegate_pull(self, message: gw.Message, subscriber: str):
         """A hardware subscriber's delegate fetches its copy over MEMIF."""
@@ -707,23 +723,20 @@ class _Sim:
 
         self.at(self.now_ns + dt, start_read)
 
-    def _hmt_streams(self, message: gw.Message, include_tap: bool):
-        """Stream to every hardware subscriber, each on its own channel."""
-        topic_id = message.topic
-        stream_ns = _bytes_ns(message.size_bytes, self.platform.hmt_bandwidth_bytes_per_s)
-        t_arrive = self.now_ns + stream_ns
-        for sub in self.graph.subscribers_of(topic_id):
-            if not self.node_mapping.is_hw(sub):
-                continue
+    def hmt_arrival(self, message: gw.Message, subscriber: str):
+        """A stream reached a hardware subscriber, which takes delivery after one OSIF round trip."""
+        self.trace("HMT_TRANSFER", message.message_id, subscriber)
+        dt = self.jit_ns(self.platform.osif_roundtrip_us)
+        self.deliver_at(self.now_ns + dt, message.topic, subscriber, message.seq)
 
-            def arrived(s=sub):
-                self.trace("HMT_TRANSFER", message.message_id, s)
-                dt = self.jit_ns(self.platform.osif_roundtrip_us)
-                self.deliver_at(self.now_ns + dt, topic_id, s, message.seq)
-
-            self.at(t_arrive, arrived)
-        if include_tap:
-            actor = self._actors[topic_id]
+    def _hmt_streams(self, route: _Route, message: gw.Message):
+        """Stream to every hardware subscriber, each on its own channel,
+        and to the gateway's tap if the topic has one."""
+        t_arrive = self.now_ns + _bytes_ns(message.size_bytes, self.platform.hmt_bandwidth_bytes_per_s)
+        for sub in route.hw_subs:
+            self.at(t_arrive, lambda s=sub: self.hmt_arrival(message, s))
+        actor = route.actor
+        if actor is not None:
 
             def tapped():
                 self.trace("HMT_TRANSFER", message.message_id, actor.hmt_id)
@@ -844,15 +857,7 @@ def cell_times(
     scenario: Scenario, platform: PlatformModel, policy: MappingPolicy
 ) -> tuple[float | None, float | None]:
     """(mean hw-side, mean sw-side) fan-out completion times for one cell."""
-    run = Scenario(
-        graph=scenario.graph,
-        node_mapping=scenario.node_mapping,
-        workload=scenario.workload,
-        seed=scenario.seed,
-        policy=policy,
-        jitter_pct=scenario.jitter_pct,
-    )
-    result = simulate(run, platform)
+    result = simulate(replace(scenario, comm_mapping=None, policy=policy), platform)
     hw_subs = {n for n in scenario.graph.subscribers_of("t0") if scenario.node_mapping.is_hw(n)}
     sw_subs = {n for n in scenario.graph.subscribers_of("t0") if not scenario.node_mapping.is_hw(n)}
     t_hw = statistics.fmean(_fanout_latencies(result, "t0", hw_subs)) if hw_subs else None

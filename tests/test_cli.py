@@ -161,6 +161,52 @@ class TestSimulate:
         assert run_cli("simulate", "--scenario", str(tmp_path / "none.json")) == 2
 
 
+def _workload(**entry):
+    base = {"publisher": "1", "topic": "A", "count": 3, "period_us": 1000}
+    return {"workload": [{**base, **entry}]}
+
+
+def _grid(**fields):
+    base = {"publisher_kind": "hw", "sizes": [12000], "hw_sub_counts": [2], "reps": 2}
+    return {"grid": {**base, **fields}, "workload": []}
+
+
+class TestScenarioValidation:
+    """Out-of-range or mistyped scenario fields are input errors, not runs."""
+
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            ({"jitter_pct": 3.0}, "jitter_pct"),
+            ({"jitter_pct": -0.1}, "jitter_pct"),
+            (_workload(size_bytes="big"), "size_bytes"),
+            (_workload(size_bytes=-5), "size_bytes"),
+            (_workload(period_us=-100), "period_us"),
+            (_workload(count=-1), "count"),
+            (_workload(count=2.5), "count"),
+            (_grid(sizes=[0]), "grid.sizes"),
+            (_grid(sizes=["big"]), "grid.sizes"),
+            (_grid(reps=0), "grid.reps"),
+            (_grid(hw_sub_counts=[-1]), "grid.hw_sub_counts"),
+            (_grid(sw_sub_count=-1), "grid.sw_sub_count"),
+            ({"seed": "five"}, "seed"),
+            (_workload(topic=["A"]), "topic"),
+        ],
+    )
+    def test_rejected_with_one_line_error(self, workdir, capsys, extra, field):
+        scenario = write_scenario(workdir, **extra)
+        assert run_cli("simulate", "--scenario", str(scenario)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and field in lines[0]
+
+    def test_in_range_values_run(self, workdir, capsys):
+        scenario = write_scenario(workdir, jitter_pct=0.0, **_workload(size_bytes=64, count=0, period_us=0))
+        assert run_cli("simulate", "--scenario", str(scenario)) == 0
+
+
 class TestCompare:
     def grid_doc(self):
         return {

@@ -1,0 +1,88 @@
+"""Engine invariants on small random pub-sub graphs, not only on stars.
+
+Graphs have up to six nodes and four topics; nodes may publish several
+topics and subscribe to their own.  Each topic gets a random transport
+that is valid for its endpoints: HMT only when every endpoint is
+hardware, GW only when the endpoints are mixed, SMT always.
+"""
+
+import warnings
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from topomap.graph import ComputationGraph, DanglingTopicWarning, NodeMapping, Placement, TopicSpec
+from topomap.mapping import CommMapping, TopicImpl
+from topomap.platform_model import PlatformModel
+from topomap.simulator import Scenario, WorkloadItem, simulate, trace_to_csv
+
+PLATFORM = PlatformModel()
+
+
+@st.composite
+def scenarios(draw):
+    nodes = [f"n{i}" for i in range(draw(st.integers(2, 6)))]
+    placement = {n: draw(st.sampled_from(Placement)) for n in nodes}
+    topics, pub_edges, sub_edges, assignments, workload = [], [], [], [], []
+    for k in range(draw(st.integers(1, 4))):
+        tid = f"t{k}"
+        publishers = draw(st.sets(st.sampled_from(nodes), min_size=1, max_size=3))
+        subscribers = draw(st.sets(st.sampled_from(nodes), max_size=len(nodes)))
+        topics.append(TopicSpec(tid, draw(st.integers(1, 200_000)), 100.0))
+        pub_edges += [(n, tid) for n in publishers]
+        sub_edges += [(tid, n) for n in subscribers]
+        sides = {placement[n] for n in publishers | subscribers}
+        allowed = [TopicImpl.SMT]
+        if sides == {Placement.HW}:
+            allowed.append(TopicImpl.HMT)
+        if len(sides) == 2:
+            allowed.append(TopicImpl.GW)
+        assignments.append((tid, draw(st.sampled_from(allowed))))
+        for n in sorted(publishers):
+            workload.append(
+                WorkloadItem(
+                    n,
+                    tid,
+                    count=draw(st.integers(0, 3)),
+                    period_us=draw(st.sampled_from([0.0, 50.0, 400.0, 5_000.0])),
+                    size_bytes=draw(st.none() | st.integers(1, 200_000)),
+                )
+            )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DanglingTopicWarning)
+        graph = ComputationGraph(tuple(nodes), tuple(topics), tuple(pub_edges), tuple(sub_edges))
+    return Scenario(
+        graph=graph,
+        node_mapping=NodeMapping(tuple(placement.items())),
+        workload=tuple(draw(st.permutations(workload))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        comm_mapping=CommMapping(tuple(assignments)),
+        jitter_pct=draw(st.sampled_from([0.0, 0.05, 0.3])),
+    )
+
+
+@given(scenarios())
+@settings(max_examples=200, deadline=None)
+def test_engine_invariants_on_random_graphs(scenario):
+    result = simulate(scenario, PLATFORM)
+
+    # exactly once per (topic, seq, subscriber)
+    published: dict[str, int] = {}
+    for item in scenario.workload:
+        published[item.topic] = published.get(item.topic, 0) + item.count
+    expected = sorted(
+        (topic, seq, sub)
+        for topic, sub in scenario.graph.sub_edges
+        for seq in range(published.get(topic, 0))
+    )
+    assert sorted((d.topic, d.seq, d.subscriber) for d in result.deliveries) == expected
+
+    assert all(d.t_deliver_ns >= d.t_pub_ns for d in result.deliveries)
+    times = [ev.t_ns for ev in result.trace]
+    assert times == sorted(times)
+
+    bps = PLATFORM.memif_bandwidth_bytes_per_s
+    for t0, t1, _, nbytes in result.memif_segments:
+        assert nbytes <= (t1 - t0) * bps / 1e9 * (1 + 1e-9)
+
+    assert trace_to_csv(simulate(scenario, PLATFORM)) == trace_to_csv(result)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topomap.graph import parse_document
+from topomap.graph import ComputationGraph, DanglingTopicWarning, NodeMapping, TopicSpec, parse_document
 from topomap.mapping import CommMapping, MappingError, MappingPolicy, TopicImpl
 from topomap.platform_model import PlatformModel
 from topomap.simulator import (
@@ -284,6 +284,23 @@ class TestInvariants:
         scn = quiet("hw", 2, 0, S_10US, comm_mapping=CommMapping.from_dict({"t0": "GW"}))
         with pytest.raises(MappingError, match="mixed"):
             simulate(scn, PLATFORM)
+
+    def test_endpointless_smt_topic_is_legal(self):
+        # only HMT and GW topics are classified; a topic nobody touches may sit on SMT
+        with pytest.warns(DanglingTopicWarning):
+            graph = ComputationGraph(
+                nodes=("pub0", "sub0"),
+                topics=(TopicSpec("idle", 100, 1.0), TopicSpec("t0", S_1US, 1.0)),
+                pub_edges=(("pub0", "t0"),),
+                sub_edges=(("t0", "sub0"),),
+            )
+        scn = Scenario(
+            graph,
+            NodeMapping.from_dict({"pub0": "SW", "sub0": "SW"}),
+            (WorkloadItem("pub0", "t0"),),
+            comm_mapping=CommMapping.from_dict({"idle": "SMT", "t0": "SMT"}),
+        )
+        assert [d.subscriber for d in simulate(scn, PLATFORM).deliveries] == ["sub0"]
 
     def test_workload_publisher_must_exist(self):
         scn = dataclasses.replace(
