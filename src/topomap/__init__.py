@@ -17,11 +17,12 @@ from .mapping import (
     TopicClass,
     TopicImpl,
     classify_topic,
+    cost_params_from_platform,
     count_boundary_crossings,
     map_communication,
     mapping_report,
 )
-from .platform_model import PlatformModel, cost_params_from_platform
+from .platform_model import PlatformModel
 from .simulator import (
     Scenario,
     SimResult,

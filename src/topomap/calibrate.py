@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict
 
 from .mapping import MappingPolicy
 from .platform_model import PlatformModel
-from .simulator import cell_times, star_scenario
+from .simulator import ScenarioError, _integer, _number, _typed, cell_times, star_scenario
 
 
 class TargetError(ValueError):
@@ -50,27 +50,32 @@ class SpeedupTarget:
             raise TargetError("sw-side target needs at least one software subscriber")
 
 
+def _target(entry, where: str) -> SpeedupTarget:
+    _typed(entry, dict, where)
+    try:
+        return SpeedupTarget(
+            publisher_kind=entry["publisher_kind"],
+            size_bytes=_integer(entry["size_bytes"], f"{where}.size_bytes", 1),
+            hw_subs=_integer(entry["hw_subs"], f"{where}.hw_subs", 0),
+            sw_subs=_integer(entry.get("sw_subs", 0), f"{where}.sw_subs", 0),
+            measure=entry["measure"],
+            speedup=_number(entry["speedup"], f"{where}.speedup"),
+        )
+    except KeyError as exc:
+        raise TargetError(f"{where}: missing key {exc.args[0]!r}") from None
+
+
 def parse_targets(text: str) -> tuple[list[SpeedupTarget], float]:
-    """Targets document: {"threshold": rel_err, "targets": [{...}, ...]}."""
+    """Targets document: {"threshold": rel_err, "targets": [{...}, ...]}, range-checked."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or "targets" not in doc:
         raise TargetError("targets document must be an object with a 'targets' list")
-    threshold = float(doc.get("threshold", 0.25))
-    targets = []
-    for i, entry in enumerate(doc["targets"]):
-        try:
-            targets.append(
-                SpeedupTarget(
-                    publisher_kind=entry["publisher_kind"],
-                    size_bytes=int(entry["size_bytes"]),
-                    hw_subs=int(entry["hw_subs"]),
-                    sw_subs=int(entry.get("sw_subs", 0)),
-                    measure=entry["measure"],
-                    speedup=float(entry["speedup"]),
-                )
-            )
-        except KeyError as exc:
-            raise TargetError(f"targets[{i}]: missing key {exc.args[0]!r}") from None
+    try:
+        threshold = _number(doc.get("threshold", 0.25), "threshold")
+        entries = _typed(doc["targets"], list, "targets")
+        targets = [_target(entry, f"targets[{i}]") for i, entry in enumerate(entries)]
+    except ScenarioError as exc:
+        raise TargetError(str(exc)) from None
     if not targets:
         raise TargetError("targets list is empty")
     return targets, threshold
@@ -108,17 +113,6 @@ def simulated_speedup(target: SpeedupTarget, platform: PlatformModel, seed: int 
 
 
 # -- the optimizer ------------------------------------------------------------
-
-TUNABLE = (
-    "osif_roundtrip_us",
-    "delegate_publish_us",
-    "sw_dds_intercept_us",
-    "sw_dds_us_per_byte",
-    "sw_copy_bandwidth_bytes_per_s",
-    "memif_bandwidth_bytes_per_s",
-    "hmt_over_memif",
-)
-
 
 def coordinate_descent(
     objective,

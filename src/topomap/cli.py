@@ -32,10 +32,11 @@ from .graph import (
 from .mapping import (
     MappingError,
     MappingPolicy,
+    cost_params_from_platform,
     map_communication,
     mapping_report,
 )
-from .platform_model import PlatformModel, cost_params_from_platform
+from .platform_model import PlatformModel
 from .simulator import (
     ScenarioError,
     compare_grid,
@@ -217,14 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one scenario")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--platform")
+    p.add_argument("--platform", help="platform document: simulated timing and the cost model")
     p.add_argument("--trace", help="write the event trace CSV here")
     p.add_argument("--stats", help="write per-(topic, subscriber) latency stats CSV here")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="run a scenario under two policies")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--platform")
+    p.add_argument("--platform", help="platform document: simulated timing and the cost model")
     p.add_argument("--policies", required=True, help="two policy names, comma separated")
     p.add_argument("--out", help="comparison CSV path (default: stdout)")
     p.set_defaults(func=cmd_compare)

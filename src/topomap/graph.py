@@ -48,6 +48,9 @@ class BadAnnotationError(GraphError):
 class UnknownTopicError(KeyError):
     """Lookup of a topic id that is not in the graph."""
 
+    def __str__(self):
+        return f"unknown topic {self.args[0]!r}"
+
 
 class DanglingTopicWarning(UserWarning):
     """Topic with no publishers or no subscribers."""

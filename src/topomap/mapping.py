@@ -11,10 +11,10 @@ Which of the two a mixed topic gets is the policy's call.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, asdict
 
 from .graph import ComputationGraph, NodeMapping, Placement
+from .platform_model import PlatformModel
 
 
 class MappingError(ValueError):
@@ -42,20 +42,21 @@ class MappingPolicy(enum.Enum):
 
 @dataclass(frozen=True)
 class CostModelParams:
-    """Per-transfer cost model, all times in microseconds.
+    """The estimator's view of a platform, all times in microseconds.
 
     Bandwidths are in bytes per microsecond.  ``sw_dds_intercept_us`` and
     ``sw_dds_us_per_byte`` form the affine latency of a software-side
     delivery; the same leg appears in both estimators and therefore never
     decides between them, but keeping it makes the estimates end-to-end.
+    It has no numbers of its own: ``cost_params_from_platform`` derives it.
     """
 
-    delegate_roundtrip_us: float = 38.0
-    gateway_fixed_overhead_us: float = 76.0
-    memif_bandwidth_bytes_per_us: float = 1200.0
-    hmt_bandwidth_bytes_per_us: float = 4800.0
-    sw_dds_intercept_us: float = 10.0
-    sw_dds_us_per_byte: float = 0.009
+    delegate_roundtrip_us: float
+    gateway_fixed_overhead_us: float
+    memif_bandwidth_bytes_per_us: float
+    hmt_bandwidth_bytes_per_us: float
+    sw_dds_intercept_us: float
+    sw_dds_us_per_byte: float
 
     def __post_init__(self):
         for name, value in asdict(self).items():
@@ -67,12 +68,23 @@ class CostModelParams:
     def sw_dds_latency_us(self, size_bytes: int) -> float:
         return self.sw_dds_intercept_us + self.sw_dds_us_per_byte * size_bytes
 
-    @classmethod
-    def from_json(cls, text: str) -> "CostModelParams":
-        return cls(**json.loads(text))
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+def cost_params_from_platform(platform: PlatformModel) -> CostModelParams:
+    """Derive the cost model from the platform's timing parameters.
+
+    The delegate round trip is one OSIF round trip plus the delegate
+    publish; the gateway's fixed overhead doubles that, covering the
+    cancellable-read detour on ingest plus the publish-side round trip.
+    """
+    roundtrip = platform.osif_roundtrip_us + platform.delegate_publish_us
+    return CostModelParams(
+        delegate_roundtrip_us=roundtrip,
+        gateway_fixed_overhead_us=2.0 * roundtrip,
+        memif_bandwidth_bytes_per_us=platform.memif_bandwidth_bytes_per_s / 1e6,
+        hmt_bandwidth_bytes_per_us=platform.hmt_bandwidth_bytes_per_s / 1e6,
+        sw_dds_intercept_us=platform.sw_dds_intercept_us,
+        sw_dds_us_per_byte=platform.sw_dds_us_per_byte,
+    )
 
 
 def classify_topic(graph: ComputationGraph, node_mapping: NodeMapping, topic_id: str) -> TopicClass:
@@ -162,11 +174,12 @@ def map_communication(
     ALL_SW topics always stay on SMT.  ALL_HW topics go to HMT under the
     classifying policies; the ALWAYS_SMT baseline leaves literally every
     topic on the software transport, which is what an unmapped system
-    does.  Only MIXED topics genuinely consult the policy.
+    does.  Only MIXED topics genuinely consult the policy.  Without
+    ``cost_params`` the cost model is derived from the default platform.
     """
     node_mapping.validate_against(graph)
     if cost_params is None:
-        cost_params = CostModelParams()
+        cost_params = cost_params_from_platform(PlatformModel())
     assignments = []
     rationales = {}
     for topic_id in graph.topic_ids():

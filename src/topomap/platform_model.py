@@ -70,22 +70,3 @@ class PlatformModel:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
 
-
-def cost_params_from_platform(platform: PlatformModel):
-    """Derive the mapping-time cost model from simulator timing.
-
-    The delegate round trip is one OSIF round trip plus the delegate
-    publish; the gateway's fixed overhead doubles that, covering the
-    cancellable-read detour on ingest plus the publish-side round trip.
-    """
-    from .mapping import CostModelParams
-
-    roundtrip = platform.osif_roundtrip_us + platform.delegate_publish_us
-    return CostModelParams(
-        delegate_roundtrip_us=roundtrip,
-        gateway_fixed_overhead_us=2.0 * roundtrip,
-        memif_bandwidth_bytes_per_us=platform.memif_bandwidth_bytes_per_s / 1e6,
-        hmt_bandwidth_bytes_per_us=platform.hmt_bandwidth_bytes_per_s / 1e6,
-        sw_dds_intercept_us=platform.sw_dds_intercept_us,
-        sw_dds_us_per_byte=platform.sw_dds_us_per_byte,
-    )

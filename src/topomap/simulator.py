@@ -51,6 +51,7 @@ from .mapping import (
     TopicClass,
     TopicImpl,
     classify_topic,
+    cost_params_from_platform,
     map_communication,
 )
 from .platform_model import PlatformModel
@@ -104,10 +105,12 @@ class Scenario:
     jitter_pct: float | None = None  # None: platform default
     grid: GridSpec | None = None
 
-    def resolve_mapping(self, cost_params=None) -> CommMapping:
+    def resolve_mapping(self, platform: PlatformModel = PlatformModel()) -> CommMapping:
+        """The explicit mapping, else the policy's pick priced on ``platform``."""
         if self.comm_mapping is not None:
             return self.comm_mapping
         policy = self.policy if self.policy is not None else MappingPolicy.COST
+        cost_params = cost_params_from_platform(platform)
         mapping, _ = map_communication(self.graph, self.node_mapping, policy, cost_params)
         return mapping
 
@@ -596,6 +599,12 @@ class _Sim:
         self._pub_times: dict[tuple[str, int], int] = {}
         self._next_msg_seq: dict[str, int] = {}
         self._relays = relays or {}
+        topics, mapped = set(graph.topic_ids()), set(comm_mapping.to_dict())
+        if topics != mapped:
+            raise MappingError(
+                "comm_mapping must name exactly the graph's topics: "
+                f"missing {sorted(topics - mapped)}, unknown {sorted(mapped - topics)}"
+            )
         self._routes = {topic_id: self._route(topic_id) for topic_id in graph.topic_ids()}
 
     def _route(self, topic_id: str) -> _Route:
@@ -770,7 +779,7 @@ def simulate(
     seed: int | None = None,
     relays: dict[str, RelaySpec] | None = None,
 ) -> SimResult:
-    comm_mapping = scenario.resolve_mapping()
+    comm_mapping = scenario.resolve_mapping(platform)
     sim = _Sim(
         scenario.graph,
         scenario.node_mapping,

@@ -7,7 +7,9 @@ import pytest
 
 from topomap.cli import main
 from topomap.gateway import transition_table
-from topomap.simulator import STATS_HEADER, TRACE_HEADER
+from topomap.graph import serialize_graph
+from topomap.platform_model import PlatformModel
+from topomap.simulator import STATS_HEADER, TRACE_HEADER, star_graph
 
 
 def run_cli(*argv):
@@ -207,6 +209,85 @@ class TestScenarioValidation:
         assert run_cli("simulate", "--scenario", str(scenario)) == 0
 
 
+class TestScenarioMappingMismatch:
+    """A comm_mapping must name exactly the graph's topics; workload topics must exist."""
+
+    @pytest.fixture()
+    def chain_dir(self, tmp_path, data_dir):
+        shutil.copy(data_dir / "chain_graph.json", tmp_path / "graph.json")
+        return tmp_path
+
+    def run_one(self, chain_dir, capsys, **extra):
+        doc = {"graph": "graph.json", "workload": [{"publisher": "camera", "topic": "t_cam"}], **extra}
+        scenario = chain_dir / "scenario.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        code = run_cli("simulate", "--scenario", str(scenario))
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return code, lines[0]
+
+    def test_missing_topic_named(self, chain_dir, capsys):
+        code, line = self.run_one(chain_dir, capsys, comm_mapping={"t_cam": "SMT"})
+        assert code == 3
+        assert "missing ['t_blur', 't_img', 't_lane', 't_poly'], unknown []" in line
+
+    def test_unknown_topic_named(self, chain_dir, capsys):
+        mapping = {t: "SMT" for t in ("t_cam", "t_img", "t_blur", "t_lane", "t_poly")}
+        code, line = self.run_one(chain_dir, capsys, comm_mapping={**mapping, "t_bogus": "GW"})
+        assert code == 3
+        assert "missing [], unknown ['t_bogus']" in line
+
+    def test_unknown_workload_topic_named(self, chain_dir, capsys):
+        workload = [{"publisher": "camera", "topic": "t_nope"}]
+        code, line = self.run_one(chain_dir, capsys, policy="smt", workload=workload)
+        assert code == 3
+        assert line == "error: unknown topic 't_nope'"
+
+
+class TestCostPolicyOnePlatform:
+    """map and simulate price a cost topic on the same platform document.
+
+    On a software-publisher star with two hardware and one software
+    subscriber and 100 kB messages, the default platform (HMT as fast as
+    MEMIF) keeps the topic on SMT; with HMT at 4.8 GB/s a gateway wins.
+    """
+
+    COUNT = 3
+
+    @pytest.fixture()
+    def star_dir(self, tmp_path):
+        graph, node_mapping = star_graph("sw", 2, 1, 100_000)
+        (tmp_path / "star.json").write_text(serialize_graph(graph, node_mapping), encoding="utf-8")
+        doc = {
+            "graph": "star.json",
+            "policy": "cost",
+            "jitter_pct": 0.0,
+            "workload": [{"publisher": "pub0", "topic": "t0", "count": self.COUNT, "period_us": 10_000}],
+        }
+        (tmp_path / "scenario.json").write_text(json.dumps(doc), encoding="utf-8")
+        fast_hmt = PlatformModel(hmt_bandwidth_bytes_per_s=4.8e9)
+        (tmp_path / "fast_hmt.json").write_text(fast_hmt.to_json(), encoding="utf-8")
+        return tmp_path
+
+    def picks(self, star_dir, capsys, *platform):
+        assert run_cli("map", "--graph", str(star_dir / "star.json"), "--policy", "cost", *platform) == 0
+        mapped = json.loads(capsys.readouterr().out)["comm_mapping"]["t0"]
+        trace = star_dir / "trace.csv"
+        assert run_cli("simulate", "--scenario", str(star_dir / "scenario.json"), "--trace", str(trace), *platform) == 0
+        memif = sum(1 for line in trace.read_text(encoding="utf-8").splitlines() if ",MEMIF_TRANSFER," in line)
+        return mapped, memif
+
+    def test_default_platform_keeps_smt(self, star_dir, capsys):
+        # SMT: each hardware subscriber pulls its own copy over MEMIF
+        assert self.picks(star_dir, capsys) == ("SMT", 2 * self.COUNT)
+
+    def test_platform_document_reaches_simulate(self, star_dir, capsys):
+        # GW: one MEMIF crossing per message
+        assert self.picks(star_dir, capsys, "--platform", str(star_dir / "fast_hmt.json")) == ("GW", self.COUNT)
+
+
 class TestCompare:
     def grid_doc(self):
         return {
@@ -266,6 +347,11 @@ class TestCompare:
         assert run_cli("compare", "--scenario", str(scenario), "--policies", "smt,best") == 2
 
 
+def _targets(**entry):
+    base = {"publisher_kind": "hw", "size_bytes": 10000, "hw_subs": 8, "measure": "hw", "speedup": 1.9}
+    return {"targets": [{**base, **entry}]}
+
+
 class TestCalibrate:
     def test_packaged_targets_fit(self, data_dir, tmp_path, capsys):
         out = tmp_path / "fit.json"
@@ -305,6 +391,31 @@ class TestCalibrate:
         path = tmp_path / "targets.json"
         path.write_text('{"targets": []}', encoding="utf-8")
         assert run_cli("calibrate", "--targets", str(path)) == 2
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"targets": 5}, "targets"),
+            ({"targets": ["x"]}, "targets[0]"),
+            (_targets(size_bytes="big"), "size_bytes"),
+            (_targets(size_bytes=-5), "size_bytes"),
+            (_targets(size_bytes="10000"), "size_bytes"),
+            (_targets(size_bytes=1500.7), "size_bytes"),
+            ({**_targets(), "threshold": -1}, "threshold"),
+            (_targets(hw_subs=-1), "hw_subs"),
+            (_targets(sw_subs=-2), "sw_subs"),
+            (_targets(speedup="fast"), "speedup"),
+        ],
+    )
+    def test_rejected_with_one_line_error(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "targets.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("calibrate", "--targets", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and field in lines[0]
 
 
 class TestFsmExport:

@@ -1,5 +1,6 @@
 """Topic classification, mapping policies, cost estimates, crossings."""
 
+import dataclasses
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from topomap.mapping import (
     TopicImpl,
     classification_mapping,
     classify_topic,
+    cost_params_from_platform,
     count_boundary_crossings,
     estimate_gw_cost_us,
     estimate_smt_cost_us,
@@ -23,6 +25,10 @@ from topomap.mapping import (
     mapping_report,
 )
 from topomap.graph import parse_document
+from topomap.platform_model import PlatformModel
+
+# the estimator numbers the tests below were written against
+PARAMS = cost_params_from_platform(PlatformModel(hmt_bandwidth_bytes_per_s=4.8e9))
 
 
 def tiny(pub_kind, sub_kinds):
@@ -97,7 +103,7 @@ class TestPolicies:
         assert cm2.impl_of("t") is TopicImpl.GW
 
     def test_cost_policy_small_vs_large(self):
-        params = CostModelParams()
+        params = PARAMS
         g_small, nm = tiny(SW, [HW, HW])
         cm, _ = map_communication(g_small, nm, MappingPolicy.COST, params)
         # 1000 bytes: fixed gateway overhead dominates, stay on SMT
@@ -119,6 +125,8 @@ class TestPolicies:
             gateway_fixed_overhead_us=38.0,
             memif_bandwidth_bytes_per_us=1000.0,
             hmt_bandwidth_bytes_per_us=1000.0,
+            sw_dds_intercept_us=10.0,
+            sw_dds_us_per_byte=0.009,
         )
         size = 38_000  # smt = 76 + 38 + L, gw = 38 + 38 + 38 + L: exact tie
         assert estimate_smt_cost_us(size, 1, params) == estimate_gw_cost_us(size, 1, params)
@@ -183,20 +191,20 @@ class TestPolicies:
 
 class TestEstimators:
     def test_smt_cost_formula(self):
-        params = CostModelParams()
+        params = PARAMS
         expected = 38.0 + 2 * 1200 / 1200.0 + (10.0 + 0.009 * 1200)
         assert estimate_smt_cost_us(1200, 2, params) == pytest.approx(expected)
 
     def test_gw_cost_formula(self):
-        params = CostModelParams()
+        params = PARAMS
         expected = 76.0 + 1200 / 1200.0 + 1200 / 4800.0 + (10.0 + 0.009 * 1200)
         assert estimate_gw_cost_us(1200, 2, params) == pytest.approx(expected)
 
     def test_requires_hw_subscribers(self):
         with pytest.raises(MappingError):
-            estimate_smt_cost_us(100, 0, CostModelParams())
+            estimate_smt_cost_us(100, 0, PARAMS)
         with pytest.raises(MappingError):
-            estimate_gw_cost_us(100, 0, CostModelParams())
+            estimate_gw_cost_us(100, 0, PARAMS)
 
     @given(
         size=st.integers(min_value=1, max_value=10**8),
@@ -204,7 +212,7 @@ class TestEstimators:
         k2=st.integers(min_value=1, max_value=16),
     )
     def test_smt_monotone_in_hw_subs_gw_flat(self, size, k1, k2):
-        params = CostModelParams()
+        params = PARAMS
         lo, hi = sorted((k1, k2))
         assert estimate_smt_cost_us(size, lo, params) <= estimate_smt_cost_us(size, hi, params)
         assert estimate_gw_cost_us(size, k1, params) == estimate_gw_cost_us(size, k2, params)
@@ -212,7 +220,7 @@ class TestEstimators:
     @given(k=st.integers(min_value=2, max_value=16))
     def test_gateway_dominates_large_messages(self, k):
         """With two or more hardware subscribers the gateway wins eventually."""
-        params = CostModelParams()
+        params = PARAMS
         size = 100_000_000
         assert estimate_gw_cost_us(size, k, params) < estimate_smt_cost_us(size, k, params)
 
@@ -232,13 +240,46 @@ class TestEstimators:
 
     def test_params_validated(self):
         with pytest.raises(ValueError):
-            CostModelParams(delegate_roundtrip_us=0.0)
+            CostModelParams(
+                delegate_roundtrip_us=0.0,
+                gateway_fixed_overhead_us=76.0,
+                memif_bandwidth_bytes_per_us=1200.0,
+                hmt_bandwidth_bytes_per_us=4800.0,
+                sw_dds_intercept_us=10.0,
+                sw_dds_us_per_byte=0.009,
+            )
         with pytest.raises(ValueError):
-            CostModelParams(memif_bandwidth_bytes_per_us=2000.0, hmt_bandwidth_bytes_per_us=1000.0)
+            CostModelParams(
+                delegate_roundtrip_us=38.0,
+                gateway_fixed_overhead_us=76.0,
+                memif_bandwidth_bytes_per_us=2000.0,
+                hmt_bandwidth_bytes_per_us=1000.0,
+                sw_dds_intercept_us=10.0,
+                sw_dds_us_per_byte=0.009,
+            )
 
-    def test_params_json_round_trip(self):
-        params = CostModelParams(delegate_roundtrip_us=12.5)
-        assert CostModelParams.from_json(params.to_json()) == params
+
+class TestDerived:
+    def test_cost_params_derivation(self):
+        params = cost_params_from_platform(PlatformModel())
+        assert params.delegate_roundtrip_us == 38.0
+        assert params.gateway_fixed_overhead_us == 76.0
+        assert params.memif_bandwidth_bytes_per_us == pytest.approx(1200.0)
+        assert params.hmt_bandwidth_bytes_per_us == pytest.approx(1200.0)
+        assert params.sw_dds_intercept_us == 10.0
+        assert params.sw_dds_us_per_byte == 0.009
+
+    def test_cost_params_track_platform_changes(self):
+        p = dataclasses.replace(
+            PlatformModel(),
+            osif_roundtrip_us=20.0,
+            delegate_publish_us=5.0,
+            hmt_bandwidth_bytes_per_s=4.8e9,
+        )
+        params = cost_params_from_platform(p)
+        assert params.delegate_roundtrip_us == 25.0
+        assert params.gateway_fixed_overhead_us == 50.0
+        assert params.hmt_bandwidth_bytes_per_us == pytest.approx(4800.0)
 
 
 def crossings_oracle(graph, nm, cm):

@@ -1,8 +1,6 @@
-import dataclasses
-
 import pytest
 
-from topomap.platform_model import PlatformModel, cost_params_from_platform
+from topomap.platform_model import PlatformModel
 
 
 class TestDefaults:
@@ -61,27 +59,6 @@ class TestDerived:
         assert p.sw_dds_latency_us(0) == 10.0
         assert p.sw_dds_latency_us(1000) == pytest.approx(19.0)
         assert p.sw_dds_latency_us(921600) == pytest.approx(10.0 + 0.009 * 921600)
-
-    def test_cost_params_derivation(self):
-        params = cost_params_from_platform(PlatformModel())
-        assert params.delegate_roundtrip_us == 38.0
-        assert params.gateway_fixed_overhead_us == 76.0
-        assert params.memif_bandwidth_bytes_per_us == pytest.approx(1200.0)
-        assert params.hmt_bandwidth_bytes_per_us == pytest.approx(1200.0)
-        assert params.sw_dds_intercept_us == 10.0
-        assert params.sw_dds_us_per_byte == 0.009
-
-    def test_cost_params_track_platform_changes(self):
-        p = dataclasses.replace(
-            PlatformModel(),
-            osif_roundtrip_us=20.0,
-            delegate_publish_us=5.0,
-            hmt_bandwidth_bytes_per_s=4.8e9,
-        )
-        params = cost_params_from_platform(p)
-        assert params.delegate_roundtrip_us == 25.0
-        assert params.gateway_fixed_overhead_us == 50.0
-        assert params.hmt_bandwidth_bytes_per_us == pytest.approx(4800.0)
 
 
 class TestSerialization:

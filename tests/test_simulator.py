@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import statistics
 
@@ -7,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topomap.graph import ComputationGraph, DanglingTopicWarning, NodeMapping, TopicSpec, parse_document
-from topomap.mapping import CommMapping, MappingError, MappingPolicy, TopicImpl
+from topomap.mapping import (
+    CommMapping,
+    MappingError,
+    MappingPolicy,
+    TopicImpl,
+    cost_params_from_platform,
+    map_communication,
+)
 from topomap.platform_model import PlatformModel
 from topomap.simulator import (
     Delivery,
@@ -315,6 +323,25 @@ class TestInvariants:
         )
         with pytest.raises(ScenarioError, match="does not publish"):
             simulate(scn, PLATFORM)
+
+
+class TestCostPickMatchesMap:
+    """simulate resolves the cost policy from the platform it runs on, as map does."""
+
+    @pytest.mark.parametrize(
+        "platform",
+        [PLATFORM, PlatformModel(hmt_bandwidth_bytes_per_s=4.8e9), PlatformModel(osif_roundtrip_us=60.0)],
+        ids=["default", "hmt-4.8GBps", "osif-60us"],
+    )
+    def test_resolve_mapping_matches_map_communication(self, platform):
+        params = cost_params_from_platform(platform)
+        cells = itertools.product(("hw", "sw"), (0, 1, 2), (1_000, 10_000, 100_000, 1_000_000), (1, 2, 4, 8))
+        for pub_kind, n_sw, size, n_hw in cells:
+            scn = star_scenario(
+                pub_kind, n_hw, n_sw, size, reps=1, period_us=1.0, seed=0, policy=MappingPolicy.COST
+            )
+            expected, _ = map_communication(scn.graph, scn.node_mapping, MappingPolicy.COST, params)
+            assert scn.resolve_mapping(platform) == expected, (pub_kind, n_sw, size, n_hw)
 
 
 class TestScenarioDocuments:
