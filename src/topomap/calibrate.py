@@ -89,7 +89,7 @@ def load_targets(path) -> tuple[list[SpeedupTarget], float]:
 # -- simulation of one target ------------------------------------------------
 
 
-def simulated_speedup(target: SpeedupTarget, platform: PlatformModel, seed: int = 0) -> float:
+def simulated_speedup(target: SpeedupTarget, platform: PlatformModel) -> float:
     """Deterministic (jitter-free) speedup for one target cell."""
     cell = star_scenario(
         target.publisher_kind,
@@ -98,7 +98,7 @@ def simulated_speedup(target: SpeedupTarget, platform: PlatformModel, seed: int 
         target.size_bytes,
         reps=1,
         period_us=1.0,
-        seed=seed,
+        seed=0,  # jitter is off, so the generator is never drawn
         jitter_pct=0.0,
     )
     base_hw, base_sw = cell_times(cell, platform, MappingPolicy.ALWAYS_SMT)
@@ -118,17 +118,17 @@ def coordinate_descent(
     objective,
     x0: dict[str, float],
     sweeps: int = 4,
-    factor: float = 1.4,
     floor: float = 1.02,
 ) -> tuple[dict[str, float], float]:
     """Minimize ``objective(x)`` by multiplicative coordinate probes.
 
-    Steps shrink geometrically between sweeps and stop at ``floor``.
-    Deterministic given a deterministic objective.
+    The first sweep probes by a factor of 1.4; steps shrink geometrically
+    between sweeps and stop at ``floor``.  Deterministic given a
+    deterministic objective.
     """
     x = dict(x0)
     best = objective(x)
-    step = factor
+    step = 1.4
     for _ in range(sweeps):
         for key in x0:
             improved = True
@@ -186,12 +186,10 @@ class CalibrationResult:
 def calibrate(
     targets: list[SpeedupTarget],
     threshold: float = 0.25,
-    platform0: PlatformModel | None = None,
-    seed: int = 0,
     sweeps: int = 3,
 ) -> CalibrationResult:
-    """Fit the tunable platform parameters to the targets."""
-    start = platform0 if platform0 is not None else PlatformModel()
+    """Fit the tunable platform parameters to the targets, starting from the default platform."""
+    start = PlatformModel()
 
     def objective(vec: dict[str, float]) -> float:
         try:
@@ -200,7 +198,7 @@ def calibrate(
             return math.inf
         total = 0.0
         for t in targets:
-            sim = simulated_speedup(t, platform, seed=seed)
+            sim = simulated_speedup(t, platform)
             if sim <= 0:
                 return math.inf
             total += math.log(sim / t.speedup) ** 2
@@ -212,7 +210,7 @@ def calibrate(
     residuals = []
     all_ok = True
     for t in targets:
-        sim = simulated_speedup(t, fitted, seed=seed)
+        sim = simulated_speedup(t, fitted)
         rel = sim / t.speedup - 1.0
         ok = abs(rel) <= threshold
         all_ok = all_ok and ok

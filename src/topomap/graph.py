@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -68,20 +69,17 @@ class TopicSpec:
     publish_rate_hz: float
 
     def __post_init__(self):
-        # bool is an int subclass and must not pass as a size
-        if (
-            isinstance(self.message_size_bytes, bool)
-            or not isinstance(self.message_size_bytes, int)
-            or self.message_size_bytes <= 0
-        ):
+        size, rate = self.message_size_bytes, self.publish_rate_hz
+        # bool is an int subclass and passes as neither a size nor a rate
+        if isinstance(size, bool) or not isinstance(size, int) or size <= 0:
             raise BadAnnotationError(
-                f"topic {self.id!r}: message_size_bytes must be a positive integer, "
-                f"got {self.message_size_bytes!r}"
+                f"topic {self.id!r}: message_size_bytes must be a positive integer, got {size!r}"
             )
-        if not self.publish_rate_hz > 0:
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 < rate < math.inf:
             raise BadAnnotationError(
-                f"topic {self.id!r}: publish_rate_hz must be positive, got {self.publish_rate_hz!r}"
+                f"topic {self.id!r}: publish_rate_hz must be a positive finite number, got {rate!r}"
             )
+        object.__setattr__(self, "publish_rate_hz", float(rate))
 
 
 @dataclass(frozen=True)
@@ -241,6 +239,13 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _section(doc: dict, key: str) -> list:
+    value = _require(doc, key, "graph document")
+    if not isinstance(value, list):
+        raise GraphSyntaxError(f"{key}: expected a list, got {type(value).__name__}")
+    return value
+
+
 def parse_document(text: str) -> tuple[ComputationGraph, NodeMapping | None]:
     """Parse a graph document; returns the graph and its optional node mapping."""
     try:
@@ -250,10 +255,10 @@ def parse_document(text: str) -> tuple[ComputationGraph, NodeMapping | None]:
     if not isinstance(doc, dict):
         raise GraphSyntaxError("graph document must be a JSON object")
 
-    raw_nodes = _require(doc, "nodes", "graph document")
-    raw_topics = _require(doc, "topics", "graph document")
-    raw_pubs = _require(doc, "publishes", "graph document")
-    raw_subs = _require(doc, "subscribes", "graph document")
+    raw_nodes = _section(doc, "nodes")
+    raw_topics = _section(doc, "topics")
+    raw_pubs = _section(doc, "publishes")
+    raw_subs = _section(doc, "subscribes")
 
     nodes = []
     for i, entry in enumerate(raw_nodes):
@@ -268,9 +273,7 @@ def parse_document(text: str) -> tuple[ComputationGraph, NodeMapping | None]:
         tid = str(_require(entry, "id", f"topics[{i}]"))
         size = _require(entry, "message_size_bytes", f"topics[{i}]")
         rate = _require(entry, "publish_rate_hz", f"topics[{i}]")
-        if isinstance(size, bool) or not isinstance(size, int):
-            raise BadAnnotationError(f"topic {tid!r}: message_size_bytes must be a positive integer")
-        topics.append(TopicSpec(tid, size, float(rate)))
+        topics.append(TopicSpec(tid, size, rate))
 
     pub_edges = []
     for i, entry in enumerate(raw_pubs):

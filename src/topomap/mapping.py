@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, asdict
 
-from .graph import ComputationGraph, NodeMapping, Placement
+from .graph import ComputationGraph, NodeMapping
 from .platform_model import PlatformModel
 
 
@@ -87,24 +87,71 @@ def cost_params_from_platform(platform: PlatformModel) -> CostModelParams:
     )
 
 
-def classify_topic(graph: ComputationGraph, node_mapping: NodeMapping, topic_id: str) -> TopicClass:
-    """Classify one topic by the placement of its endpoint set.
+@dataclass(frozen=True)
+class TopicEndpoints:
+    """One topic's publishers and subscribers split by placement, in node-id order.
 
-    A node that both publishes and subscribes counts once.
+    The only HW/SW split of a topic: the mapper, the crossing count and the
+    simulator's routes all read it.  A node on both sides appears in both.
     """
-    endpoints = set(graph.publishers_of(topic_id)) | set(graph.subscribers_of(topic_id))
-    if not endpoints:
-        raise MappingError(f"topic {topic_id!r} has no endpoints to classify")
-    placements = {node_mapping.placement_of(n) for n in endpoints}
-    if placements == {Placement.SW}:
-        return TopicClass.ALL_SW
-    if placements == {Placement.HW}:
-        return TopicClass.ALL_HW
-    return TopicClass.MIXED
+
+    topic_id: str
+    hw_pubs: tuple[str, ...]
+    sw_pubs: tuple[str, ...]
+    hw_subs: tuple[str, ...]
+    sw_subs: tuple[str, ...]
+
+    @property
+    def topic_class(self) -> TopicClass:
+        hw, sw = self.hw_pubs + self.hw_subs, self.sw_pubs + self.sw_subs
+        if not (hw or sw):
+            raise MappingError(f"topic {self.topic_id!r} has no endpoints to classify")
+        return TopicClass.MIXED if hw and sw else TopicClass.ALL_HW if hw else TopicClass.ALL_SW
+
+    def check(self, impl: TopicImpl) -> None:
+        """The legality rule: SMT always, HMT only for ALL_HW endpoints, GW only for MIXED ones."""
+        if impl is TopicImpl.HMT and self.topic_class is not TopicClass.ALL_HW:
+            sw = sorted(set(self.sw_pubs + self.sw_subs))
+            raise MappingError(f"topic {self.topic_id!r} is mapped to HMT but has software endpoints: {sw}")
+        if impl is TopicImpl.GW and self.topic_class is not TopicClass.MIXED:
+            raise MappingError(f"topic {self.topic_id!r}: a gateway only makes sense for mixed endpoints")
+
+    def crossings(self, impl: TopicImpl) -> int:
+        """Edges crossing the HW/SW boundary: SMT's hardware edges, GW's software edges, none on HMT."""
+        self.check(impl)
+        if impl is TopicImpl.SMT:
+            return len(self.hw_pubs + self.hw_subs)
+        if impl is TopicImpl.GW:
+            return len(self.sw_pubs + self.sw_subs)
+        return 0
 
 
-def hw_subscriber_count(graph: ComputationGraph, node_mapping: NodeMapping, topic_id: str) -> int:
-    return sum(1 for n in graph.subscribers_of(topic_id) if node_mapping.is_hw(n))
+def topic_endpoints(graph: ComputationGraph, node_mapping: NodeMapping, topic_id: str) -> TopicEndpoints:
+    """Split one topic's publishers and subscribers by placement."""
+    pubs, subs = graph.publishers_of(topic_id), graph.subscribers_of(topic_id)
+    hw = {n for n in set(pubs) | set(subs) if node_mapping.is_hw(n)}
+    return TopicEndpoints(
+        topic_id,
+        hw_pubs=tuple(n for n in pubs if n in hw),
+        sw_pubs=tuple(n for n in pubs if n not in hw),
+        hw_subs=tuple(n for n in subs if n in hw),
+        sw_subs=tuple(n for n in subs if n not in hw),
+    )
+
+
+def classify_topic(graph: ComputationGraph, node_mapping: NodeMapping, topic_id: str) -> TopicClass:
+    """Classify one topic by the placement of its endpoint set."""
+    return topic_endpoints(graph, node_mapping, topic_id).topic_class
+
+
+def check_topic_set(graph: ComputationGraph, comm_mapping: CommMapping) -> None:
+    """Require ``comm_mapping`` to name exactly the graph's topics."""
+    topics, mapped = set(graph.topic_ids()), set(comm_mapping.to_dict())
+    if topics != mapped:
+        raise MappingError(
+            "comm_mapping must name exactly the graph's topics: "
+            f"missing {sorted(topics - mapped)}, unknown {sorted(mapped - topics)}"
+        )
 
 
 def estimate_smt_cost_us(size_bytes: int, hw_sub_count: int, params: CostModelParams) -> float:
@@ -183,7 +230,9 @@ def map_communication(
     assignments = []
     rationales = {}
     for topic_id in graph.topic_ids():
-        cls = classify_topic(graph, node_mapping, topic_id)
+        endpoints = topic_endpoints(graph, node_mapping, topic_id)
+        cls = endpoints.topic_class
+        k = len(endpoints.hw_subs)
         if policy is MappingPolicy.ALWAYS_SMT:
             impl = TopicImpl.SMT
             why = "baseline keeps every topic on the software transport"
@@ -194,7 +243,6 @@ def map_communication(
             impl = TopicImpl.HMT
             why = "all endpoints are hardware nodes"
         elif policy is MappingPolicy.ALWAYS_GW_IF_MULTI_HW_SUB:
-            k = hw_subscriber_count(graph, node_mapping, topic_id)
             if k >= 2:
                 impl = TopicImpl.GW
                 why = f"mixed endpoints with {k} hardware subscribers, gateway amortizes the transfer"
@@ -203,7 +251,6 @@ def map_communication(
                 why = f"mixed endpoints with {k} hardware subscriber(s), below the gateway threshold"
         elif policy is MappingPolicy.COST:
             size = graph.topic(topic_id).message_size_bytes
-            k = hw_subscriber_count(graph, node_mapping, topic_id)
             if k == 0:
                 # mixed only through a hardware publisher; nothing to amortize
                 impl = TopicImpl.SMT
@@ -227,30 +274,11 @@ def map_communication(
 def count_boundary_crossings(
     graph: ComputationGraph, node_mapping: NodeMapping, comm_mapping: CommMapping
 ) -> int:
-    """Number of edges whose traffic crosses the hardware/software boundary.
-
-    SMT lives on the software side, so every edge touching a hardware node
-    crosses.  HMT lives on the hardware side and admits no software
-    endpoints at all.  A gateway topic is carried on both sides; only its
-    software-node edges cross (through the gateway), hardware edges stay
-    native.
-    """
-    total = 0
-    for topic_id in graph.topic_ids():
-        impl = comm_mapping.impl_of(topic_id)
-        edges = [n for n, _ in graph.pub_edges_of(topic_id)]
-        edges += [n for _, n in graph.sub_edges_of(topic_id)]
-        if impl is TopicImpl.SMT:
-            total += sum(1 for n in edges if node_mapping.is_hw(n))
-        elif impl is TopicImpl.HMT:
-            sw = [n for n in edges if not node_mapping.is_hw(n)]
-            if sw:
-                raise MappingError(
-                    f"topic {topic_id!r} is mapped to HMT but has software endpoints: {sorted(set(sw))}"
-                )
-        else:  # GW
-            total += sum(1 for n in edges if not node_mapping.is_hw(n))
-    return total
+    """Edges crossing the hardware/software boundary; rejects what the simulator rejects."""
+    check_topic_set(graph, comm_mapping)
+    return sum(
+        topic_endpoints(graph, node_mapping, t).crossings(comm_mapping.impl_of(t)) for t in graph.topic_ids()
+    )
 
 
 def classification_mapping(graph: ComputationGraph, node_mapping: NodeMapping) -> CommMapping:

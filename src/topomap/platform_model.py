@@ -16,6 +16,7 @@ bandwidth terms do not jitter.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 
@@ -31,17 +32,16 @@ class PlatformModel:
     jitter_pct: float = 0.05
 
     def __post_init__(self):
-        for name in (
-            "memif_bandwidth_bytes_per_s",
-            "hmt_bandwidth_bytes_per_s",
-            "osif_roundtrip_us",
-            "delegate_publish_us",
-            "sw_dds_intercept_us",
-            "sw_dds_us_per_byte",
-            "sw_copy_bandwidth_bytes_per_s",
-        ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name, value in vars(self).items():
+            # bool is an int subclass and must not pass as a number
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if name.endswith("_bytes_per_s"):
+                # the simulator charges transfers in whole bytes per second
+                if value < 1:
+                    raise ValueError(f"{name} must be at least 1 B/s, got {value!r}")
+            elif name != "jitter_pct" and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
         if not 0 <= self.jitter_pct < 1:
             raise ValueError(f"jitter_pct must be in [0, 1), got {self.jitter_pct!r}")
         if self.hmt_bandwidth_bytes_per_s < self.memif_bandwidth_bytes_per_s:

@@ -43,16 +43,16 @@ from functools import partial
 from pathlib import Path
 
 from . import gateway as gw
-from .graph import ComputationGraph, NodeMapping, Placement, parse_document
+from .graph import ComputationGraph, NodeMapping, Placement, TopicSpec, parse_document
 from .mapping import (
     CommMapping,
-    MappingError,
     MappingPolicy,
-    TopicClass,
+    TopicEndpoints,
     TopicImpl,
-    classify_topic,
+    check_topic_set,
     cost_params_from_platform,
     map_communication,
+    topic_endpoints,
 )
 from .platform_model import PlatformModel
 
@@ -233,11 +233,8 @@ def star_graph(
     hw_subs: int,
     sw_subs: int,
     size_bytes: int,
-    rate_hz: float = 10.0,
 ) -> tuple[ComputationGraph, NodeMapping]:
     """One publisher, one topic, a row of subscribers."""
-    from .graph import TopicSpec
-
     nodes = ["pub0"]
     placements = {"pub0": Placement.HW if publisher_kind == "hw" else Placement.SW}
     for i in range(hw_subs):
@@ -250,7 +247,7 @@ def star_graph(
         placements[n] = Placement.SW
     graph = ComputationGraph(
         nodes=tuple(nodes),
-        topics=(TopicSpec("t0", size_bytes, rate_hz),),
+        topics=(TopicSpec("t0", size_bytes, 10.0),),
         pub_edges=(("pub0", "t0"),),
         sub_edges=tuple(("t0", n) for n in nodes[1:]),
     )
@@ -447,12 +444,11 @@ class _GwActor:
         gw.Phase.CANCELLING: (gw.CancelResult,),
     }
 
-    def __init__(self, sim: "_Sim", topic: str, hw_subs: tuple[str, ...], sw_subs: tuple[str, ...]):
+    def __init__(self, sim: "_Sim", endpoints: TopicEndpoints):
         self._sim = sim
-        self.smt_id = f"gw.{topic}"
-        self.hmt_id = f"gw.{topic}.hmt"
-        self.hw_subs = hw_subs
-        self.sw_subs = sw_subs
+        self.endpoints = endpoints
+        self.smt_id = f"gw.{endpoints.topic_id}"
+        self.hmt_id = f"gw.{endpoints.topic_id}.hmt"
         self.state, _ = gw.init(self.smt_id, self.hmt_id)
         self.delegate = _GwDelegate(sim, self)
         self._queue: deque[gw.Event] = deque()
@@ -507,7 +503,7 @@ class _GwActor:
                 sim.at(sim.now_ns + stream_dt, after_stream)
 
             def after_stream():
-                for sub in self.hw_subs:
+                for sub in self.endpoints.hw_subs:
                     sim.hmt_arrival(m, sub)
                 # own transfer loops back through the tap under the gateway's identity
                 loop = gw.Message(self.hmt_id, m.seq, m.topic, m.size_bytes)
@@ -528,7 +524,7 @@ class _GwActor:
             dt = sim.jit_ns(sim.platform.delegate_publish_us)
 
             def after_publish():
-                for sub in self.sw_subs:
+                for sub in self.endpoints.sw_subs:
                     sim.sw_take(sub, m, sim.now_ns)
                 # own publication loops back through the delegate
                 loop = gw.Message(self.smt_id, m.seq, m.topic, m.size_bytes)
@@ -563,13 +559,13 @@ class _Route:
 
     ``readers`` are the software-side readers in reader-id order as
     (copy slot, reader id, take); ``take(message, t_ready)`` schedules the
-    reader's share once its copy is ready.  ``hw_subs`` are served on the
-    hardware side when the topic has one (HMT or GW).
+    reader's share once its copy is ready.  ``endpoints.hw_subs`` are
+    served on the hardware side when the topic has one (HMT or GW).
     """
 
     impl: TopicImpl
     readers: tuple[tuple[int, str, Callable[[gw.Message, int], None]], ...]
-    hw_subs: tuple[str, ...]
+    endpoints: TopicEndpoints
     actor: _GwActor | None
 
 
@@ -599,41 +595,29 @@ class _Sim:
         self._pub_times: dict[tuple[str, int], int] = {}
         self._next_msg_seq: dict[str, int] = {}
         self._relays = relays or {}
-        topics, mapped = set(graph.topic_ids()), set(comm_mapping.to_dict())
-        if topics != mapped:
-            raise MappingError(
-                "comm_mapping must name exactly the graph's topics: "
-                f"missing {sorted(topics - mapped)}, unknown {sorted(mapped - topics)}"
-            )
+        check_topic_set(graph, comm_mapping)
         self._routes = {topic_id: self._route(topic_id) for topic_id in graph.topic_ids()}
 
     def _route(self, topic_id: str) -> _Route:
         """Decide once how a topic's messages travel; rejects impossible mappings."""
         impl = self.comm_mapping.impl_of(topic_id)
-        if impl is not TopicImpl.SMT:
-            cls = classify_topic(self.graph, self.node_mapping, topic_id)
-            if impl is TopicImpl.HMT and cls is not TopicClass.ALL_HW:
-                raise MappingError(f"topic {topic_id!r}: HMT cannot serve software endpoints")
-            if impl is TopicImpl.GW and cls is not TopicClass.MIXED:
-                raise MappingError(f"topic {topic_id!r}: a gateway only makes sense for mixed endpoints")
-        subs = self.graph.subscribers_of(topic_id)
-        hw_subs = tuple(n for n in subs if self.node_mapping.is_hw(n))
-        sw_subs = tuple(n for n in subs if n not in hw_subs)
+        endpoints = topic_endpoints(self.graph, self.node_mapping, topic_id)
+        endpoints.check(impl)
 
         def pull(sub):
             return lambda m, t: self.at(t, lambda: self._delegate_pull(m, sub))
 
-        readers = [(sub, partial(self.sw_take, sub)) for sub in sw_subs]
+        readers = [(sub, partial(self.sw_take, sub)) for sub in endpoints.sw_subs]
         actor = None
         if impl is TopicImpl.SMT:
-            readers += [(sub, pull(sub)) for sub in hw_subs]
+            readers += [(sub, pull(sub)) for sub in endpoints.hw_subs]
         elif impl is TopicImpl.GW:
             # hardware subscribers listen on the HMT side, the gateway reads the SMT side
-            actor = _GwActor(self, topic_id, hw_subs, sw_subs)
+            actor = _GwActor(self, endpoints)
             notify = actor.delegate.on_message_available
             readers.append((actor.smt_id, lambda m, t: self.at(t, lambda: notify(m))))
         readers.sort(key=lambda reader: reader[0])
-        return _Route(impl, tuple((slot, *reader) for slot, reader in enumerate(readers)), hw_subs, actor)
+        return _Route(impl, tuple((slot, *reader) for slot, reader in enumerate(readers)), endpoints, actor)
 
     # -- primitives --
 
@@ -692,7 +676,7 @@ class _Sim:
         self._pub_times[(topic_id, seq)] = self.now_ns
         message = gw.Message(publisher, seq, topic_id, size)
         self.trace("PUBLISH", message.message_id, publisher)
-        if self.node_mapping.is_hw(publisher):
+        if publisher in route.endpoints.hw_pubs:
             dt = self.jit_ns(self.platform.osif_roundtrip_us) + self.jit_ns(self.platform.delegate_publish_us)
             self.at(self.now_ns + dt, lambda: self._from_hw(route, message))
         else:
@@ -742,7 +726,7 @@ class _Sim:
         """Stream to every hardware subscriber, each on its own channel,
         and to the gateway's tap if the topic has one."""
         t_arrive = self.now_ns + _bytes_ns(message.size_bytes, self.platform.hmt_bandwidth_bytes_per_s)
-        for sub in route.hw_subs:
+        for sub in route.endpoints.hw_subs:
             self.at(t_arrive, lambda s=sub: self.hmt_arrival(message, s))
         actor = route.actor
         if actor is not None:
@@ -867,10 +851,11 @@ def cell_times(
 ) -> tuple[float | None, float | None]:
     """(mean hw-side, mean sw-side) fan-out completion times for one cell."""
     result = simulate(replace(scenario, comm_mapping=None, policy=policy), platform)
-    hw_subs = {n for n in scenario.graph.subscribers_of("t0") if scenario.node_mapping.is_hw(n)}
-    sw_subs = {n for n in scenario.graph.subscribers_of("t0") if not scenario.node_mapping.is_hw(n)}
-    t_hw = statistics.fmean(_fanout_latencies(result, "t0", hw_subs)) if hw_subs else None
-    t_sw = statistics.fmean(_fanout_latencies(result, "t0", sw_subs)) if sw_subs else None
+    (topic_id,) = scenario.graph.topic_ids()  # a star has exactly one topic
+    endpoints = topic_endpoints(scenario.graph, scenario.node_mapping, topic_id)
+    hw_subs, sw_subs = set(endpoints.hw_subs), set(endpoints.sw_subs)
+    t_hw = statistics.fmean(_fanout_latencies(result, topic_id, hw_subs)) if hw_subs else None
+    t_sw = statistics.fmean(_fanout_latencies(result, topic_id, sw_subs)) if sw_subs else None
     return t_hw, t_sw
 
 

@@ -246,6 +246,74 @@ class TestScenarioMappingMismatch:
         assert line == "error: unknown topic 't_nope'"
 
 
+def _one_line_error(capsys, field):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and field in lines[0]
+
+
+class TestPlatformValidation:
+    """A platform document is type- and range-checked when read (exit 3, one line)."""
+
+    SLOW = 0.4  # rounds to 0 B/s in the simulator's whole-byte charges
+
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            ({"osif_roundtrip_us": "30"}, "osif_roundtrip_us"),
+            ({"osif_roundtrip_us": None}, "osif_roundtrip_us"),
+            ({"jitter_pct": "0.1"}, "jitter_pct"),
+            ({"hmt_bandwidth_bytes_per_s": float("inf")}, "hmt_bandwidth_bytes_per_s"),
+            ({"delegate_publish_us": float("nan")}, "delegate_publish_us"),
+            ({"memif_bandwidth_bytes_per_s": True}, "memif_bandwidth_bytes_per_s"),
+            (
+                {
+                    "memif_bandwidth_bytes_per_s": SLOW,
+                    "hmt_bandwidth_bytes_per_s": SLOW,
+                    "sw_copy_bandwidth_bytes_per_s": SLOW,
+                },
+                "memif_bandwidth_bytes_per_s",
+            ),
+        ],
+    )
+    def test_rejected_by_map_and_simulate(self, workdir, capsys, fields, field):
+        platform = workdir / "platform.json"
+        platform.write_text(json.dumps(fields), encoding="utf-8")
+        graph = str(workdir / "graph.json")
+        assert run_cli("map", "--graph", graph, "--policy", "cost", "--platform", str(platform)) == 3
+        _one_line_error(capsys, field)
+        scenario = write_scenario(workdir, jitter_pct=0.0)
+        assert run_cli("simulate", "--scenario", str(scenario), "--platform", str(platform)) == 3
+        _one_line_error(capsys, field)
+
+
+class TestGraphValidation:
+    """Malformed graph sections are input errors (exit 2); bad rates are validation errors (exit 3)."""
+
+    @pytest.mark.parametrize(
+        "change, code, field",
+        [
+            ({"nodes": 5}, 2, "nodes"),
+            ({"publishes": 3}, 2, "publishes"),
+            ({"publish_rate_hz": None}, 3, "publish_rate_hz"),
+            ({"publish_rate_hz": "fast"}, 3, "publish_rate_hz"),
+            ({"publish_rate_hz": float("inf")}, 3, "publish_rate_hz"),
+            ({"publish_rate_hz": True}, 3, "publish_rate_hz"),
+        ],
+    )
+    def test_rejected_with_one_line_error(self, workdir, capsys, change, code, field):
+        path = workdir / "graph.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if "publish_rate_hz" in change:
+            doc["topics"][0].update(change)
+        else:
+            doc.update(change)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("map", "--graph", str(path), "--policy", "cost") == code
+        _one_line_error(capsys, field)
+
+
 class TestCostPolicyOnePlatform:
     """map and simulate price a cost topic on the same platform document.
 

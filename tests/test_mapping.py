@@ -20,9 +20,9 @@ from topomap.mapping import (
     count_boundary_crossings,
     estimate_gw_cost_us,
     estimate_smt_cost_us,
-    hw_subscriber_count,
     map_communication,
     mapping_report,
+    topic_endpoints,
 )
 from topomap.graph import parse_document
 from topomap.platform_model import PlatformModel
@@ -78,7 +78,7 @@ class TestClassification:
 
     def test_hw_subscriber_count(self):
         g, nm = tiny(SW, [HW, HW, SW])
-        assert hw_subscriber_count(g, nm, "t") == 2
+        assert topic_endpoints(g, nm, "t").hw_subs == ("s0", "s1")
 
 
 class TestPolicies:

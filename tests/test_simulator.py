@@ -14,6 +14,7 @@ from topomap.mapping import (
     MappingPolicy,
     TopicImpl,
     cost_params_from_platform,
+    count_boundary_crossings,
     map_communication,
 )
 from topomap.platform_model import PlatformModel
@@ -27,6 +28,7 @@ from topomap.simulator import (
     TRACE_HEADER,
     WorkloadItem,
     _fanout_latencies,
+    cell_times,
     chain_relays,
     compare_grid,
     compare_to_csv,
@@ -35,6 +37,7 @@ from topomap.simulator import (
     run_chain_scenario,
     scenario_from_json,
     simulate,
+    star_graph,
     star_scenario,
     stats_to_csv,
     trace_to_csv,
@@ -325,6 +328,51 @@ class TestInvariants:
             simulate(scn, PLATFORM)
 
 
+def _endpointless_topic():
+    with pytest.warns(DanglingTopicWarning):
+        graph = ComputationGraph(
+            nodes=("pub0", "sub0"),
+            topics=(TopicSpec("idle", 100, 1.0), TopicSpec("t0", S_1US, 1.0)),
+            pub_edges=(("pub0", "t0"),),
+            sub_edges=(("t0", "sub0"),),
+        )
+    return graph, NodeMapping.from_dict({"pub0": "SW", "sub0": "HW"}), "idle"
+
+
+# shape -> (graph, placement, topic under test), implementations that may carry it
+LEGALITY_SHAPES = {
+    "all_hw": (lambda: (*star_graph("hw", 2, 0, S_1US), "t0"), {TopicImpl.SMT, TopicImpl.HMT}),
+    "all_sw": (lambda: (*star_graph("sw", 0, 2, S_1US), "t0"), {TopicImpl.SMT}),
+    "mixed_hw_subs": (lambda: (*star_graph("sw", 2, 1, S_1US), "t0"), {TopicImpl.SMT, TopicImpl.GW}),
+    "mixed_by_publisher": (lambda: (*star_graph("hw", 0, 1, S_1US), "t0"), {TopicImpl.SMT, TopicImpl.GW}),
+    "endpointless": (_endpointless_topic, {TopicImpl.SMT}),
+}
+
+
+class TestOneLegalityRule:
+    """The crossing count and the engine accept and reject the same mappings."""
+
+    @pytest.mark.parametrize("impl", list(TopicImpl), ids=lambda impl: impl.value)
+    @pytest.mark.parametrize("shape", sorted(LEGALITY_SHAPES))
+    def test_crossings_reject_exactly_what_simulate_rejects(self, shape, impl):
+        build, legal = LEGALITY_SHAPES[shape]
+        graph, node_mapping, topic = build()
+        comm_mapping = CommMapping(
+            tuple((t, impl if t == topic else TopicImpl.SMT) for t in graph.topic_ids())
+        )
+        scn = Scenario(graph, node_mapping, (WorkloadItem("pub0", "t0"),), comm_mapping=comm_mapping)
+
+        def accepted(run) -> bool:
+            try:
+                run()
+            except MappingError:
+                return False
+            return True
+
+        assert accepted(lambda: count_boundary_crossings(graph, node_mapping, comm_mapping)) is (impl in legal)
+        assert accepted(lambda: simulate(scn, PLATFORM)) is (impl in legal)
+
+
 class TestCostPickMatchesMap:
     """simulate resolves the cost policy from the platform it runs on, as map does."""
 
@@ -474,6 +522,25 @@ class TestCompareGrid:
     def test_grid_required(self):
         with pytest.raises(ScenarioError, match="grid"):
             compare_grid(quiet("hw", 1, 0, S_10US), PLATFORM, SMT, CLASSIFYING)
+
+
+class TestCellTimes:
+    @pytest.mark.parametrize("policy", [SMT, CLASSIFYING], ids=lambda p: p.value)
+    def test_star_topic_need_not_be_t0(self, policy):
+        original = quiet("sw", 2, 1, S_10US, reps=3, period_us=1000.0)
+        graph = original.graph
+        renamed = ComputationGraph(
+            graph.nodes,
+            (TopicSpec("camera", S_10US, 10.0),),
+            (("pub0", "camera"),),
+            tuple(("camera", n) for _, n in graph.sub_edges),
+        )
+        scn = dataclasses.replace(
+            original, graph=renamed, workload=(WorkloadItem("pub0", "camera", count=3, period_us=1000.0),)
+        )
+        t_hw, t_sw = cell_times(scn, PLATFORM, policy)
+        assert t_hw is not None and t_sw is not None
+        assert (t_hw, t_sw) == cell_times(original, PLATFORM, policy)
 
 
 class TestChains:
