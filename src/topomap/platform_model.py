@@ -19,6 +19,12 @@ import json
 import math
 from dataclasses import dataclass, asdict
 
+# The simulator charges time in integer nanoseconds. A time field, stretched
+# by the largest jitter a run may set (below 100%), must fit a signed 64-bit
+# nanosecond count, as ROS 2 timestamps do; sums of such charges then stay
+# far from float overflow.
+MAX_TIME_US = (2**63 - 1) / 1000 / 2
+
 
 @dataclass(frozen=True)
 class PlatformModel:
@@ -40,8 +46,8 @@ class PlatformModel:
                 # the simulator charges transfers in whole bytes per second
                 if value < 1:
                     raise ValueError(f"{name} must be at least 1 B/s, got {value!r}")
-            elif name != "jitter_pct" and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            elif name != "jitter_pct" and not 0 < value < MAX_TIME_US:
+                raise ValueError(f"{name} must be in (0, {MAX_TIME_US:g}), got {value!r}")
         if not 0 <= self.jitter_pct < 1:
             raise ValueError(f"jitter_pct must be in [0, 1), got {self.jitter_pct!r}")
         if self.hmt_bandwidth_bytes_per_s < self.memif_bandwidth_bytes_per_s:

@@ -41,6 +41,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from . import gateway as gw
 from .graph import ComputationGraph, NodeMapping, Placement, TopicSpec, parse_document
@@ -54,7 +55,7 @@ from .mapping import (
     map_communication,
     topic_endpoints,
 )
-from .platform_model import PlatformModel
+from .platform_model import MAX_TIME_US, PlatformModel
 
 NS_PER_US = 1000
 
@@ -169,7 +170,7 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
                 publisher=_typed(entry["publisher"], str, f"{where}.publisher"),
                 topic=_typed(entry["topic"], str, f"{where}.topic"),
                 count=_integer(entry.get("count", 1), f"{where}.count", 0),
-                period_us=_number(entry.get("period_us", 10_000.0), f"{where}.period_us"),
+                period_us=_number(entry.get("period_us", 10_000.0), f"{where}.period_us", MAX_TIME_US),
                 size_bytes=None if size is None else _integer(size, f"{where}.size_bytes", 1),
             )
         )
@@ -198,7 +199,7 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
             ),
             sw_sub_count=_integer(g.get("sw_sub_count", 0), "grid.sw_sub_count", 0),
             reps=_integer(g.get("reps", 50), "grid.reps", 1),
-            period_us=_number(g.get("period_us", 200_000.0), "grid.period_us"),
+            period_us=_number(g.get("period_us", 200_000.0), "grid.period_us", MAX_TIME_US),
         )
 
     seed = doc.get("seed", 0)
@@ -213,7 +214,7 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
         seed=seed,
         comm_mapping=comm_mapping,
         policy=policy,
-        compute_us=tuple(sorted((k, _number(v, f"compute_us.{k}")) for k, v in compute.items())),
+        compute_us=tuple(sorted((k, _number(v, f"compute_us.{k}", MAX_TIME_US)) for k, v in compute.items())),
         jitter_pct=None if jitter is None else _number(jitter, "jitter_pct", upper=1.0),
         grid=grid,
     )
@@ -282,16 +283,14 @@ def star_scenario(
 # -- results ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     t_ns: int
     kind: str
     message_id: str
     endpoint: str
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     topic: str
     subscriber: str
     seq: int
@@ -319,58 +318,61 @@ class SimResult:
 class _MemifPool:
     """Egalitarian bandwidth sharing: n concurrent transfers each get B/n.
 
-    Completion events carry a generation stamp so reschedules invalidate
-    stale ones.  Every settled interval is recorded for throughput audits.
+    The pool holds its one pending completion as ``due = (t_ns, seq)``
+    rather than as a heap event, so a reschedule replaces it instead of
+    leaving a stale event behind. ``seq`` comes from the engine's counter,
+    and the run loop fires ``due`` when it precedes the heap head, so the
+    completion keeps its place in the engine's ``(time, seq)`` order.
+    Flows are kept in start order; every settled interval is recorded for
+    throughput audits.
     """
 
     def __init__(self, sim: "_Sim", bytes_per_s: float):
         self._sim = sim
         self._bps = float(bytes_per_s)
-        self._flows: dict[int, list] = {}  # id -> [remaining_bytes, callback]
-        self._next_id = 0
-        self._gen = 0
+        self._remaining: list[float] = []  # bytes left per flow, in start order
+        self._callbacks: list[tuple] = []  # (fn, args) per flow, in start order
         self._last_t = 0
+        self.due: tuple[int, int] | None = None
         self.segments: list[tuple[int, int, int, float]] = []
 
-    def start(self, nbytes: float, on_done) -> int:
+    def start(self, nbytes: float, fn, *args):
+        """Move ``nbytes`` through the pool, then call ``fn(*args)``."""
         self._settle()
-        fid = self._next_id
-        self._next_id += 1
-        self._flows[fid] = [float(nbytes), on_done]
+        self._remaining.append(float(nbytes))
+        self._callbacks.append((fn, args))
         self._reschedule()
-        return fid
 
     def _settle(self):
         now = self._sim.now_ns
         dt = now - self._last_t
-        if dt > 0 and self._flows:
-            share = self._bps * dt / 1e9 / len(self._flows)
-            for entry in self._flows.values():
-                entry[0] -= share
-            self.segments.append((self._last_t, now, len(self._flows), share * len(self._flows)))
+        n = len(self._remaining)
+        if dt > 0 and n:
+            share = self._bps * dt / 1e9 / n
+            self._remaining = [r - share for r in self._remaining]
+            self.segments.append((self._last_t, now, n, share * n))
         self._last_t = now
 
     def _reschedule(self):
-        self._gen += 1
-        if not self._flows:
+        if not self._remaining:
+            self.due = None
             return
-        rem_min = min(entry[0] for entry in self._flows.values())
-        n = len(self._flows)
-        dt_ns = max(0, int(math.ceil(max(rem_min, 0.0) * n * 1e9 / self._bps)))
-        gen = self._gen
-        self._sim.at(self._sim.now_ns + dt_ns, lambda: self._complete(gen))
+        n = len(self._remaining)
+        dt_ns = math.ceil(max(min(self._remaining), 0.0) * n * 1e9 / self._bps)
+        sim = self._sim
+        self.due = (sim.now_ns + dt_ns, sim._seq)
+        sim._seq += 1
 
-    def _complete(self, gen: int):
-        if gen != self._gen:
-            return
+    def complete(self):
+        """Fire ``due``: finish every flow that has drained, in start order."""
         self._settle()
-        finished = sorted(fid for fid, entry in self._flows.items() if entry[0] <= 1e-6)
-        callbacks = [self._flows[fid][1] for fid in finished]
-        for fid in finished:
-            del self._flows[fid]
+        remaining, callbacks = self._remaining, self._callbacks
+        finished = [cb for r, cb in zip(remaining, callbacks) if r <= 1e-6]
+        self._remaining = [r for r in remaining if r > 1e-6]
+        self._callbacks = [cb for r, cb in zip(remaining, callbacks) if r > 1e-6]
         self._reschedule()
-        for cb in callbacks:
-            cb()
+        for fn, args in finished:
+            fn(*args)
 
 
 # -- gateway actor -----------------------------------------------------------
@@ -405,11 +407,10 @@ class _GwDelegate:
         message = self._pending.popleft()
         self._inflight = message
         self._gen += 1
-        gen = self._gen
         dt = self._sim.jit_ns(self._sim.platform.osif_roundtrip_us) + self._sim.jit_ns(
             self._sim.platform.osif_roundtrip_us
         )
-        self._sim.at(self._sim.now_ns + dt, lambda: self._response_ready(gen))
+        self._sim.at(self._sim.now_ns + dt, self._response_ready, self._gen)
 
     def _response_ready(self, gen: int):
         if gen != self._gen or self._inflight is None:
@@ -453,7 +454,7 @@ class _GwActor:
         self.delegate = _GwDelegate(sim, self)
         self._queue: deque[gw.Event] = deque()
         self._busy = False
-        sim.at(0, lambda: self.post(gw.BufferLocation()))
+        sim.at(0, self.post, gw.BufferLocation())
 
     def post(self, event: gw.Event):
         self._queue.append(event)
@@ -489,51 +490,44 @@ class _GwActor:
         elif isinstance(action, gw.CancelSmtRequest):
             raced = self.delegate.begin_cancel()
             dt = sim.jit_ns(sim.platform.osif_roundtrip_us)
-            sim.at(sim.now_ns + dt, lambda: self.post_control(gw.CancelResult(raced)))
+            sim.at(sim.now_ns + dt, self.post_control, gw.CancelResult(raced))
             self._run_actions(actions)
         elif isinstance(action, gw.Discard):
             self._run_actions(actions)
         elif isinstance(action, gw.TransferToHmt):
-            m = action.message
-            size = m.size_bytes
-
-            def after_read():
-                sim.trace("MEMIF_TRANSFER", m.message_id, self.smt_id)
-                stream_dt = _bytes_ns(size, sim.platform.hmt_bandwidth_bytes_per_s)
-                sim.at(sim.now_ns + stream_dt, after_stream)
-
-            def after_stream():
-                for sub in self.endpoints.hw_subs:
-                    sim.hmt_arrival(m, sub)
-                # own transfer loops back through the tap under the gateway's identity
-                loop = gw.Message(self.hmt_id, m.seq, m.topic, m.size_bytes)
-                self.post(gw.HmtArrival(loop))
-                self._run_actions(actions)
-
-            sim.pool.start(sim.jit_bytes(size), after_read)
+            sim.pool.start(sim.jit_bytes(action.message.size_bytes), self._read_to_hmt, action.message, actions)
         elif isinstance(action, gw.TransferToMain):
-            m = action.message
-
-            def after_write():
-                sim.trace("MEMIF_TRANSFER", m.message_id, self.smt_id)
-                self._run_actions(actions)
-
-            sim.pool.start(sim.jit_bytes(m.size_bytes), after_write)
+            sim.pool.start(sim.jit_bytes(action.message.size_bytes), self._written_to_main, action.message, actions)
         elif isinstance(action, gw.PublishSmt):
-            m = action.message
             dt = sim.jit_ns(sim.platform.delegate_publish_us)
-
-            def after_publish():
-                for sub in self.endpoints.sw_subs:
-                    sim.sw_take(sub, m, sim.now_ns)
-                # own publication loops back through the delegate
-                loop = gw.Message(self.smt_id, m.seq, m.topic, m.size_bytes)
-                self.delegate.on_message_available(loop)
-                self._run_actions(actions)
-
-            sim.at(sim.now_ns + dt, after_publish)
+            sim.at(sim.now_ns + dt, self._published, action.message, actions)
         else:  # pragma: no cover - action set is closed
             raise AssertionError(f"unknown action {action!r}")
+
+    def _read_to_hmt(self, m: gw.Message, actions: deque[gw.Action]):
+        sim = self._sim
+        sim.trace("MEMIF_TRANSFER", m.message_id, self.smt_id)
+        stream_dt = _bytes_ns(m.size_bytes, sim.platform.hmt_bandwidth_bytes_per_s)
+        sim.at(sim.now_ns + stream_dt, self._streamed, m, actions)
+
+    def _streamed(self, m: gw.Message, actions: deque[gw.Action]):
+        for sub in self.endpoints.hw_subs:
+            self._sim.hmt_arrival(m, sub)
+        # own transfer loops back through the tap under the gateway's identity
+        self.post(gw.HmtArrival(gw.Message(self.hmt_id, m.seq, m.topic, m.size_bytes)))
+        self._run_actions(actions)
+
+    def _written_to_main(self, m: gw.Message, actions: deque[gw.Action]):
+        self._sim.trace("MEMIF_TRANSFER", m.message_id, self.smt_id)
+        self._run_actions(actions)
+
+    def _published(self, m: gw.Message, actions: deque[gw.Action]):
+        sim = self._sim
+        for sub in self.endpoints.sw_subs:
+            sim.sw_take(sub, m, sim.now_ns)
+        # own publication loops back through the delegate
+        self.delegate.on_message_available(gw.Message(self.smt_id, m.seq, m.topic, m.size_bytes))
+        self._run_actions(actions)
 
 
 def _action_mid(action: gw.Action) -> str:
@@ -584,8 +578,10 @@ class _Sim:
         self.node_mapping = node_mapping
         self.comm_mapping = comm_mapping
         self.platform = platform
-        self._jitter = platform.jitter_pct if jitter_pct is None else jitter_pct
-        self._rng = random.Random(seed)
+        jitter = platform.jitter_pct if jitter_pct is None else jitter_pct
+        # Random.uniform(a, b)'s own formula, a + (b - a) * random(), for a = -jitter, b = jitter
+        self._jitter_lo, self._jitter_span = -jitter, jitter - -jitter
+        self._random = random.Random(seed).random
         self._heap: list = []
         self._seq = 0
         self.now_ns = 0
@@ -604,31 +600,31 @@ class _Sim:
         endpoints = topic_endpoints(self.graph, self.node_mapping, topic_id)
         endpoints.check(impl)
 
-        def pull(sub):
-            return lambda m, t: self.at(t, lambda: self._delegate_pull(m, sub))
+        def later(fn):
+            return lambda m, t: self.at(t, fn, m)
 
         readers = [(sub, partial(self.sw_take, sub)) for sub in endpoints.sw_subs]
         actor = None
         if impl is TopicImpl.SMT:
-            readers += [(sub, pull(sub)) for sub in endpoints.hw_subs]
+            readers += [(sub, later(partial(self._delegate_pull, sub))) for sub in endpoints.hw_subs]
         elif impl is TopicImpl.GW:
             # hardware subscribers listen on the HMT side, the gateway reads the SMT side
             actor = _GwActor(self, endpoints)
-            notify = actor.delegate.on_message_available
-            readers.append((actor.smt_id, lambda m, t: self.at(t, lambda: notify(m))))
+            readers.append((actor.smt_id, later(actor.delegate.on_message_available)))
         readers.sort(key=lambda reader: reader[0])
         return _Route(impl, tuple((slot, *reader) for slot, reader in enumerate(readers)), endpoints, actor)
 
     # -- primitives --
 
-    def at(self, t_ns: int, fn):
-        heapq.heappush(self._heap, (t_ns, self._seq, fn))
+    def at(self, t_ns: int, fn, *args):
+        """Schedule ``fn(*args)`` at ``t_ns``; ties run in scheduling order."""
+        heapq.heappush(self._heap, (t_ns, self._seq, fn, args))
         self._seq += 1
 
     def _jitter_factor(self) -> float:
         # draws from the generator only when jitter is on
-        if self._jitter > 0:
-            return 1.0 + self._rng.uniform(-self._jitter, self._jitter)
+        if self._jitter_span > 0:
+            return 1.0 + (self._jitter_lo + self._jitter_span * self._random())
         return 1.0
 
     def jit_ns(self, us: float) -> int:
@@ -651,19 +647,14 @@ class _Sim:
         self._trace.append(TraceEvent(self.now_ns, kind, message_id, endpoint))
 
     def deliver_at(self, t_ns: int, topic: str, subscriber: str, seq: int):
-        def do():
-            self.trace("DELIVER", f"{topic}#{seq}", subscriber)
-            self._deliveries.append(
-                Delivery(topic, subscriber, seq, self._pub_times[(topic, seq)], self.now_ns)
-            )
-            relay = self._relays.get(subscriber)
-            if relay is not None and relay.in_topic == topic:
-                self.at(
-                    self.now_ns + _us_to_ns(relay.compute_us),
-                    lambda: self.publish(subscriber, relay.out_topic, seq=seq),
-                )
+        self.at(t_ns, self._deliver, topic, subscriber, seq)
 
-        self.at(t_ns, do)
+    def _deliver(self, topic: str, subscriber: str, seq: int):
+        self.trace("DELIVER", f"{topic}#{seq}", subscriber)
+        self._deliveries.append(Delivery(topic, subscriber, seq, self._pub_times[(topic, seq)], self.now_ns))
+        relay = self._relays.get(subscriber)
+        if relay is not None and relay.in_topic == topic:
+            self.at(self.now_ns + _us_to_ns(relay.compute_us), self.publish, subscriber, relay.out_topic, None, seq)
 
     # -- publishing --
 
@@ -678,7 +669,7 @@ class _Sim:
         self.trace("PUBLISH", message.message_id, publisher)
         if publisher in route.endpoints.hw_pubs:
             dt = self.jit_ns(self.platform.osif_roundtrip_us) + self.jit_ns(self.platform.delegate_publish_us)
-            self.at(self.now_ns + dt, lambda: self._from_hw(route, message))
+            self.at(self.now_ns + dt, self._from_hw, route, message)
         else:
             self._smt_fanout(route, message, loaned=False)
 
@@ -700,21 +691,20 @@ class _Sim:
         for slot, reader, take in route.readers:
             t_ready = self.now_ns if loaned else self.now_ns + slot * copy_ns
             if not loaned and slot > 0:
-                self.at(t_ready, lambda r=reader: self.trace("SW_COPY", message.message_id, r))
+                self.at(t_ready, self.trace, "SW_COPY", message.message_id, reader)
             take(message, t_ready)
 
-    def _delegate_pull(self, message: gw.Message, subscriber: str):
+    def _delegate_pull(self, subscriber: str, message: gw.Message):
         """A hardware subscriber's delegate fetches its copy over MEMIF."""
         dt = self.jit_ns(self.platform.osif_roundtrip_us)
+        self.at(self.now_ns + dt, self._start_pull, subscriber, message)
 
-        def start_read():
-            def done():
-                self.trace("MEMIF_TRANSFER", message.message_id, subscriber)
-                self.deliver_at(self.now_ns, message.topic, subscriber, message.seq)
+    def _start_pull(self, subscriber: str, message: gw.Message):
+        self.pool.start(self.jit_bytes(message.size_bytes), self._pulled, subscriber, message)
 
-            self.pool.start(self.jit_bytes(message.size_bytes), done)
-
-        self.at(self.now_ns + dt, start_read)
+    def _pulled(self, subscriber: str, message: gw.Message):
+        self.trace("MEMIF_TRANSFER", message.message_id, subscriber)
+        self.deliver_at(self.now_ns, message.topic, subscriber, message.seq)
 
     def hmt_arrival(self, message: gw.Message, subscriber: str):
         """A stream reached a hardware subscriber, which takes delivery after one OSIF round trip."""
@@ -727,15 +717,13 @@ class _Sim:
         and to the gateway's tap if the topic has one."""
         t_arrive = self.now_ns + _bytes_ns(message.size_bytes, self.platform.hmt_bandwidth_bytes_per_s)
         for sub in route.endpoints.hw_subs:
-            self.at(t_arrive, lambda s=sub: self.hmt_arrival(message, s))
-        actor = route.actor
-        if actor is not None:
+            self.at(t_arrive, self.hmt_arrival, message, sub)
+        if route.actor is not None:
+            self.at(t_arrive, self._tapped, route.actor, message)
 
-            def tapped():
-                self.trace("HMT_TRANSFER", message.message_id, actor.hmt_id)
-                actor.post(gw.HmtArrival(message))
-
-            self.at(t_arrive, tapped)
+    def _tapped(self, actor: _GwActor, message: gw.Message):
+        self.trace("HMT_TRANSFER", message.message_id, actor.hmt_id)
+        actor.post(gw.HmtArrival(message))
 
     # -- run loop --
 
@@ -748,12 +736,20 @@ class _Sim:
                     f"workload: {item.publisher!r} does not publish topic {item.topic!r}"
                 )
             for k in range(item.count):
-                t = _us_to_ns(item.period_us) * k
-                self.at(t, lambda p=item.publisher, tp=item.topic, s=item.size_bytes: self.publish(p, tp, s))
-        while self._heap:
-            t, _, fn = heapq.heappop(self._heap)
-            self.now_ns = t
-            fn()
+                self.at(_us_to_ns(item.period_us) * k, self.publish, item.publisher, item.topic, item.size_bytes)
+        heap, pool, pop = self._heap, self.pool, heapq.heappop
+        while True:
+            # the pool's completion is due before the heap head: same (time, seq) order as a heap event
+            due = pool.due
+            if heap and (due is None or heap[0] < due):
+                t, _, fn, args = pop(heap)
+                self.now_ns = t
+                fn(*args)
+            elif due is not None:
+                self.now_ns = due[0]
+                pool.complete()
+            else:
+                break
         return SimResult(self._trace, self._deliveries, list(self.pool.segments))
 
 

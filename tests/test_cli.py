@@ -193,6 +193,10 @@ class TestScenarioValidation:
             (_grid(sw_sub_count=-1), "grid.sw_sub_count"),
             ({"seed": "five"}, "seed"),
             (_workload(topic=["A"]), "topic"),
+            # nanosecond values that no longer fit a finite int
+            (_workload(period_us=1e308), "period_us"),
+            ({"compute_us": {"2": 1e308}}, "compute_us.2"),
+            (_grid(period_us=1e308), "grid.period_us"),
         ],
     )
     def test_rejected_with_one_line_error(self, workdir, capsys, extra, field):
@@ -267,6 +271,9 @@ class TestPlatformValidation:
             ({"hmt_bandwidth_bytes_per_s": float("inf")}, "hmt_bandwidth_bytes_per_s"),
             ({"delegate_publish_us": float("nan")}, "delegate_publish_us"),
             ({"memif_bandwidth_bytes_per_s": True}, "memif_bandwidth_bytes_per_s"),
+            # finite, but its nanosecond value is not
+            ({"osif_roundtrip_us": 1e308}, "osif_roundtrip_us"),
+            ({"sw_dds_us_per_byte": 1e300}, "sw_dds_us_per_byte"),
             (
                 {
                     "memif_bandwidth_bytes_per_s": SLOW,
