@@ -495,9 +495,11 @@ class _GwActor:
         elif isinstance(action, gw.Discard):
             self._run_actions(actions)
         elif isinstance(action, gw.TransferToHmt):
-            sim.pool.start(sim.jit_bytes(action.message.size_bytes), self._read_to_hmt, action.message, actions)
+            m = action.message
+            sim.pool.start(sim.jit_bytes(m.size_bytes), self._read_to_hmt, m, actions)
         elif isinstance(action, gw.TransferToMain):
-            sim.pool.start(sim.jit_bytes(action.message.size_bytes), self._written_to_main, action.message, actions)
+            m = action.message
+            sim.pool.start(sim.jit_bytes(m.size_bytes), self._written_to_main, m, actions)
         elif isinstance(action, gw.PublishSmt):
             dt = sim.jit_ns(sim.platform.delegate_publish_us)
             sim.at(sim.now_ns + dt, self._published, action.message, actions)
@@ -654,7 +656,8 @@ class _Sim:
         self._deliveries.append(Delivery(topic, subscriber, seq, self._pub_times[(topic, seq)], self.now_ns))
         relay = self._relays.get(subscriber)
         if relay is not None and relay.in_topic == topic:
-            self.at(self.now_ns + _us_to_ns(relay.compute_us), self.publish, subscriber, relay.out_topic, None, seq)
+            t_out = self.now_ns + _us_to_ns(relay.compute_us)
+            self.at(t_out, self.publish, subscriber, relay.out_topic, None, seq)
 
     # -- publishing --
 
@@ -735,8 +738,9 @@ class _Sim:
                 raise ScenarioError(
                     f"workload: {item.publisher!r} does not publish topic {item.topic!r}"
                 )
+            period_ns = _us_to_ns(item.period_us)
             for k in range(item.count):
-                self.at(_us_to_ns(item.period_us) * k, self.publish, item.publisher, item.topic, item.size_bytes)
+                self.at(period_ns * k, self.publish, item.publisher, item.topic, item.size_bytes)
         heap, pool, pop = self._heap, self.pool, heapq.heappop
         while True:
             # the pool's completion is due before the heap head: same (time, seq) order as a heap event

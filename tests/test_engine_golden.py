@@ -41,7 +41,7 @@ def result_digest(result) -> str:
 
 def star(kind, hw_subs, sw_subs, policy, reps, period_us, seed, jitter_pct=None):
     scenario = star_scenario(
-        kind, hw_subs, sw_subs, 100_000, reps=reps, period_us=period_us, seed=seed, policy=policy, jitter_pct=jitter_pct
+        kind, hw_subs, sw_subs, 100_000, reps, period_us, seed, policy=policy, jitter_pct=jitter_pct
     )
     return simulate(scenario, PLATFORM)
 
@@ -80,4 +80,5 @@ def test_packaged_chain_with_relays(data_dir, policy, digest):
 def test_compare_grid_csv(data_dir):
     scenario = load_scenario(data_dir / "grid_hw_publisher_sw_sub.json")
     csv = compare_to_csv(*compare_grid(scenario, PLATFORM, SMT, GW))
-    assert hashlib.sha256(csv.encode()).hexdigest() == "e4ce53d423216191848475b799d9b528974869179c26eedc0fb97b21639c11b2"
+    digest = "e4ce53d423216191848475b799d9b528974869179c26eedc0fb97b21639c11b2"
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
