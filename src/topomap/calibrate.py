@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict
 
 from .mapping import MappingPolicy
 from .platform_model import PlatformModel
-from .simulator import ScenarioError, _integer, _number, _typed, cell_times, star_scenario
+from .simulator import ScenarioError, _integer, _number, _size, _typed, cell_times, star_scenario
 
 
 class TargetError(ValueError):
@@ -55,7 +55,7 @@ def _target(entry, where: str) -> SpeedupTarget:
     try:
         return SpeedupTarget(
             publisher_kind=entry["publisher_kind"],
-            size_bytes=_integer(entry["size_bytes"], f"{where}.size_bytes", 1),
+            size_bytes=_size(entry["size_bytes"], f"{where}.size_bytes"),
             hw_subs=_integer(entry["hw_subs"], f"{where}.hw_subs", 0),
             sw_subs=_integer(entry.get("sw_subs", 0), f"{where}.sw_subs", 0),
             measure=entry["measure"],

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 
 class Phase(enum.Enum):
@@ -40,7 +41,7 @@ class Message:
     topic: str
     size_bytes: int
 
-    @property
+    @cached_property
     def message_id(self) -> str:
         return f"{self.publisher_id}/{self.seq}"
 

@@ -18,6 +18,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+from .platform_model import MAX_SIZE_BYTES
+
 
 class GraphError(ValueError):
     """Base class for graph document problems."""
@@ -71,9 +73,10 @@ class TopicSpec:
     def __post_init__(self):
         size, rate = self.message_size_bytes, self.publish_rate_hz
         # bool is an int subclass and passes as neither a size nor a rate
-        if isinstance(size, bool) or not isinstance(size, int) or size <= 0:
+        if isinstance(size, bool) or not isinstance(size, int) or not 0 < size < MAX_SIZE_BYTES:
             raise BadAnnotationError(
-                f"topic {self.id!r}: message_size_bytes must be a positive integer, got {size!r}"
+                f"topic {self.id!r}: message_size_bytes must be a positive integer "
+                f"below {MAX_SIZE_BYTES}, got {size!r}"
             )
         if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 < rate < math.inf:
             raise BadAnnotationError(

@@ -11,7 +11,7 @@ Which of the two a mixed topic gets is the policy's call.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 from .graph import ComputationGraph, NodeMapping
 from .platform_model import PlatformModel
@@ -59,9 +59,10 @@ class CostModelParams:
     sw_dds_us_per_byte: float
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+                raise ValueError(f"{f.name} must be positive, got {value!r}")
         if self.hmt_bandwidth_bytes_per_us < self.memif_bandwidth_bytes_per_us:
             raise ValueError("hmt bandwidth must be at least memif bandwidth")
 
@@ -222,10 +223,10 @@ def map_communication(
     classifying policies; the ALWAYS_SMT baseline leaves literally every
     topic on the software transport, which is what an unmapped system
     does.  Only MIXED topics genuinely consult the policy.  Without
-    ``cost_params`` the cost model is derived from the default platform.
+    ``cost_params`` the COST policy derives them from the default platform.
     """
     node_mapping.validate_against(graph)
-    if cost_params is None:
+    if cost_params is None and policy is MappingPolicy.COST:
         cost_params = cost_params_from_platform(PlatformModel())
     assignments = []
     rationales = {}

@@ -25,6 +25,11 @@ from dataclasses import dataclass, asdict
 # far from float overflow.
 MAX_TIME_US = (2**63 - 1) / 1000 / 2
 
+# Message sizes stay below 2**53, the range in which every integer is an
+# exact float, so that the MEMIF pool, which counts bytes in floats, starts
+# every transfer from its exact size.
+MAX_SIZE_BYTES = 2**53
+
 
 @dataclass(frozen=True)
 class PlatformModel:

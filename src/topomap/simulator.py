@@ -55,7 +55,7 @@ from .mapping import (
     map_communication,
     topic_endpoints,
 )
-from .platform_model import MAX_TIME_US, PlatformModel
+from .platform_model import MAX_SIZE_BYTES, MAX_TIME_US, PlatformModel
 
 NS_PER_US = 1000
 
@@ -111,7 +111,7 @@ class Scenario:
         if self.comm_mapping is not None:
             return self.comm_mapping
         policy = self.policy if self.policy is not None else MappingPolicy.COST
-        cost_params = cost_params_from_platform(platform)
+        cost_params = cost_params_from_platform(platform) if policy is MappingPolicy.COST else None
         mapping, _ = map_communication(self.graph, self.node_mapping, policy, cost_params)
         return mapping
 
@@ -125,6 +125,13 @@ def _integer(value, where: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         kind = "a positive" if minimum > 0 else "a non-negative"
         raise ScenarioError(f"{where} must be {kind} integer, got {value!r}")
+    return value
+
+
+def _size(value, where: str) -> int:
+    """A message size in bytes: a positive integer below ``MAX_SIZE_BYTES``."""
+    if _integer(value, where, 1) >= MAX_SIZE_BYTES:
+        raise ScenarioError(f"{where} must be below {MAX_SIZE_BYTES} bytes, got {value!r}")
     return value
 
 
@@ -171,7 +178,7 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
                 topic=_typed(entry["topic"], str, f"{where}.topic"),
                 count=_integer(entry.get("count", 1), f"{where}.count", 0),
                 period_us=_number(entry.get("period_us", 10_000.0), f"{where}.period_us", MAX_TIME_US),
-                size_bytes=None if size is None else _integer(size, f"{where}.size_bytes", 1),
+                size_bytes=None if size is None else _size(size, f"{where}.size_bytes"),
             )
         )
 
@@ -192,7 +199,7 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
             raise ScenarioError("grid.publisher_kind must be 'hw' or 'sw'")
         grid = GridSpec(
             publisher_kind=g["publisher_kind"],
-            sizes=tuple(_integer(v, "grid.sizes[]", 1) for v in _typed(g.get("sizes"), list, "grid.sizes")),
+            sizes=tuple(_size(v, "grid.sizes[]") for v in _typed(g.get("sizes"), list, "grid.sizes")),
             hw_sub_counts=tuple(
                 _integer(v, "grid.hw_sub_counts[]", 0)
                 for v in _typed(g.get("hw_sub_counts"), list, "grid.hw_sub_counts")
@@ -283,6 +290,10 @@ def star_scenario(
 # -- results ---------------------------------------------------------------
 
 
+# builds a named tuple from a plain tuple without the generated ``__new__`` frame
+_tuple_new = tuple.__new__
+
+
 class TraceEvent(NamedTuple):
     t_ns: int
     kind: str
@@ -318,20 +329,28 @@ class SimResult:
 class _MemifPool:
     """Egalitarian bandwidth sharing: n concurrent transfers each get B/n.
 
+    Bytes are counted in generalized-processor-sharing virtual time
+    (Parekh & Gallager): ``V`` is what each active flow has received since
+    the pool last drained, so a flow started at ``V0`` with ``b`` bytes is
+    done once ``V`` reaches its finish tag ``V0 + b``.  Advancing time is
+    one addition and the next completion is the smallest tag, so a pool
+    operation costs O(log flows).  ``V`` rebases to 0 whenever the pool
+    drains, which keeps tags small and their float arithmetic tight.
+
     The pool holds its one pending completion as ``due = (t_ns, seq)``
     rather than as a heap event, so a reschedule replaces it instead of
     leaving a stale event behind. ``seq`` comes from the engine's counter,
     and the run loop fires ``due`` when it precedes the heap head, so the
     completion keeps its place in the engine's ``(time, seq)`` order.
-    Flows are kept in start order; every settled interval is recorded for
-    throughput audits.
+    Every settled interval is recorded for throughput audits.
     """
 
     def __init__(self, sim: "_Sim", bytes_per_s: float):
         self._sim = sim
         self._bps = float(bytes_per_s)
-        self._remaining: list[float] = []  # bytes left per flow, in start order
-        self._callbacks: list[tuple] = []  # (fn, args) per flow, in start order
+        self._v = 0.0
+        self._tags: list[tuple] = []  # heap of (finish tag, start number, fn, args)
+        self._started = 0
         self._last_t = 0
         self.due: tuple[int, int] | None = None
         self.segments: list[tuple[int, int, int, float]] = []
@@ -339,26 +358,27 @@ class _MemifPool:
     def start(self, nbytes: float, fn, *args):
         """Move ``nbytes`` through the pool, then call ``fn(*args)``."""
         self._settle()
-        self._remaining.append(float(nbytes))
-        self._callbacks.append((fn, args))
+        heapq.heappush(self._tags, (self._v + nbytes, self._started, fn, args))
+        self._started += 1
         self._reschedule()
 
     def _settle(self):
         now = self._sim.now_ns
         dt = now - self._last_t
-        n = len(self._remaining)
+        n = len(self._tags)
         if dt > 0 and n:
             share = self._bps * dt / 1e9 / n
-            self._remaining = [r - share for r in self._remaining]
+            self._v += share
             self.segments.append((self._last_t, now, n, share * n))
         self._last_t = now
 
     def _reschedule(self):
-        if not self._remaining:
+        tags = self._tags
+        if not tags:
             self.due = None
+            self._v = 0.0
             return
-        n = len(self._remaining)
-        dt_ns = math.ceil(max(min(self._remaining), 0.0) * n * 1e9 / self._bps)
+        dt_ns = math.ceil(max(tags[0][0] - self._v, 0.0) * len(tags) * 1e9 / self._bps)
         sim = self._sim
         self.due = (sim.now_ns + dt_ns, sim._seq)
         sim._seq += 1
@@ -366,12 +386,13 @@ class _MemifPool:
     def complete(self):
         """Fire ``due``: finish every flow that has drained, in start order."""
         self._settle()
-        remaining, callbacks = self._remaining, self._callbacks
-        finished = [cb for r, cb in zip(remaining, callbacks) if r <= 1e-6]
-        self._remaining = [r for r in remaining if r > 1e-6]
-        self._callbacks = [cb for r, cb in zip(remaining, callbacks) if r > 1e-6]
+        tags, done = self._tags, self._v + 1e-6
+        finished = []
+        while tags and tags[0][0] <= done:
+            finished.append(heapq.heappop(tags)[1:])
+        finished.sort()
         self._reschedule()
-        for fn, args in finished:
+        for _, fn, args in finished:
             fn(*args)
 
 
@@ -630,7 +651,11 @@ class _Sim:
         return 1.0
 
     def jit_ns(self, us: float) -> int:
-        return _us_to_ns(us * self._jitter_factor())
+        """``_us_to_ns(us * self._jitter_factor())`` in one frame: the same draw and arithmetic."""
+        factor = 1.0
+        if self._jitter_span > 0:
+            factor += self._jitter_lo + self._jitter_span * self._random()
+        return int(round(us * factor * NS_PER_US))
 
     def jit_bytes(self, nbytes: int) -> float:
         """MEMIF arbitration jitter, charged as effective bytes moved.
@@ -646,14 +671,18 @@ class _Sim:
         self.deliver_at(t_deliver, message.topic, subscriber, message.seq)
 
     def trace(self, kind: str, message_id: str, endpoint: str):
-        self._trace.append(TraceEvent(self.now_ns, kind, message_id, endpoint))
+        self._trace.append(_tuple_new(TraceEvent, (self.now_ns, kind, message_id, endpoint)))
 
     def deliver_at(self, t_ns: int, topic: str, subscriber: str, seq: int):
-        self.at(t_ns, self._deliver, topic, subscriber, seq)
+        # the hottest push: same entry as ``at``, one frame fewer
+        heapq.heappush(self._heap, (t_ns, self._seq, self._deliver, (topic, subscriber, seq)))
+        self._seq += 1
 
     def _deliver(self, topic: str, subscriber: str, seq: int):
-        self.trace("DELIVER", f"{topic}#{seq}", subscriber)
-        self._deliveries.append(Delivery(topic, subscriber, seq, self._pub_times[(topic, seq)], self.now_ns))
+        now = self.now_ns
+        self._trace.append(_tuple_new(TraceEvent, (now, "DELIVER", f"{topic}#{seq}", subscriber)))
+        t_pub = self._pub_times[(topic, seq)]
+        self._deliveries.append(_tuple_new(Delivery, (topic, subscriber, seq, t_pub, now)))
         relay = self._relays.get(subscriber)
         if relay is not None and relay.in_topic == topic:
             t_out = self.now_ns + _us_to_ns(relay.compute_us)
@@ -719,14 +748,16 @@ class _Sim:
         """Stream to every hardware subscriber, each on its own channel,
         and to the gateway's tap if the topic has one."""
         t_arrive = self.now_ns + _bytes_ns(message.size_bytes, self.platform.hmt_bandwidth_bytes_per_s)
-        for sub in route.endpoints.hw_subs:
-            self.at(t_arrive, self.hmt_arrival, message, sub)
-        if route.actor is not None:
-            self.at(t_arrive, self._tapped, route.actor, message)
+        self.at(t_arrive, self._streams_arrived, route, message)
 
-    def _tapped(self, actor: _GwActor, message: gw.Message):
-        self.trace("HMT_TRANSFER", message.message_id, actor.hmt_id)
-        actor.post(gw.HmtArrival(message))
+    def _streams_arrived(self, route: _Route, message: gw.Message):
+        """All streams of one message arrive together: the subscribers in order, then the tap."""
+        for sub in route.endpoints.hw_subs:
+            self.hmt_arrival(message, sub)
+        actor = route.actor
+        if actor is not None:
+            self.trace("HMT_TRANSFER", message.message_id, actor.hmt_id)
+            actor.post(gw.HmtArrival(message))
 
     # -- run loop --
 

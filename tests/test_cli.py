@@ -197,6 +197,10 @@ class TestScenarioValidation:
             (_workload(period_us=1e308), "period_us"),
             ({"compute_us": {"2": 1e308}}, "compute_us.2"),
             (_grid(period_us=1e308), "grid.period_us"),
+            # byte counts that are no longer exact floats
+            (_workload(size_bytes=10**400), "size_bytes"),
+            (_workload(size_bytes=2**53), "size_bytes"),
+            (_grid(sizes=[2**53]), "grid.sizes"),
         ],
     )
     def test_rejected_with_one_line_error(self, workdir, capsys, extra, field):
@@ -307,12 +311,14 @@ class TestGraphValidation:
             ({"publish_rate_hz": "fast"}, 3, "publish_rate_hz"),
             ({"publish_rate_hz": float("inf")}, 3, "publish_rate_hz"),
             ({"publish_rate_hz": True}, 3, "publish_rate_hz"),
+            ({"message_size_bytes": 10**400}, 3, "message_size_bytes"),
+            ({"message_size_bytes": 2**53}, 3, "message_size_bytes"),
         ],
     )
     def test_rejected_with_one_line_error(self, workdir, capsys, change, code, field):
         path = workdir / "graph.json"
         doc = json.loads(path.read_text(encoding="utf-8"))
-        if "publish_rate_hz" in change:
+        if change.keys() & {"publish_rate_hz", "message_size_bytes"}:
             doc["topics"][0].update(change)
         else:
             doc.update(change)
@@ -480,6 +486,7 @@ class TestCalibrate:
             (_targets(hw_subs=-1), "hw_subs"),
             (_targets(sw_subs=-2), "sw_subs"),
             (_targets(speedup="fast"), "speedup"),
+            (_targets(size_bytes=10**400), "size_bytes"),
         ],
     )
     def test_rejected_with_one_line_error(self, tmp_path, capsys, doc, field):
