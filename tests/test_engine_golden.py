@@ -8,13 +8,18 @@ the jitter draw sequence shows up here as a mismatch.
 """
 
 import hashlib
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from topomap.mapping import MappingPolicy
+from topomap import gateway
+from topomap.graph import ComputationGraph, NodeMapping, Placement, TopicSpec
+from topomap.mapping import CommMapping, MappingPolicy, TopicImpl
 from topomap.platform_model import PlatformModel
 from topomap.simulator import (
+    Scenario,
+    WorkloadItem,
     chain_relays,
     compare_grid,
     compare_to_csv,
@@ -82,3 +87,43 @@ def test_compare_grid_csv(data_dir):
     csv = compare_to_csv(*compare_grid(scenario, PLATFORM, SMT, GW))
     digest = "e4ce53d423216191848475b799d9b528974869179c26eedc0fb97b21639c11b2"
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+
+def test_gateway_fires_every_rule(monkeypatch):
+    """Publishers on both sides of one GW topic, so HMT arrivals race open reads.
+
+    A cancel that lands while a read's response is in flight returns that
+    read, whose message is either forwarded or discarded as the gateway's own
+    loop-back: the two raced-cancel rules fire here and in no other case.
+    """
+    fired = Counter()
+    step = gateway.step
+
+    def counting_step(state, event):
+        new, actions = step(state, event)
+        kinds = tuple(gateway._ACTION_KIND[type(a)] for a in actions)
+        fired[(state.phase.value, gateway._EVENT_KIND[type(event)], kinds)] += 1
+        return new, actions
+
+    monkeypatch.setattr(gateway, "step", counting_step)
+    hw, sw = Placement.HW, Placement.SW
+    placements = {"hw_pub": hw, "sw_pub": sw, "hw_sub_1": hw, "hw_sub_2": hw, "sw_sub_1": sw}
+    graph = ComputationGraph(
+        nodes=tuple(placements),
+        topics=(TopicSpec("t", 20_000, 10.0),),
+        pub_edges=(("hw_pub", "t"), ("sw_pub", "t")),
+        sub_edges=(("t", "hw_sub_1"), ("t", "hw_sub_2"), ("t", "sw_sub_1")),
+    )
+    scenario = Scenario(
+        graph=graph,
+        node_mapping=NodeMapping(tuple(placements.items())),
+        workload=(WorkloadItem("hw_pub", "t", 40, 130.0), WorkloadItem("sw_pub", "t", 40, 170.0)),
+        seed=9,
+        comm_mapping=CommMapping((("t", TopicImpl.GW),)),
+        jitter_pct=0.05,
+    )
+    result = simulate(scenario, PLATFORM)
+    rules = gateway.transition_table()["rules"]
+    counts = [fired[(r["phase"], r["event"], tuple(kind for kind, _ in r["actions"]))] for r in rules]
+    assert counts == [1, 32, 20, 40, 40, 12, 8, 20]  # table order; the last two are the raced cancels
+    assert result_digest(result) == "57cd21ade5d929613fce0e578d08382ca83a54f9ccea412ef30bf2b695585022"
