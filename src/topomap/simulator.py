@@ -399,65 +399,20 @@ class _MemifPool:
 # -- gateway actor -----------------------------------------------------------
 
 
-class _GwDelegate:
-    """The gateway's reader on the software transport.
-
-    Holds at most one cancellable read open; a response costs two control
-    round trips (readiness detection, then the response itself).
-    """
-
-    def __init__(self, sim: "_Sim", actor: "_GwActor"):
-        self._sim = sim
-        self._actor = actor
-        self._open = False
-        self._pending: deque[gw.Message] = deque()
-        self._inflight: gw.Message | None = None
-        self._gen = 0
-
-    def on_message_available(self, message: gw.Message):
-        self._pending.append(message)
-        self._maybe_start()
-
-    def open_request(self):
-        self._open = True
-        self._maybe_start()
-
-    def _maybe_start(self):
-        if not self._open or self._inflight is not None or not self._pending:
-            return
-        message = self._pending.popleft()
-        self._inflight = message
-        self._gen += 1
-        dt = self._sim.jit_ns(self._sim.platform.osif_roundtrip_us) + self._sim.jit_ns(
-            self._sim.platform.osif_roundtrip_us
-        )
-        self._sim.at(self._sim.now_ns + dt, self._response_ready, self._gen)
-
-    def _response_ready(self, gen: int):
-        if gen != self._gen or self._inflight is None:
-            return
-        message = self._inflight
-        self._inflight = None
-        self._open = False
-        self._actor.post(gw.DelegateResponse(message))
-
-    def begin_cancel(self) -> gw.Message | None:
-        """Close the read; returns the response the cancel raced, if any."""
-        self._open = False
-        self._gen += 1  # invalidates any scheduled response
-        raced = self._inflight
-        self._inflight = None
-        return raced
-
-
 class _GwActor:
-    """Runs one gateway state machine inside the simulation.
+    """One gateway inside the simulation: its state machine and its reader on SMT.
 
     Data events queue FIFO and are only handed to the machine in phases
     that accept them; cancel acknowledgements travel on the control path
     and jump the queue, so a burst of arrivals cannot wedge a pending
-    cancel.  Actions run serially, each finishing before the next starts,
-    which is what makes gateway timing reproducible.
+    cancel.  Actions run serially from ``_actions``, the rest of the
+    running step, each finishing before the next starts (``_busy`` while
+    one takes simulated time); that makes gateway timing reproducible.
+
+    The reader keeps at most one cancellable read open over the messages
+    offered to it; a response costs two control round trips (readiness
+    detection, then the response itself).  A cancel takes back the read in
+    flight, so a response still scheduled for it is dropped.
     """
 
     _ACCEPTS = {
@@ -471,91 +426,98 @@ class _GwActor:
         self.endpoints = endpoints
         self.smt_id = f"gw.{endpoints.topic_id}"
         self.hmt_id = f"gw.{endpoints.topic_id}.hmt"
-        self.state, _ = gw.init(self.smt_id, self.hmt_id)
-        self.delegate = _GwDelegate(sim, self)
+        self.state, actions = gw.init(self.smt_id, self.hmt_id)
+        self._actions: deque[gw.Action] = deque(actions)
         self._queue: deque[gw.Event] = deque()
         self._busy = False
+        self._open = False
+        self._pending: deque[gw.Message] = deque()
+        self._inflight: gw.Message | None = None
         sim.at(0, self.post, gw.BufferLocation())
+
+    def offer(self, message: gw.Message):
+        self._pending.append(message)
+        self._read()
+
+    def _read(self):
+        if self._open and self._inflight is None and self._pending:
+            message = self._inflight = self._pending.popleft()
+            sim = self._sim
+            dt = sim.jit_ns(sim.platform.osif_roundtrip_us) + sim.jit_ns(sim.platform.osif_roundtrip_us)
+            sim.at(sim.now_ns + dt, self._responded, message)
+
+    def _responded(self, message: gw.Message):
+        if message is self._inflight:  # else a cancel took this read back
+            self._inflight, self._open = None, False
+            self.post(gw.DelegateResponse(message))
+
+    def _cancelled(self, raced: gw.Message | None):
+        self._queue.appendleft(gw.CancelResult(raced))
+        if not self._busy:
+            self._next()
 
     def post(self, event: gw.Event):
         self._queue.append(event)
-        self._drain()
+        if not self._busy:
+            self._next()
 
-    def post_control(self, event: gw.Event):
-        self._queue.appendleft(event)
-        self._drain()
-
-    def _drain(self):
-        if self._busy or not self._queue:
-            return
-        accepted = self._ACCEPTS.get(self.state.phase, ())
-        if not isinstance(self._queue[0], accepted):
-            return  # head waits for a phase change; order is preserved
-        event = self._queue.popleft()
-        self.state, actions = gw.step(self.state, event)
-        self._run_actions(deque(actions))
-
-    def _run_actions(self, actions: deque[gw.Action]):
-        if not actions:
-            self._busy = False
-            self._drain()
-            return
+    def _next(self):
+        """Run actions up to the first that takes simulated time, stepping on accepted events."""
+        sim, actions, queue = self._sim, self._actions, self._queue
+        while True:
+            while not actions:
+                if not queue or not isinstance(queue[0], self._ACCEPTS.get(self.state.phase, ())):
+                    self._busy = False
+                    return  # the head waits for a phase change; order is preserved
+                self.state, step_actions = gw.step(self.state, queue.popleft())
+                actions.extend(step_actions)
+            action = actions.popleft()
+            message = getattr(action, "message", None)
+            mid = "-" if message is None else message.message_id
+            sim.trace(f"GW_ACTION:{gw._ACTION_KIND[type(action)]}", mid, self.smt_id)
+            if isinstance(action, gw.RequestSmtMessage):
+                self._open = True
+                self._read()
+            elif isinstance(action, gw.CancelSmtRequest):
+                # the acknowledgement returns the read the cancel raced, if any
+                raced, self._inflight, self._open = self._inflight, None, False
+                sim.at(sim.now_ns + sim.jit_ns(sim.platform.osif_roundtrip_us), self._cancelled, raced)
+            elif not isinstance(action, gw.Discard):
+                break
+        # the action takes simulated time; its completion moves the cursor on
         self._busy = True
-        action = actions.popleft()
-        sim = self._sim
-        sim.trace(f"GW_ACTION:{gw._ACTION_KIND[type(action)]}", _action_mid(action), self.smt_id)
-
-        if isinstance(action, gw.RequestSmtMessage):
-            self.delegate.open_request()
-            self._run_actions(actions)
-        elif isinstance(action, gw.CancelSmtRequest):
-            raced = self.delegate.begin_cancel()
-            dt = sim.jit_ns(sim.platform.osif_roundtrip_us)
-            sim.at(sim.now_ns + dt, self.post_control, gw.CancelResult(raced))
-            self._run_actions(actions)
-        elif isinstance(action, gw.Discard):
-            self._run_actions(actions)
-        elif isinstance(action, gw.TransferToHmt):
-            m = action.message
-            sim.pool.start(sim.jit_bytes(m.size_bytes), self._read_to_hmt, m, actions)
+        if isinstance(action, gw.TransferToHmt):
+            sim.pool.start(sim.jit_bytes(message.size_bytes), self._read_to_hmt, message)
         elif isinstance(action, gw.TransferToMain):
-            m = action.message
-            sim.pool.start(sim.jit_bytes(m.size_bytes), self._written_to_main, m, actions)
+            sim.pool.start(sim.jit_bytes(message.size_bytes), self._written_to_main, message)
         elif isinstance(action, gw.PublishSmt):
-            dt = sim.jit_ns(sim.platform.delegate_publish_us)
-            sim.at(sim.now_ns + dt, self._published, action.message, actions)
+            sim.at(sim.now_ns + sim.jit_ns(sim.platform.delegate_publish_us), self._published, message)
         else:  # pragma: no cover - action set is closed
             raise AssertionError(f"unknown action {action!r}")
 
-    def _read_to_hmt(self, m: gw.Message, actions: deque[gw.Action]):
+    def _read_to_hmt(self, m: gw.Message):
         sim = self._sim
         sim.trace("MEMIF_TRANSFER", m.message_id, self.smt_id)
-        stream_dt = _bytes_ns(m.size_bytes, sim.platform.hmt_bandwidth_bytes_per_s)
-        sim.at(sim.now_ns + stream_dt, self._streamed, m, actions)
+        sim.at(sim.now_ns + _bytes_ns(m.size_bytes, sim.platform.hmt_bandwidth_bytes_per_s), self._streamed, m)
 
-    def _streamed(self, m: gw.Message, actions: deque[gw.Action]):
+    def _streamed(self, m: gw.Message):
         for sub in self.endpoints.hw_subs:
             self._sim.hmt_arrival(m, sub)
         # own transfer loops back through the tap under the gateway's identity
-        self.post(gw.HmtArrival(gw.Message(self.hmt_id, m.seq, m.topic, m.size_bytes)))
-        self._run_actions(actions)
+        self._queue.append(gw.HmtArrival(gw.Message(self.hmt_id, m.seq, m.topic, m.size_bytes)))
+        self._next()
 
-    def _written_to_main(self, m: gw.Message, actions: deque[gw.Action]):
+    def _written_to_main(self, m: gw.Message):
         self._sim.trace("MEMIF_TRANSFER", m.message_id, self.smt_id)
-        self._run_actions(actions)
+        self._next()
 
-    def _published(self, m: gw.Message, actions: deque[gw.Action]):
+    def _published(self, m: gw.Message):
         sim = self._sim
         for sub in self.endpoints.sw_subs:
             sim.sw_take(sub, m, sim.now_ns)
-        # own publication loops back through the delegate
-        self.delegate.on_message_available(gw.Message(self.smt_id, m.seq, m.topic, m.size_bytes))
-        self._run_actions(actions)
-
-
-def _action_mid(action: gw.Action) -> str:
-    message = getattr(action, "message", None)
-    return message.message_id if message is not None else "-"
+        # own publication loops back through the reader
+        self.offer(gw.Message(self.smt_id, m.seq, m.topic, m.size_bytes))
+        self._next()
 
 
 # -- the engine --------------------------------------------------------------
@@ -633,7 +595,7 @@ class _Sim:
         elif impl is TopicImpl.GW:
             # hardware subscribers listen on the HMT side, the gateway reads the SMT side
             actor = _GwActor(self, endpoints)
-            readers.append((actor.smt_id, later(actor.delegate.on_message_available)))
+            readers.append((actor.smt_id, later(actor.offer)))
         readers.sort(key=lambda reader: reader[0])
         return _Route(impl, tuple((slot, *reader) for slot, reader in enumerate(readers)), endpoints, actor)
 
