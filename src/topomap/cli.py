@@ -16,7 +16,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .calibrate import TargetError, calibrate, load_targets, result_to_json
@@ -40,6 +39,7 @@ from .platform_model import PlatformModel
 from .simulator import (
     ScenarioError,
     compare_grid,
+    compare_means,
     compare_to_csv,
     compute_stats,
     load_scenario,
@@ -119,26 +119,8 @@ def cmd_compare(args) -> int:
     if len(names) != 2:
         raise _InputError("--policies expects exactly two comma-separated policy names")
     policy_a, policy_b = (_policy(n) for n in names)
-    seed = _seed_override()
-    if scenario.grid is not None:
-        header, rows = compare_grid(scenario, platform, policy_a, policy_b, seed=seed)
-        _write_text(args.out, compare_to_csv(header, rows))
-        return 0
-    # no grid: compare mean delivery latency per (topic, subscriber)
-    per_policy = {}
-    for policy in (policy_a, policy_b):
-        run = replace(scenario, comm_mapping=None, policy=policy)
-        result = simulate(run, platform, seed=seed)
-        per_policy[policy.value] = {
-            (r["topic"], r["subscriber"]): r["mean_us"] for r in compute_stats(result)
-        }
-    keys = sorted(set(per_policy[policy_a.value]) | set(per_policy[policy_b.value]))
-    header = ["topic", "subscriber", f"mean_us_{policy_a.value}", f"mean_us_{policy_b.value}", "speedup"]
-    rows = []
-    for key in keys:
-        a = per_policy[policy_a.value].get(key)
-        b = per_policy[policy_b.value].get(key)
-        rows.append([key[0], key[1], a, b, (a / b) if a and b else None])
+    compare = compare_grid if scenario.grid is not None else compare_means
+    header, rows = compare(scenario, platform, policy_a, policy_b, seed=_seed_override())
     _write_text(args.out, compare_to_csv(header, rows))
     return 0
 

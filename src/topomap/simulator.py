@@ -606,14 +606,8 @@ class _Sim:
         heapq.heappush(self._heap, (t_ns, self._seq, fn, args))
         self._seq += 1
 
-    def _jitter_factor(self) -> float:
-        # draws from the generator only when jitter is on
-        if self._jitter_span > 0:
-            return 1.0 + (self._jitter_lo + self._jitter_span * self._random())
-        return 1.0
-
     def jit_ns(self, us: float) -> int:
-        """``_us_to_ns(us * self._jitter_factor())`` in one frame: the same draw and arithmetic."""
+        """``_us_to_ns`` of ``us`` scaled by one jitter draw; draws only when jitter is on."""
         factor = 1.0
         if self._jitter_span > 0:
             factor += self._jitter_lo + self._jitter_span * self._random()
@@ -625,7 +619,10 @@ class _Sim:
         Keeps the pool's aggregate throughput exactly at the configured
         bandwidth; dedicated HMT streams carry no such noise.
         """
-        return nbytes * self._jitter_factor()
+        factor = 1.0
+        if self._jitter_span > 0:
+            factor += self._jitter_lo + self._jitter_span * self._random()
+        return nbytes * factor
 
     def sw_take(self, subscriber: str, message: gw.Message, t_ready: int):
         """A software subscriber's copy is ready; software-side delivery follows."""
@@ -672,7 +669,9 @@ class _Sim:
         if route.impl is TopicImpl.SMT:
             self._smt_fanout(route, message, loaned=True)
         else:
-            self._hmt_streams(route, message)
+            # one stream per hardware subscriber, plus the gateway's tap; streams share no bandwidth
+            t_arrive = self.now_ns + _bytes_ns(message.size_bytes, self.platform.hmt_bandwidth_bytes_per_s)
+            self.at(t_arrive, self._streams_arrived, route, message)
 
     def _smt_fanout(self, route: _Route, message: gw.Message, loaned: bool):
         """Hand the message to every software-side reader.
@@ -705,12 +704,6 @@ class _Sim:
         self.trace("HMT_TRANSFER", message.message_id, subscriber)
         dt = self.jit_ns(self.platform.osif_roundtrip_us)
         self.deliver_at(self.now_ns + dt, message.topic, subscriber, message.seq)
-
-    def _hmt_streams(self, route: _Route, message: gw.Message):
-        """Stream to every hardware subscriber, each on its own channel,
-        and to the gateway's tap if the topic has one."""
-        t_arrive = self.now_ns + _bytes_ns(message.size_bytes, self.platform.hmt_bandwidth_bytes_per_s)
-        self.at(t_arrive, self._streams_arrived, route, message)
 
     def _streams_arrived(self, route: _Route, message: gw.Message):
         """All streams of one message arrive together: the subscribers in order, then the tap."""
@@ -905,6 +898,26 @@ def compare_grid(
                     (a_sw / b_sw) if a_sw and b_sw else None,
                 ]
             )
+    return header, rows
+
+
+def compare_means(
+    scenario: Scenario,
+    platform: PlatformModel,
+    policy_a: MappingPolicy,
+    policy_b: MappingPolicy,
+    seed: int | None = None,
+) -> tuple[list[str], list[list]]:
+    """Mean delivery latency per (topic, subscriber) under each policy; for scenarios without a grid."""
+    means = []
+    for policy in (policy_a, policy_b):
+        result = simulate(replace(scenario, comm_mapping=None, policy=policy), platform, seed=seed)
+        means.append({(r["topic"], r["subscriber"]): r["mean_us"] for r in compute_stats(result)})
+    header = ["topic", "subscriber", f"mean_us_{policy_a.value}", f"mean_us_{policy_b.value}", "speedup"]
+    rows = []
+    for topic, sub in sorted(set(means[0]) | set(means[1])):
+        a, b = means[0].get((topic, sub)), means[1].get((topic, sub))
+        rows.append([topic, sub, a, b, (a / b) if a and b else None])
     return header, rows
 
 
