@@ -156,6 +156,11 @@ def cmd_report(args) -> int:
     missing = required - set(rows[0])
     if missing:
         raise _InputError(f"{args.infile!r}: not a grid comparison (missing columns {sorted(missing)})")
+    for row in rows:
+        # the kind names the output files, so it must not carry a path
+        kind = row["publisher_kind"]
+        if kind not in ("hw", "sw"):
+            raise _InputError(f"{args.infile!r}: publisher_kind must be 'hw' or 'sw', got {kind!r}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

@@ -242,6 +242,12 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _id(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise GraphSyntaxError(f"{where}: expected a string id, got {value!r}")
+    return value
+
+
 def _section(doc: dict, key: str) -> list:
     value = _require(doc, key, "graph document")
     if not isinstance(value, list):
@@ -267,13 +273,13 @@ def parse_document(text: str) -> tuple[ComputationGraph, NodeMapping | None]:
     for i, entry in enumerate(raw_nodes):
         if not isinstance(entry, dict) or "id" not in entry:
             raise GraphSyntaxError(f"nodes[{i}]: expected an object with an \"id\" key")
-        nodes.append(str(entry["id"]))
+        nodes.append(_id(entry["id"], f"nodes[{i}].id"))
 
     topics = []
     for i, entry in enumerate(raw_topics):
         if not isinstance(entry, dict):
             raise GraphSyntaxError(f"topics[{i}]: expected an object")
-        tid = str(_require(entry, "id", f"topics[{i}]"))
+        tid = _id(_require(entry, "id", f"topics[{i}]"), f"topics[{i}].id")
         size = _require(entry, "message_size_bytes", f"topics[{i}]")
         rate = _require(entry, "publish_rate_hz", f"topics[{i}]")
         topics.append(TopicSpec(tid, size, rate))
@@ -282,13 +288,15 @@ def parse_document(text: str) -> tuple[ComputationGraph, NodeMapping | None]:
     for i, entry in enumerate(raw_pubs):
         if not isinstance(entry, dict) or "node" not in entry or "topic" not in entry:
             raise GraphSyntaxError(f"publishes[{i}]: expected an object with \"node\" and \"topic\"")
-        pub_edges.append((str(entry["node"]), str(entry["topic"])))
+        where = f"publishes[{i}]"
+        pub_edges.append((_id(entry["node"], f"{where}.node"), _id(entry["topic"], f"{where}.topic")))
 
     sub_edges = []
     for i, entry in enumerate(raw_subs):
         if not isinstance(entry, dict) or "node" not in entry or "topic" not in entry:
             raise GraphSyntaxError(f"subscribes[{i}]: expected an object with \"topic\" and \"node\"")
-        sub_edges.append((str(entry["topic"]), str(entry["node"])))
+        where = f"subscribes[{i}]"
+        sub_edges.append((_id(entry["topic"], f"{where}.topic"), _id(entry["node"], f"{where}.node")))
 
     graph = ComputationGraph(tuple(nodes), tuple(topics), tuple(pub_edges), tuple(sub_edges))
 

@@ -313,6 +313,23 @@ class TestGraphValidation:
             ({"publish_rate_hz": True}, 3, "publish_rate_hz"),
             ({"message_size_bytes": 10**400}, 3, "message_size_bytes"),
             ({"message_size_bytes": 2**53}, 3, "message_size_bytes"),
+            ({"nodes": [{"id": None}]}, 2, "nodes[0].id"),
+            ({"nodes": [{"id": ["b"]}]}, 2, "nodes[0].id"),
+            ({"topics": [{"id": 7, "message_size_bytes": 10, "publish_rate_hz": 1.0}]}, 2, "topics[0].id"),
+            ({"publishes": [{"node": ["1"], "topic": "A"}]}, 2, "publishes[0].node"),
+            ({"subscribes": [{"topic": None, "node": "2"}]}, 2, "subscribes[0].topic"),
+            # a whole document whose integer ids would agree once turned into strings
+            (
+                {
+                    "nodes": [{"id": 1}, {"id": "2"}],
+                    "topics": [{"id": "A", "message_size_bytes": 10, "publish_rate_hz": 1.0}],
+                    "publishes": [{"node": 1, "topic": "A"}],
+                    "subscribes": [{"topic": "A", "node": "2"}],
+                    "node_mapping": {"1": "HW", "2": "SW"},
+                },
+                2,
+                "nodes[0].id",
+            ),
         ],
     )
     def test_rejected_with_one_line_error(self, workdir, capsys, change, code, field):
@@ -588,6 +605,18 @@ class TestReport:
         path.write_text("a,b\n1,2\n", encoding="utf-8")
         assert run_cli("report", "--in", str(path), "--out-dir", str(tmp_path / "d")) == 2
         assert "grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["x/../../escaped", "../../etc", "HW", ""])
+    def test_unknown_kind_rejected(self, tmp_path, capsys, kind):
+        # the kind becomes part of an output file name, so a path in it would escape --out-dir
+        path = tmp_path / "cmp.csv"
+        header = "publisher_kind,size_bytes,hw_subs,speedup_hw,speedup_sw\n"
+        path.write_text(header + f"{kind},100,2,1.5,\n", encoding="utf-8")
+        out_dir = tmp_path / "a" / "out"
+        (out_dir / "speedup_x").mkdir(parents=True)
+        assert run_cli("report", "--in", str(path), "--out-dir", str(out_dir)) == 2
+        _one_line_error(capsys, "publisher_kind must be 'hw' or 'sw'")
+        assert sorted(p.name for p in tmp_path.rglob("*.csv")) == ["cmp.csv"]
 
     def test_empty_document_rejected(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
