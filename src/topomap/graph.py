@@ -242,9 +242,10 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _id(value, where: str) -> str:
+def _id(entry: dict, key: str, where: str) -> str:
+    value = _require(entry, key, where)
     if not isinstance(value, str):
-        raise GraphSyntaxError(f"{where}: expected a string id, got {value!r}")
+        raise GraphSyntaxError(f"{where}.{key}: expected a string id, got {value!r}")
     return value
 
 
@@ -273,13 +274,13 @@ def parse_document(text: str) -> tuple[ComputationGraph, NodeMapping | None]:
     for i, entry in enumerate(raw_nodes):
         if not isinstance(entry, dict) or "id" not in entry:
             raise GraphSyntaxError(f"nodes[{i}]: expected an object with an \"id\" key")
-        nodes.append(_id(entry["id"], f"nodes[{i}].id"))
+        nodes.append(_id(entry, "id", f"nodes[{i}]"))
 
     topics = []
     for i, entry in enumerate(raw_topics):
         if not isinstance(entry, dict):
             raise GraphSyntaxError(f"topics[{i}]: expected an object")
-        tid = _id(_require(entry, "id", f"topics[{i}]"), f"topics[{i}].id")
+        tid = _id(entry, "id", f"topics[{i}]")
         size = _require(entry, "message_size_bytes", f"topics[{i}]")
         rate = _require(entry, "publish_rate_hz", f"topics[{i}]")
         topics.append(TopicSpec(tid, size, rate))
@@ -288,15 +289,13 @@ def parse_document(text: str) -> tuple[ComputationGraph, NodeMapping | None]:
     for i, entry in enumerate(raw_pubs):
         if not isinstance(entry, dict) or "node" not in entry or "topic" not in entry:
             raise GraphSyntaxError(f"publishes[{i}]: expected an object with \"node\" and \"topic\"")
-        where = f"publishes[{i}]"
-        pub_edges.append((_id(entry["node"], f"{where}.node"), _id(entry["topic"], f"{where}.topic")))
+        pub_edges.append((_id(entry, "node", f"publishes[{i}]"), _id(entry, "topic", f"publishes[{i}]")))
 
     sub_edges = []
     for i, entry in enumerate(raw_subs):
         if not isinstance(entry, dict) or "node" not in entry or "topic" not in entry:
             raise GraphSyntaxError(f"subscribes[{i}]: expected an object with \"topic\" and \"node\"")
-        where = f"subscribes[{i}]"
-        sub_edges.append((_id(entry["topic"], f"{where}.topic"), _id(entry["node"], f"{where}.node")))
+        sub_edges.append((_id(entry, "topic", f"subscribes[{i}]"), _id(entry, "node", f"subscribes[{i}]")))
 
     graph = ComputationGraph(tuple(nodes), tuple(topics), tuple(pub_edges), tuple(sub_edges))
 
