@@ -1,0 +1,105 @@
+"""Byte identity of the trace and stats CSV output.
+
+The trace CSV is compared with a row-by-row ``csv.writer`` reference on
+fields that need quoting (delimiters, quotes, line breaks, leading spaces,
+empty and non-ASCII strings). The stats CSV of the golden engine cases is
+pinned by sha256. Both depend on the interpreter's csv quoting and float
+formatting, so CI runs this file on every supported Python version.
+"""
+
+import csv
+import hashlib
+import io
+import random
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_engine_golden import CHAIN, GW, PLATFORM, SMT, star
+
+from topomap.simulator import (
+    TRACE_HEADER,
+    SimResult,
+    TraceEvent,
+    chain_relays,
+    compute_stats,
+    load_scenario,
+    simulate,
+    stats_to_csv,
+    trace_to_csv,
+)
+
+PIECES = [",", '"', "\r", "\n", " ", "", "a", "é", "名", "😀"]
+
+
+def reference_trace_csv(result) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRACE_HEADER)
+    for ev in result.trace:
+        writer.writerow([f"{ev.t_ns / 1000:.3f}", ev.kind, ev.message_id, ev.endpoint])
+    return buf.getvalue()
+
+
+fields = st.lists(st.sampled_from(PIECES), max_size=6).map("".join)
+
+
+@st.composite
+def traces(draw):
+    # a small pool of strings, so most rows repeat strings seen before
+    pool = draw(st.lists(fields, min_size=1, max_size=8))
+    pick = st.sampled_from(pool)
+    times = st.integers(min_value=0, max_value=2**63 - 1)
+    events = st.builds(TraceEvent, times, pick, pick, pick)
+    return draw(st.lists(events, max_size=40))
+
+
+@given(traces())
+@settings(max_examples=300, deadline=None)
+def test_trace_matches_row_by_row_writer(trace):
+    result = SimResult(trace, [], [])
+    assert trace_to_csv(result) == reference_trace_csv(result)
+
+
+def test_long_trace_matches_row_by_row_writer():
+    rng = random.Random(7)
+    pool = ["".join(rng.choices(PIECES, k=rng.randrange(5))) for _ in range(50)]
+    trace = [
+        TraceEvent(rng.randrange(2**63), rng.choice(pool), rng.choice(pool), rng.choice(pool))
+        for _ in range(20_001)
+    ]
+    result = SimResult(trace, [], [])
+    assert trace_to_csv(result) == reference_trace_csv(result)
+
+
+def stats_digest(result) -> str:
+    return hashlib.sha256(stats_to_csv(compute_stats(result)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (("hw", 32, 4, SMT, 40, 5000.0, 3, 0.05), "aed1fd704afb8677d0948ef5343669ccd23fb7fb618147b9f1e18dfa44b87b84"),
+        (("sw", 16, 8, GW, 40, 5000.0, 4), "6b358f5ee3cf434a3dcc6083fd844dc07aadd92b902f25f1162c6fa9e21ccb5f"),
+        (("sw", 64, 64, SMT, 6, 100.0, 5), "78c3d0a5fc2aa59591d9551dc62343dc2f1cd195e20f9a17b78a9086e636505d"),
+    ],
+    ids=["hw32_sw4_smt_jitter", "sw16_sw8_gw", "sw64_sw64_smt_saturated"],
+)
+def test_star_stats(args, digest):
+    assert stats_digest(star(*args)) == digest
+
+
+@pytest.mark.parametrize(
+    "policy, digest",
+    [
+        (SMT, "893dd5399c1c77111b1a28afd8ba10b2685243ccc4e176fdf9698209c63555d9"),
+        (GW, "3658856bd1a44e35ad3c02df8463092ebeb84a0c9932996f848c83984488103d"),
+    ],
+    ids=["smt", "multi-hw-sub"],
+)
+def test_packaged_chain_stats(data_dir, policy, digest):
+    scenario = load_scenario(data_dir / "chain_scenario.json")
+    relays, _, _ = chain_relays(scenario.graph, CHAIN, dict(scenario.compute_us))
+    result = simulate(replace(scenario, policy=policy), PLATFORM, relays=relays)
+    assert stats_digest(result) == digest
