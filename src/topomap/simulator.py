@@ -768,30 +768,52 @@ TRACE_HEADER = ("timestamp_us", "kind", "message_id", "endpoint")
 STATS_HEADER = ("topic", "subscriber", "count", "mean_us", "stddev_us", "min_us", "max_us")
 
 
+# rows joined per chunk, so no list of one string per row spans the whole trace
+_TRACE_CHUNK = 8192
+
+
+class _CsvFields(dict):
+    """A string's CSV field, quoted by the csv module once per distinct string."""
+
+    def __missing__(self, s: str) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow((s, ""))
+        field = self[s] = buf.getvalue()[:-2]  # drop the empty second field's ",\n"
+        return field
+
+
 def trace_to_csv(result: SimResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    for ev in result.trace:
-        writer.writerow([f"{ev.t_ns / NS_PER_US:.3f}", ev.kind, ev.message_id, ev.endpoint])
-    return buf.getvalue()
+    q = _CsvFields()
+    trace = result.trace
+    parts = [",".join(q[h] for h in TRACE_HEADER) + "\n"]
+    for i in range(0, len(trace), _TRACE_CHUNK):
+        parts.append(
+            "".join(
+                [f"{t / NS_PER_US:.3f},{q[k]},{q[m]},{q[e]}\n" for t, k, m, e in trace[i : i + _TRACE_CHUNK]]
+            )
+        )
+    return "".join(parts)
 
 
 def compute_stats(result: SimResult) -> list[dict]:
-    groups: dict[tuple[str, str], list[float]] = {}
-    for d in result.deliveries:
-        groups.setdefault((d.topic, d.subscriber), []).append(d.latency_us)
+    """Per-(topic, subscriber) latency stats from the exact integer nanosecond latencies."""
+    groups: dict[tuple[str, str], list[int]] = {}
+    for topic, sub, _, t_pub, t_deliver in result.deliveries:
+        groups.setdefault((topic, sub), []).append(t_deliver - t_pub)
     rows = []
-    for (topic, sub), lats in sorted(groups.items()):
+    for (topic, sub), deltas in sorted(groups.items()):
+        n = len(deltas)
+        s1 = sum(deltas)
+        s2 = sum(d * d for d in deltas)
         rows.append(
             {
                 "topic": topic,
                 "subscriber": sub,
-                "count": len(lats),
-                "mean_us": statistics.fmean(lats),
-                "stddev_us": statistics.stdev(lats) if len(lats) > 1 else 0.0,
-                "min_us": min(lats),
-                "max_us": max(lats),
+                "count": n,
+                "mean_us": statistics.fmean([d / NS_PER_US for d in deltas]),
+                "stddev_us": math.sqrt((n * s2 - s1 * s1) / (n * (n - 1))) / NS_PER_US if n > 1 else 0.0,
+                "min_us": min(deltas) / NS_PER_US,
+                "max_us": max(deltas) / NS_PER_US,
             }
         )
     return rows
