@@ -108,7 +108,9 @@ def cmd_simulate(args) -> int:
         _write_text(args.trace, trace_to_csv(result))
     if args.stats:
         _write_text(args.stats, stats_to_csv(compute_stats(result)))
-    print(f"simulated {len(result.trace)} events, {len(result.deliveries)} deliveries")
+    # a CSV on stdout must stay parseable, so the summary then goes to stderr
+    summary_to = sys.stderr if "-" in (args.trace, args.stats) else sys.stdout
+    print(f"simulated {len(result.trace)} events, {len(result.deliveries)} deliveries", file=summary_to)
     return 0
 
 
@@ -149,29 +151,37 @@ def cmd_fsm_export(args) -> int:
 
 def cmd_report(args) -> int:
     with open(args.infile, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = [(reader.line_num, row) for row in reader]
     if not rows:
         raise _InputError(f"{args.infile!r}: empty comparison document")
     required = {"publisher_kind", "size_bytes", "hw_subs", "speedup_hw", "speedup_sw"}
-    missing = required - set(rows[0])
+    missing = required - set(rows[0][1])
     if missing:
         raise _InputError(f"{args.infile!r}: not a grid comparison (missing columns {sorted(missing)})")
-    for row in rows:
+    for line, row in rows:
         # the kind names the output files, so it must not carry a path
         kind = row["publisher_kind"]
         if kind not in ("hw", "sw"):
-            raise _InputError(f"{args.infile!r}: publisher_kind must be 'hw' or 'sw', got {kind!r}")
+            raise _InputError(f"{args.infile!r} line {line}: publisher_kind must be 'hw' or 'sw', got {kind!r}")
+        for column in ("size_bytes", "hw_subs"):
+            try:
+                row[column] = int(row[column])
+            except (TypeError, ValueError):
+                raise _InputError(
+                    f"{args.infile!r} line {line}: column {column!r} must be an integer, got {row[column]!r}"
+                ) from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for side in ("hw", "sw"):
         col = f"speedup_{side}"
         series: dict[str, dict[int, dict[int, str]]] = {}
-        for row in rows:
+        for _, row in rows:
             if not row[col]:
                 continue
             pub = row["publisher_kind"]
-            series.setdefault(pub, {}).setdefault(int(row["size_bytes"]), {})[int(row["hw_subs"])] = row[col]
+            series.setdefault(pub, {}).setdefault(row["size_bytes"], {})[row["hw_subs"]] = row[col]
         for pub, by_size in sorted(series.items()):
             ns = sorted({n for cells in by_size.values() for n in cells})
             path = out_dir / f"speedup_{pub}_to_{side}.csv"

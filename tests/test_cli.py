@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import shutil
 import subprocess
@@ -134,6 +136,16 @@ class TestSimulate:
         assert stats_lines[0] == ",".join(STATS_HEADER)
         # three subscribers of topic A, one stats row each
         assert len(stats_lines) == 4
+
+    @pytest.mark.parametrize("flag, header", [("--trace", TRACE_HEADER), ("--stats", STATS_HEADER)])
+    def test_csv_on_stdout_stays_parseable(self, workdir, capsys, flag, header):
+        scenario = write_scenario(workdir)
+        assert run_cli("simulate", "--scenario", str(scenario), flag, "-") == 0
+        captured = capsys.readouterr()
+        rows = list(csv.reader(io.StringIO(captured.out)))
+        assert rows[0] == list(header)
+        assert len(rows) > 1 and all(len(row) == len(header) for row in rows)
+        assert captured.err.startswith("simulated ")
 
     def test_seed_env_override(self, workdir, capsys, monkeypatch):
         scenario = write_scenario(workdir)
@@ -617,6 +629,18 @@ class TestReport:
         assert run_cli("report", "--in", str(path), "--out-dir", str(out_dir)) == 2
         _one_line_error(capsys, "publisher_kind must be 'hw' or 'sw'")
         assert sorted(p.name for p in tmp_path.rglob("*.csv")) == ["cmp.csv"]
+
+    @pytest.mark.parametrize("column", ["size_bytes", "hw_subs"])
+    @pytest.mark.parametrize("value", ["abc", "2.0", ""])
+    def test_non_integer_cell_rejected(self, tmp_path, capsys, column, value):
+        path = tmp_path / "cmp.csv"
+        cells = {"publisher_kind": "hw", "size_bytes": "100", "hw_subs": "2", "speedup_hw": "1.5", "speedup_sw": ""}
+        good = ",".join(cells.values())
+        bad = ",".join(value if k == column else v for k, v in cells.items())
+        path.write_text(",".join(cells) + f"\n{good}\n{bad}\n", encoding="utf-8")
+        assert run_cli("report", "--in", str(path), "--out-dir", str(tmp_path / "out")) == 2
+        _one_line_error(capsys, f"{str(path)!r} line 3: column {column!r} must be an integer, got {value!r}")
+        assert not (tmp_path / "out").exists()
 
     def test_empty_document_rejected(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
