@@ -101,6 +101,8 @@ def cmd_map(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.trace == args.stats == "-":
+        raise _InputError("--trace and --stats cannot both write to stdout: the two CSVs would run together")
     scenario = load_scenario(args.scenario)
     platform = _load_platform(args.platform)
     result = simulate(scenario, platform, seed=_seed_override())

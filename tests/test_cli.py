@@ -147,6 +147,11 @@ class TestSimulate:
         assert len(rows) > 1 and all(len(row) == len(header) for row in rows)
         assert captured.err.startswith("simulated ")
 
+    def test_both_csvs_on_stdout_rejected(self, workdir, capsys):
+        scenario = write_scenario(workdir)
+        assert run_cli("simulate", "--scenario", str(scenario), "--trace", "-", "--stats", "-") == 2
+        _one_line_error(capsys, "stdout")
+
     def test_seed_env_override(self, workdir, capsys, monkeypatch):
         scenario = write_scenario(workdir)
         trace = workdir / "trace.csv"
