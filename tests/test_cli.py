@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import shutil
@@ -315,6 +316,13 @@ class TestPlatformValidation:
         assert run_cli("simulate", "--scenario", str(scenario), "--platform", str(platform)) == 3
         _one_line_error(capsys, field)
 
+    def test_malformed_json_is_input_error(self, workdir, capsys):
+        platform = workdir / "platform.json"
+        platform.write_text('{"osif_roundtrip_us": ', encoding="utf-8")
+        graph = str(workdir / "graph.json")
+        assert run_cli("map", "--graph", graph, "--policy", "cost", "--platform", str(platform)) == 2
+        _one_line_error(capsys, "invalid JSON")
+
 
 class TestGraphValidation:
     """Malformed graph sections are input errors (exit 2); bad rates are validation errors (exit 3)."""
@@ -346,6 +354,26 @@ class TestGraphValidation:
                 },
                 2,
                 "nodes[0].id",
+            ),
+            ({"nodes": [5]}, 2, "nodes[0]: expected an object"),
+            ({"topics": [5]}, 2, "topics[0]: expected an object"),
+            ({"publishes": ["1"]}, 2, "publishes[0]: expected an object"),
+            ({"subscribes": [None]}, 2, "subscribes[0]: expected an object"),
+            ({"node_mapping": ["1"]}, 2, "node_mapping: expected an object"),
+            (
+                {"publishes": [{"node": "1", "topic": "Z"}]},
+                3,
+                "publish edge ('1', 'Z'): unknown topic 'Z'",
+            ),
+            (
+                {"subscribes": [{"topic": "A", "node": "99"}]},
+                3,
+                "subscribe edge ('A', '99'): unknown node '99'",
+            ),
+            (
+                {"subscribes": [{"topic": "A", "node": "2"}, {"topic": "A", "node": "2"}]},
+                3,
+                "duplicate subscribe edge ('A', '2')",
             ),
         ],
     )
@@ -507,6 +535,16 @@ class TestCalibrate:
         path.write_text('{"targets": []}', encoding="utf-8")
         assert run_cli("calibrate", "--targets", str(path)) == 2
 
+    def test_malformed_json_targets_document(self, tmp_path, capsys):
+        path = tmp_path / "targets.json"
+        path.write_text('{"targets": [', encoding="utf-8")
+        assert run_cli("calibrate", "--targets", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: invalid JSON")
+
     @pytest.mark.parametrize(
         "doc, field",
         [
@@ -535,9 +573,16 @@ class TestCalibrate:
 
 
 class TestFsmExport:
+    # the exported protocol, byte for byte; a change here is a protocol change
+    SHA256 = "9f76aef44a38370e4849b78b3e1fbdc7c4959998ca1984c4f8d96ed50507fd1a"
+
     def test_stdout_matches_transition_table(self, capsys):
         assert run_cli("fsm-export") == 0
         assert json.loads(capsys.readouterr().out) == transition_table()
+
+    def test_stdout_bytes_pinned(self, capsys):
+        assert run_cli("fsm-export") == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.SHA256
 
     def test_console_script_entry_point(self, tmp_path):
         out = tmp_path / "fsm.json"
