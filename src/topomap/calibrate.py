@@ -160,7 +160,7 @@ def _vector_from_platform(platform: PlatformModel) -> dict[str, float]:
     }
 
 
-def _platform_from_vector(vec: dict[str, float], jitter_pct: float) -> PlatformModel:
+def _platform_from_vector(vec: dict[str, float]) -> PlatformModel:
     ratio = max(1.0, vec["hmt_over_memif"])  # HMT never slower than MEMIF
     return PlatformModel(
         memif_bandwidth_bytes_per_s=vec["memif_bandwidth_bytes_per_s"],
@@ -170,7 +170,6 @@ def _platform_from_vector(vec: dict[str, float], jitter_pct: float) -> PlatformM
         sw_dds_intercept_us=vec["sw_dds_intercept_us"],
         sw_dds_us_per_byte=vec["sw_dds_us_per_byte"],
         sw_copy_bandwidth_bytes_per_s=vec["sw_copy_bandwidth_bytes_per_s"],
-        jitter_pct=jitter_pct,
     )
 
 
@@ -185,15 +184,14 @@ class CalibrationResult:
 
 def calibrate(
     targets: list[SpeedupTarget],
-    threshold: float = 0.25,
+    threshold: float,
     sweeps: int = 3,
 ) -> CalibrationResult:
     """Fit the tunable platform parameters to the targets, starting from the default platform."""
-    start = PlatformModel()
 
     def objective(vec: dict[str, float]) -> float:
         try:
-            platform = _platform_from_vector(vec, jitter_pct=0.0)
+            platform = _platform_from_vector(vec)
         except ValueError:
             return math.inf
         total = 0.0
@@ -204,8 +202,8 @@ def calibrate(
             total += math.log(sim / t.speedup) ** 2
         return total
 
-    best_vec, best_value = coordinate_descent(objective, _vector_from_platform(start), sweeps=sweeps)
-    fitted = _platform_from_vector(best_vec, jitter_pct=start.jitter_pct)
+    best_vec, best_value = coordinate_descent(objective, _vector_from_platform(PlatformModel()), sweeps=sweeps)
+    fitted = _platform_from_vector(best_vec)
 
     residuals = []
     all_ok = True

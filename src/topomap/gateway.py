@@ -143,8 +143,12 @@ class GatewayState:
 
     @property
     def outstanding_request(self) -> bool:
-        """A delegate read is open (or being cancelled) from the buffer location on."""
-        return self.phase is not Phase.AWAIT_BUFFER
+        return _outstanding(self.phase)
+
+
+def _outstanding(phase: Phase) -> bool:
+    """A delegate read is open (or being cancelled) from the buffer location on."""
+    return phase is not Phase.AWAIT_BUFFER
 
 
 def init(own_smt_id: str, own_hmt_id: str) -> tuple[GatewayState, list[Action]]:
@@ -233,9 +237,11 @@ def transition_table() -> dict:
     triggering event, ``"HELD"`` the parked message, ``null`` no argument.
     ``via`` lists the transient phases a step passes through, in order.
     Guards on message-bearing events name the side filter outcome that
-    selects the rule.
+    selects the rule.  The state columns ``holds``, ``outstanding`` and
+    ``clears_held`` follow from the rule: a message is held exactly while
+    ``CANCELLING``, and a read is outstanding from ``POLLING`` on.
     """
-    return {
+    table = {
         "initial_phase": Phase.AWAIT_BUFFER.value,
         "phases": [p.value for p in Phase],
         "resting_phases": [p.value for p in RESTING_PHASES],
@@ -249,9 +255,6 @@ def transition_table() -> dict:
                 "actions": [["REQUEST_SMT_MESSAGE", None]],
                 "next": "POLLING",
                 "via": [],
-                "holds": False,
-                "outstanding": True,
-                "clears_held": False,
             },
             {
                 "phase": "POLLING",
@@ -260,9 +263,6 @@ def transition_table() -> dict:
                 "actions": [["TRANSFER_TO_HMT", "EVENT_MESSAGE"], ["REQUEST_SMT_MESSAGE", None]],
                 "next": "POLLING",
                 "via": ["FWD_SMT_TO_HMT"],
-                "holds": False,
-                "outstanding": True,
-                "clears_held": False,
             },
             {
                 "phase": "POLLING",
@@ -271,9 +271,6 @@ def transition_table() -> dict:
                 "actions": [["DISCARD", "EVENT_MESSAGE"], ["REQUEST_SMT_MESSAGE", None]],
                 "next": "POLLING",
                 "via": [],
-                "holds": False,
-                "outstanding": True,
-                "clears_held": False,
             },
             {
                 "phase": "POLLING",
@@ -282,9 +279,6 @@ def transition_table() -> dict:
                 "actions": [["TRANSFER_TO_MAIN", "EVENT_MESSAGE"], ["CANCEL_SMT_REQUEST", None]],
                 "next": "CANCELLING",
                 "via": ["FWD_HMT_TO_MAIN"],
-                "holds": True,
-                "outstanding": True,
-                "clears_held": False,
             },
             {
                 "phase": "POLLING",
@@ -293,9 +287,6 @@ def transition_table() -> dict:
                 "actions": [["DISCARD", "EVENT_MESSAGE"]],
                 "next": "POLLING",
                 "via": [],
-                "holds": False,
-                "outstanding": True,
-                "clears_held": False,
             },
             {
                 "phase": "CANCELLING",
@@ -304,9 +295,6 @@ def transition_table() -> dict:
                 "actions": [["PUBLISH_SMT", "HELD"], ["REQUEST_SMT_MESSAGE", None]],
                 "next": "POLLING",
                 "via": ["PUBLISH_SMT"],
-                "holds": False,
-                "outstanding": True,
-                "clears_held": True,
             },
             {
                 "phase": "CANCELLING",
@@ -319,9 +307,6 @@ def transition_table() -> dict:
                 ],
                 "next": "POLLING",
                 "via": ["FLUSH_PENDING", "PUBLISH_SMT"],
-                "holds": False,
-                "outstanding": True,
-                "clears_held": True,
             },
             {
                 "phase": "CANCELLING",
@@ -334,9 +319,21 @@ def transition_table() -> dict:
                 ],
                 "next": "POLLING",
                 "via": ["FLUSH_PENDING", "PUBLISH_SMT"],
-                "holds": False,
-                "outstanding": True,
-                "clears_held": True,
             },
         ],
     }
+    for rule in table["rules"]:
+        rule["holds"] = rule["next"] == Phase.CANCELLING.value
+        rule["outstanding"] = _outstanding(Phase(rule["next"]))
+        rule["clears_held"] = rule["phase"] == Phase.CANCELLING.value
+    return table
+
+
+def _accepted_events() -> dict[Phase, tuple[type, ...]]:
+    ruled = {(rule["phase"], rule["event"]) for rule in transition_table()["rules"]}
+    return {p: tuple(c for c, kind in _EVENT_KIND.items() if (p.value, kind) in ruled) for p in RESTING_PHASES}
+
+
+# Event classes each resting phase has a rule for; a driver holds any other
+# event back until the phase changes.
+ACCEPTED_EVENTS = _accepted_events()

@@ -125,30 +125,24 @@ class ComputationGraph:
             raise DuplicateIdError(
                 f"node and topic namespaces must be disjoint, shared ids: {sorted(overlap)}"
             )
-        seen_pub = set()
-        for node, topic in self.pub_edges:
-            if node not in node_set:
-                raise UnknownEndpointError(f"publish edge ({node!r}, {topic!r}): unknown node {node!r}")
-            if topic not in topic_set:
-                raise UnknownEndpointError(f"publish edge ({node!r}, {topic!r}): unknown topic {topic!r}")
-            if (node, topic) in seen_pub:
-                raise DuplicateIdError(f"duplicate publish edge ({node!r}, {topic!r})")
-            seen_pub.add((node, topic))
-        seen_sub = set()
-        for topic, node in self.sub_edges:
-            if node not in node_set:
-                raise UnknownEndpointError(f"subscribe edge ({topic!r}, {node!r}): unknown node {node!r}")
-            if topic not in topic_set:
-                raise UnknownEndpointError(f"subscribe edge ({topic!r}, {node!r}): unknown topic {topic!r}")
-            if (topic, node) in seen_sub:
-                raise DuplicateIdError(f"duplicate subscribe edge ({topic!r}, {node!r})")
-            seen_sub.add((topic, node))
-        for t in sorted(topic_set):
-            has_pub = any(e[1] == t for e in self.pub_edges)
-            has_sub = any(e[0] == t for e in self.sub_edges)
-            if not (has_pub and has_sub):
-                what = "publishers" if not has_pub else "subscribers"
-                warnings.warn(f"topic {t!r} has no {what}", DanglingTopicWarning, stacklevel=3)
+        endpoint_topics = []
+        for kind, edges in (("publish", self.pub_edges), ("subscribe", self.sub_edges)):
+            seen, topics = set(), set()
+            for edge in edges:
+                node, topic = edge if kind == "publish" else edge[::-1]
+                if node not in node_set:
+                    raise UnknownEndpointError(f"{kind} edge {edge!r}: unknown node {node!r}")
+                if topic not in topic_set:
+                    raise UnknownEndpointError(f"{kind} edge {edge!r}: unknown topic {topic!r}")
+                if edge in seen:
+                    raise DuplicateIdError(f"duplicate {kind} edge {edge!r}")
+                seen.add(edge)
+                topics.add(topic)
+            endpoint_topics.append(topics)
+        published, subscribed = endpoint_topics
+        for t in sorted(topic_set - (published & subscribed)):
+            what = "publishers" if t not in published else "subscribers"
+            warnings.warn(f"topic {t!r} has no {what}", DanglingTopicWarning, stacklevel=3)
 
     # -- lookups ---------------------------------------------------------
 

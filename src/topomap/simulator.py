@@ -176,8 +176,8 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
             WorkloadItem(
                 publisher=_typed(entry["publisher"], str, f"{where}.publisher"),
                 topic=_typed(entry["topic"], str, f"{where}.topic"),
-                count=_integer(entry.get("count", 1), f"{where}.count", 0),
-                period_us=_number(entry.get("period_us", 10_000.0), f"{where}.period_us", MAX_TIME_US),
+                count=_integer(entry.get("count", WorkloadItem.count), f"{where}.count", 0),
+                period_us=_number(entry.get("period_us", WorkloadItem.period_us), f"{where}.period_us", MAX_TIME_US),
                 size_bytes=None if size is None else _size(size, f"{where}.size_bytes"),
             )
         )
@@ -204,12 +204,12 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
                 _integer(v, "grid.hw_sub_counts[]", 0)
                 for v in _typed(g.get("hw_sub_counts"), list, "grid.hw_sub_counts")
             ),
-            sw_sub_count=_integer(g.get("sw_sub_count", 0), "grid.sw_sub_count", 0),
-            reps=_integer(g.get("reps", 50), "grid.reps", 1),
-            period_us=_number(g.get("period_us", 200_000.0), "grid.period_us", MAX_TIME_US),
+            sw_sub_count=_integer(g.get("sw_sub_count", GridSpec.sw_sub_count), "grid.sw_sub_count", 0),
+            reps=_integer(g.get("reps", GridSpec.reps), "grid.reps", 1),
+            period_us=_number(g.get("period_us", GridSpec.period_us), "grid.period_us", MAX_TIME_US),
         )
 
-    seed = doc.get("seed", 0)
+    seed = doc.get("seed", Scenario.seed)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ScenarioError(f"seed must be an integer, got {seed!r}")
     jitter = doc.get("jitter_pct")
@@ -415,18 +415,10 @@ class _GwActor:
     flight, so a response still scheduled for it is dropped.
     """
 
-    _ACCEPTS = {
-        gw.Phase.AWAIT_BUFFER: (gw.BufferLocation,),
-        gw.Phase.POLLING: (gw.DelegateResponse, gw.HmtArrival),
-        gw.Phase.CANCELLING: (gw.CancelResult,),
-    }
-
     def __init__(self, sim: "_Sim", endpoints: TopicEndpoints):
         self._sim = sim
         self.endpoints = endpoints
-        self.smt_id = f"gw.{endpoints.topic_id}"
-        self.hmt_id = f"gw.{endpoints.topic_id}.hmt"
-        self.state, actions = gw.init(self.smt_id, self.hmt_id)
+        self.state, actions = gw.init(f"gw.{endpoints.topic_id}", f"gw.{endpoints.topic_id}.hmt")
         self._actions: deque[gw.Action] = deque(actions)
         self._queue: deque[gw.Event] = deque()
         self._busy = False
@@ -463,10 +455,10 @@ class _GwActor:
 
     def _next(self):
         """Run actions up to the first that takes simulated time, stepping on accepted events."""
-        sim, actions, queue = self._sim, self._actions, self._queue
+        sim, actions, queue, accepts = self._sim, self._actions, self._queue, gw.ACCEPTED_EVENTS
         while True:
             while not actions:
-                if not queue or not isinstance(queue[0], self._ACCEPTS.get(self.state.phase, ())):
+                if not queue or not isinstance(queue[0], accepts[self.state.phase]):
                     self._busy = False
                     return  # the head waits for a phase change; order is preserved
                 self.state, step_actions = gw.step(self.state, queue.popleft())
@@ -474,7 +466,7 @@ class _GwActor:
             action = actions.popleft()
             message = getattr(action, "message", None)
             mid = "-" if message is None else message.message_id
-            sim.trace(f"GW_ACTION:{gw._ACTION_KIND[type(action)]}", mid, self.smt_id)
+            sim.trace(f"GW_ACTION:{gw._ACTION_KIND[type(action)]}", mid, self.state.own_smt_id)
             if isinstance(action, gw.RequestSmtMessage):
                 self._open = True
                 self._read()
@@ -497,18 +489,18 @@ class _GwActor:
 
     def _read_to_hmt(self, m: gw.Message):
         sim = self._sim
-        sim.trace("MEMIF_TRANSFER", m.message_id, self.smt_id)
+        sim.trace("MEMIF_TRANSFER", m.message_id, self.state.own_smt_id)
         sim.at(sim.now_ns + _bytes_ns(m.size_bytes, sim.platform.hmt_bandwidth_bytes_per_s), self._streamed, m)
 
     def _streamed(self, m: gw.Message):
         for sub in self.endpoints.hw_subs:
             self._sim.hmt_arrival(m, sub)
         # own transfer loops back through the tap under the gateway's identity
-        self._queue.append(gw.HmtArrival(gw.Message(self.hmt_id, m.seq, m.topic, m.size_bytes)))
+        self._queue.append(gw.HmtArrival(gw.Message(self.state.own_hmt_id, m.seq, m.topic, m.size_bytes)))
         self._next()
 
     def _written_to_main(self, m: gw.Message):
-        self._sim.trace("MEMIF_TRANSFER", m.message_id, self.smt_id)
+        self._sim.trace("MEMIF_TRANSFER", m.message_id, self.state.own_smt_id)
         self._next()
 
     def _published(self, m: gw.Message):
@@ -516,7 +508,7 @@ class _GwActor:
         for sub in self.endpoints.sw_subs:
             sim.sw_take(sub, m, sim.now_ns)
         # own publication loops back through the reader
-        self.offer(gw.Message(self.smt_id, m.seq, m.topic, m.size_bytes))
+        self.offer(gw.Message(self.state.own_smt_id, m.seq, m.topic, m.size_bytes))
         self._next()
 
 
@@ -595,7 +587,7 @@ class _Sim:
         elif impl is TopicImpl.GW:
             # hardware subscribers listen on the HMT side, the gateway reads the SMT side
             actor = _GwActor(self, endpoints)
-            readers.append((actor.smt_id, later(actor.offer)))
+            readers.append((actor.state.own_smt_id, later(actor.offer)))
         readers.sort(key=lambda reader: reader[0])
         return _Route(impl, tuple((slot, *reader) for slot, reader in enumerate(readers)), endpoints, actor)
 
@@ -711,7 +703,7 @@ class _Sim:
             self.hmt_arrival(message, sub)
         actor = route.actor
         if actor is not None:
-            self.trace("HMT_TRANSFER", message.message_id, actor.hmt_id)
+            self.trace("HMT_TRANSFER", message.message_id, actor.state.own_hmt_id)
             actor.post(gw.HmtArrival(message))
 
     # -- run loop --
@@ -819,23 +811,18 @@ def compute_stats(result: SimResult) -> list[dict]:
     return rows
 
 
-def stats_to_csv(rows: list[dict]) -> str:
+def _table_csv(header, rows) -> str:
+    """A CSV table: floats to three decimals, ``None`` as an empty cell, anything else as is."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(STATS_HEADER)
-    for r in rows:
-        writer.writerow(
-            [
-                r["topic"],
-                r["subscriber"],
-                r["count"],
-                f"{r['mean_us']:.3f}",
-                f"{r['stddev_us']:.3f}",
-                f"{r['min_us']:.3f}",
-                f"{r['max_us']:.3f}",
-            ]
-        )
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["" if v is None else (f"{v:.3f}" if isinstance(v, float) else v) for v in row])
     return buf.getvalue()
+
+
+def stats_to_csv(rows: list[dict]) -> str:
+    return _table_csv(STATS_HEADER, ([r[k] for k in STATS_HEADER] for r in rows))
 
 
 # -- policy comparison --------------------------------------------------------
@@ -944,12 +931,7 @@ def compare_means(
 
 
 def compare_to_csv(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else (f"{v:.3f}" if isinstance(v, float) else v) for v in row])
-    return buf.getvalue()
+    return _table_csv(header, rows)
 
 
 # -- chains -------------------------------------------------------------------

@@ -182,6 +182,18 @@ class TestIllegalSteps:
                 assert exc.value.phase is phase
                 assert exc.value.event is event
 
+    def test_accepted_events_are_exactly_the_legal_steps(self):
+        # the simulator's gateway actor holds back any event this table does not accept
+        for phase, state in self.states_by_phase().items():
+            for event in all_events():
+                accepted = isinstance(event, gw.ACCEPTED_EVENTS[phase])
+                try:
+                    gw.step(state, event)
+                except gw.GatewayProtocolError:
+                    assert not accepted
+                else:
+                    assert accepted
+
     def test_error_message_names_phase_and_event(self):
         with pytest.raises(gw.GatewayProtocolError, match="CancelResult.*AWAIT_BUFFER"):
             gw.step(fresh(), gw.CancelResult(None))
