@@ -35,7 +35,7 @@ from .mapping import (
     map_communication,
     mapping_report,
 )
-from .platform_model import PlatformModel
+from .platform_model import PlatformModel, PlatformSyntaxError
 from .simulator import (
     ScenarioError,
     compare_grid,
@@ -250,7 +250,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_InputError, GraphSyntaxError, ScenarioError, TargetError,
+    except (_InputError, GraphSyntaxError, PlatformSyntaxError, ScenarioError, TargetError,
             FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -103,10 +103,14 @@ class TopicEndpoints:
     sw_subs: tuple[str, ...]
 
     @property
+    def has_endpoints(self) -> bool:
+        return bool(self.hw_pubs or self.sw_pubs or self.hw_subs or self.sw_subs)
+
+    @property
     def topic_class(self) -> TopicClass:
-        hw, sw = self.hw_pubs + self.hw_subs, self.sw_pubs + self.sw_subs
-        if not (hw or sw):
+        if not self.has_endpoints:
             raise MappingError(f"topic {self.topic_id!r} has no endpoints to classify")
+        hw, sw = self.hw_pubs + self.hw_subs, self.sw_pubs + self.sw_subs
         return TopicClass.MIXED if hw and sw else TopicClass.ALL_HW if hw else TopicClass.ALL_SW
 
     def check(self, impl: TopicImpl) -> None:
@@ -222,8 +226,10 @@ def map_communication(
     ALL_SW topics always stay on SMT.  ALL_HW topics go to HMT under the
     classifying policies; the ALWAYS_SMT baseline leaves literally every
     topic on the software transport, which is what an unmapped system
-    does.  Only MIXED topics genuinely consult the policy.  Without
-    ``cost_params`` the COST policy derives them from the default platform.
+    does.  Only MIXED topics genuinely consult the policy.  A topic with
+    no endpoints has no class and stays on SMT, the only transport
+    ``TopicEndpoints.check`` allows it.  Without ``cost_params`` the COST
+    policy derives them from the default platform.
     """
     node_mapping.validate_against(graph)
     if cost_params is None and policy is MappingPolicy.COST:
@@ -232,6 +238,10 @@ def map_communication(
     rationales = {}
     for topic_id in graph.topic_ids():
         endpoints = topic_endpoints(graph, node_mapping, topic_id)
+        if not endpoints.has_endpoints:
+            assignments.append((topic_id, TopicImpl.SMT))
+            rationales[topic_id] = "no endpoints: nothing publishes or subscribes, so it stays on SMT"
+            continue
         cls = endpoints.topic_class
         k = len(endpoints.hw_subs)
         if policy is MappingPolicy.ALWAYS_SMT:
@@ -283,13 +293,13 @@ def count_boundary_crossings(
 
 
 def classification_mapping(graph: ComputationGraph, node_mapping: NodeMapping) -> CommMapping:
-    """Classification alone: ALL_HW topics to HMT, everything else on SMT."""
-    return CommMapping(
-        tuple(
-            (t, TopicImpl.HMT if classify_topic(graph, node_mapping, t) is TopicClass.ALL_HW else TopicImpl.SMT)
-            for t in graph.topic_ids()
-        )
-    )
+    """Classification alone: ALL_HW topics to HMT, everything else, endpointless topics too, on SMT."""
+    assignments = []
+    for t in graph.topic_ids():
+        endpoints = topic_endpoints(graph, node_mapping, t)
+        all_hw = endpoints.has_endpoints and endpoints.topic_class is TopicClass.ALL_HW
+        assignments.append((t, TopicImpl.HMT if all_hw else TopicImpl.SMT))
+    return CommMapping(tuple(assignments))
 
 
 def mapping_report(

@@ -31,6 +31,10 @@ MAX_TIME_US = (2**63 - 1) / 1000 / 2
 MAX_SIZE_BYTES = 2**53
 
 
+class PlatformSyntaxError(ValueError):
+    """Document is not a platform document: it is not a JSON object."""
+
+
 @dataclass(frozen=True)
 class PlatformModel:
     memif_bandwidth_bytes_per_s: float = 1.2e9
@@ -69,7 +73,7 @@ class PlatformModel:
     def from_json(cls, text: str) -> "PlatformModel":
         doc = json.loads(text)
         if not isinstance(doc, dict):
-            raise ValueError("platform document must be a JSON object")
+            raise PlatformSyntaxError("platform document must be a JSON object")
         known = set(cls.__dataclass_fields__)
         unknown = sorted(set(doc) - known)
         if unknown:

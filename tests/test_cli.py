@@ -10,7 +10,7 @@ import pytest
 
 from topomap.cli import main
 from topomap.gateway import transition_table
-from topomap.graph import serialize_graph
+from topomap.graph import DanglingTopicWarning, serialize_graph
 from topomap.platform_model import PlatformModel
 from topomap.simulator import STATS_HEADER, TRACE_HEADER, star_graph
 
@@ -35,6 +35,23 @@ def write_scenario(workdir, **extra):
     }
     doc.update(extra)
     path = workdir / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _endpointless_graph(tmp_path):
+    """Two nodes joined by topic t, and a topic nobody publishes or subscribes."""
+    doc = {
+        "nodes": [{"id": "pub0"}, {"id": "sub0"}],
+        "topics": [
+            {"id": "orphan", "message_size_bytes": 64, "publish_rate_hz": 1.0},
+            {"id": "t", "message_size_bytes": 4096, "publish_rate_hz": 10.0},
+        ],
+        "publishes": [{"node": "pub0", "topic": "t"}],
+        "subscribes": [{"topic": "t", "node": "sub0"}],
+        "node_mapping": {"pub0": "SW", "sub0": "HW"},
+    }
+    path = tmp_path / "endpointless.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
@@ -77,6 +94,16 @@ class TestMap:
             report = json.loads(capsys.readouterr().out)
             assert set(report["comm_mapping"].values()) == {"SMT"}
             assert report["boundary_crossings"] == 0
+
+    @pytest.mark.parametrize("policy", ["smt", "multi-hw-sub", "cost"])
+    def test_endpointless_topic_stays_on_smt(self, tmp_path, capsys, policy):
+        path = _endpointless_graph(tmp_path)
+        with pytest.warns(DanglingTopicWarning, match="orphan"):
+            assert run_cli("map", "--graph", str(path), "--policy", policy) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["comm_mapping"]["orphan"] == "SMT"
+        assert "no endpoints" in report["rationales"]["orphan"]
+        assert report["boundary_crossings_classified_smt_hmt"] == 1
 
     def test_missing_node_mapping_is_input_error(self, tmp_path, capsys):
         doc = {
@@ -179,6 +206,15 @@ class TestSimulate:
 
     def test_missing_scenario_file(self, tmp_path):
         assert run_cli("simulate", "--scenario", str(tmp_path / "none.json")) == 2
+
+    def test_policy_leaves_endpointless_topic_on_smt(self, tmp_path, capsys):
+        graph = _endpointless_graph(tmp_path)
+        scenario = tmp_path / "scenario.json"
+        doc = {"graph": graph.name, "policy": "smt", "workload": [{"publisher": "pub0", "topic": "t", "count": 2}]}
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.warns(DanglingTopicWarning, match="orphan"):
+            assert run_cli("simulate", "--scenario", str(scenario)) == 0
+        assert "2 deliveries" in capsys.readouterr().out
 
 
 def _workload(**entry):
@@ -315,6 +351,13 @@ class TestPlatformValidation:
         scenario = write_scenario(workdir, jitter_pct=0.0)
         assert run_cli("simulate", "--scenario", str(scenario), "--platform", str(platform)) == 3
         _one_line_error(capsys, field)
+
+    def test_non_object_document_is_input_error(self, workdir, capsys):
+        platform = workdir / "platform.json"
+        platform.write_text("[]", encoding="utf-8")
+        graph = str(workdir / "graph.json")
+        assert run_cli("map", "--graph", graph, "--policy", "cost", "--platform", str(platform)) == 2
+        _one_line_error(capsys, "platform document must be a JSON object")
 
     def test_malformed_json_is_input_error(self, workdir, capsys):
         platform = workdir / "platform.json"
