@@ -8,20 +8,39 @@ simulator reproduces all targets at once, minimizing the sum of squared
 log-ratios between simulated and measured speedups.
 
 The search is a plain coordinate descent in log space: multiplicative
-probes per parameter, shrinking the step between sweeps.  It is crude but
-needs no gradients and the objective (a handful of short deterministic
-simulations) is cheap.  Jitter is disabled while fitting.
+probes per parameter, shrinking the step between sweeps.  It needs no
+gradients; each evaluation of the objective runs two one-message,
+jitter-free simulations per target.  What does not depend on the platform
+is built once per target and reused by every evaluation: the star
+scenario with both transport mappings resolved, and the subscribers the
+target measures.  Within one fit the per-target speedups are kept per
+platform, so a probe that lands on a platform already simulated (a
+revisited vector, or one the HMT-over-MEMIF clamp maps onto another)
+simulates nothing, and the residuals reuse the fitted platform's
+speedups.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
+from statistics import fmean
 
-from .mapping import MappingPolicy
+from .mapping import MappingPolicy, topic_endpoints
 from .platform_model import PlatformModel
-from .simulator import ScenarioError, _integer, _number, _size, _typed, cell_times, star_scenario
+from .simulator import (
+    Scenario,
+    ScenarioError,
+    _fanout_latencies,
+    _integer,
+    _number,
+    _size,
+    _typed,
+    simulate,
+    star_scenario,
+)
 
 
 class TargetError(ValueError):
@@ -50,8 +69,14 @@ class SpeedupTarget:
             raise TargetError("sw-side target needs at least one software subscriber")
 
 
+def _no_unknown_keys(doc: dict, known, where: str) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise TargetError(f"{where}: unknown keys {unknown}")
+
+
 def _target(entry, where: str) -> SpeedupTarget:
-    _typed(entry, dict, where)
+    _no_unknown_keys(_typed(entry, dict, where), SpeedupTarget.__dataclass_fields__, where)
     try:
         return SpeedupTarget(
             publisher_kind=entry["publisher_kind"],
@@ -70,6 +95,7 @@ def parse_targets(text: str) -> tuple[list[SpeedupTarget], float]:
     doc = json.loads(text)
     if not isinstance(doc, dict) or "targets" not in doc:
         raise TargetError("targets document must be an object with a 'targets' list")
+    _no_unknown_keys(doc, ("threshold", "targets"), "targets document")
     try:
         threshold = _number(doc.get("threshold", 0.25), "threshold")
         entries = _typed(doc["targets"], list, "targets")
@@ -89,9 +115,25 @@ def load_targets(path) -> tuple[list[SpeedupTarget], float]:
 # -- simulation of one target ------------------------------------------------
 
 
-def simulated_speedup(target: SpeedupTarget, platform: PlatformModel) -> float:
-    """Deterministic (jitter-free) speedup for one target cell."""
-    cell = star_scenario(
+@dataclass(frozen=True)
+class _Cell:
+    """What one target simulates, none of which depends on the platform."""
+
+    baseline: Scenario  # the star with every topic on SMT
+    mapped: Scenario  # the star as ALWAYS_GW_IF_MULTI_HW_SUB maps it
+    topic: str
+    measured: frozenset[str]  # the subscribers on the target's measure side
+
+
+def _resolved(star: Scenario, policy: MappingPolicy) -> Scenario:
+    scenario = replace(star, policy=policy)
+    return replace(scenario, comm_mapping=scenario.resolve_mapping())
+
+
+# a fit over more targets than this rebuilds each cell on every evaluation
+@functools.lru_cache(maxsize=256)
+def _cell(target: SpeedupTarget) -> _Cell:
+    star = star_scenario(
         target.publisher_kind,
         target.hw_subs,
         target.sw_subs,
@@ -101,15 +143,22 @@ def simulated_speedup(target: SpeedupTarget, platform: PlatformModel) -> float:
         seed=0,  # jitter is off, so the generator is never drawn
         jitter_pct=0.0,
     )
-    base_hw, base_sw = cell_times(cell, platform, MappingPolicy.ALWAYS_SMT)
-    mapped_hw, mapped_sw = cell_times(cell, platform, MappingPolicy.ALWAYS_GW_IF_MULTI_HW_SUB)
-    if target.measure == "hw":
-        if base_hw is None or mapped_hw is None:
-            raise TargetError("target measures the hw side but the cell has no hardware subscribers")
-        return base_hw / mapped_hw
-    if base_sw is None or mapped_sw is None:
-        raise TargetError("target measures the sw side but the cell has no software subscribers")
-    return base_sw / mapped_sw
+    (topic,) = star.graph.topic_ids()  # a star has exactly one topic
+    endpoints = topic_endpoints(star.graph, star.node_mapping, topic)
+    return _Cell(
+        baseline=_resolved(star, MappingPolicy.ALWAYS_SMT),
+        mapped=_resolved(star, MappingPolicy.ALWAYS_GW_IF_MULTI_HW_SUB),
+        topic=topic,
+        measured=frozenset(endpoints.hw_subs if target.measure == "hw" else endpoints.sw_subs),
+    )
+
+
+def simulated_speedup(target: SpeedupTarget, platform: PlatformModel) -> float:
+    """Deterministic (jitter-free) speedup for one target cell."""
+    cell = _cell(target)
+    base = fmean(_fanout_latencies(simulate(cell.baseline, platform), cell.topic, cell.measured))
+    mapped = fmean(_fanout_latencies(simulate(cell.mapped, platform), cell.topic, cell.measured))
+    return base / mapped
 
 
 # -- the optimizer ------------------------------------------------------------
@@ -189,14 +238,20 @@ def calibrate(
 ) -> CalibrationResult:
     """Fit the tunable platform parameters to the targets, starting from the default platform."""
 
+    speedups: dict[PlatformModel, tuple[float, ...]] = {}
+
+    def speedups_on(platform: PlatformModel) -> tuple[float, ...]:
+        if platform not in speedups:
+            speedups[platform] = tuple(simulated_speedup(t, platform) for t in targets)
+        return speedups[platform]
+
     def objective(vec: dict[str, float]) -> float:
         try:
             platform = _platform_from_vector(vec)
         except ValueError:
             return math.inf
         total = 0.0
-        for t in targets:
-            sim = simulated_speedup(t, platform)
+        for t, sim in zip(targets, speedups_on(platform)):
             if sim <= 0:
                 return math.inf
             total += math.log(sim / t.speedup) ** 2
@@ -207,8 +262,7 @@ def calibrate(
 
     residuals = []
     all_ok = True
-    for t in targets:
-        sim = simulated_speedup(t, fitted)
+    for t, sim in zip(targets, speedups_on(fitted)):
         rel = sim / t.speedup - 1.0
         ok = abs(rel) <= threshold
         all_ok = all_ok and ok

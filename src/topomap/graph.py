@@ -141,8 +141,9 @@ class ComputationGraph:
             endpoint_topics.append(topics)
         published, subscribed = endpoint_topics
         for t in sorted(topic_set - (published & subscribed)):
-            what = "publishers" if t not in published else "subscribers"
-            warnings.warn(f"topic {t!r} has no {what}", DanglingTopicWarning, stacklevel=3)
+            what = "subscribers" if t in published else "publishers" if t in subscribed else "endpoints"
+            # _validate <- __post_init__ <- generated __init__ <- the constructing line
+            warnings.warn(f"topic {t!r} has no {what}", DanglingTopicWarning, stacklevel=4)
 
     # -- lookups ---------------------------------------------------------
 

@@ -602,6 +602,8 @@ class TestCalibrate:
             (_targets(sw_subs=-2), "sw_subs"),
             (_targets(speedup="fast"), "speedup"),
             (_targets(size_bytes=10**400), "size_bytes"),
+            ({**_targets(), "treshold": 0.01}, "treshold"),
+            (_targets(sw_sub=3), "targets[0]: unknown keys ['sw_sub']"),
         ],
     )
     def test_rejected_with_one_line_error(self, tmp_path, capsys, doc, field):

@@ -127,8 +127,16 @@ class TestValidation:
             TopicSpec("t", 1, 0.0)
 
     def test_dangling_topic_warns(self):
-        with pytest.warns(DanglingTopicWarning, match="subscribers"):
-            ComputationGraph(("a",), (TopicSpec("t", 1, 1.0),), (("a", "t"),), ())
+        # each warning names the line that built the graph
+        topics = (TopicSpec("orphan", 1, 1.0), TopicSpec("unread", 1, 1.0), TopicSpec("unwritten", 1, 1.0))
+        with pytest.warns(DanglingTopicWarning) as caught:
+            ComputationGraph(("a",), topics, (("a", "unread"),), (("unwritten", "a"),))
+        assert [str(w.message) for w in caught] == [
+            "topic 'orphan' has no endpoints",
+            "topic 'unread' has no subscribers",
+            "topic 'unwritten' has no publishers",
+        ]
+        assert {w.filename for w in caught} == {__file__}
 
     def test_fully_connected_topic_quiet(self):
         with warnings.catch_warnings():
