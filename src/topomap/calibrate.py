@@ -9,15 +9,18 @@ log-ratios between simulated and measured speedups.
 
 The search is a plain coordinate descent in log space: multiplicative
 probes per parameter, shrinking the step between sweeps.  It needs no
-gradients; each evaluation of the objective runs two one-message,
-jitter-free simulations per target.  What does not depend on the platform
-is built once per target and reused by every evaluation: the star
-scenario with both transport mappings resolved, and the subscribers the
-target measures.  Within one fit the per-target speedups are kept per
-platform, so a probe that lands on a platform already simulated (a
-revisited vector, or one the HMT-over-MEMIF clamp maps onto another)
-simulates nothing, and the residuals reuse the fitted platform's
-speedups.
+gradients.  Each evaluation of the objective prices every target with
+two calls of ``timing.predict_latency_ns`` (all-SMT and the mapped star,
+one message, jitter off), which equals the simulator to the nanosecond,
+so a probe simulates nothing.  What does not depend on the platform is
+built once per target and reused by every evaluation: the star scenario
+with both transport mappings resolved, its endpoints and the
+subscribers the target measures.  Within one fit the per-target speedups
+are kept per platform, so a probe that lands on a platform already
+priced (a revisited vector, or one the HMT-over-MEMIF clamp maps onto
+another) costs nothing.  The residuals of the fitted platform come from
+``simulated_speedup``, two simulations per target, so the simulator
+stays the judge of the fit.
 """
 
 from __future__ import annotations
@@ -28,19 +31,21 @@ import math
 from dataclasses import dataclass, asdict, replace
 from statistics import fmean
 
-from .mapping import MappingPolicy, topic_endpoints
+from .mapping import MappingPolicy, TopicEndpoints, TopicImpl, topic_endpoints
 from .platform_model import PlatformModel
 from .simulator import (
     Scenario,
     ScenarioError,
     _fanout_latencies,
     _integer,
+    _known_keys,
     _number,
     _size,
     _typed,
     simulate,
     star_scenario,
 )
+from .timing import NS_PER_US, predict_latency_ns
 
 
 class TargetError(ValueError):
@@ -69,14 +74,8 @@ class SpeedupTarget:
             raise TargetError("sw-side target needs at least one software subscriber")
 
 
-def _no_unknown_keys(doc: dict, known, where: str) -> None:
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise TargetError(f"{where}: unknown keys {unknown}")
-
-
 def _target(entry, where: str) -> SpeedupTarget:
-    _no_unknown_keys(_typed(entry, dict, where), SpeedupTarget.__dataclass_fields__, where)
+    _known_keys(_typed(entry, dict, where), SpeedupTarget.__dataclass_fields__, where)
     try:
         return SpeedupTarget(
             publisher_kind=entry["publisher_kind"],
@@ -95,8 +94,8 @@ def parse_targets(text: str) -> tuple[list[SpeedupTarget], float]:
     doc = json.loads(text)
     if not isinstance(doc, dict) or "targets" not in doc:
         raise TargetError("targets document must be an object with a 'targets' list")
-    _no_unknown_keys(doc, ("threshold", "targets"), "targets document")
     try:
+        _known_keys(doc, ("threshold", "targets"), "targets document")
         threshold = _number(doc.get("threshold", 0.25), "threshold")
         entries = _typed(doc["targets"], list, "targets")
         targets = [_target(entry, f"targets[{i}]") for i, entry in enumerate(entries)]
@@ -117,12 +116,15 @@ def load_targets(path) -> tuple[list[SpeedupTarget], float]:
 
 @dataclass(frozen=True)
 class _Cell:
-    """What one target simulates, none of which depends on the platform."""
+    """What one target simulates and predicts, none of which depends on the platform."""
 
     baseline: Scenario  # the star with every topic on SMT
     mapped: Scenario  # the star as ALWAYS_GW_IF_MULTI_HW_SUB maps it
     topic: str
     measured: frozenset[str]  # the subscribers on the target's measure side
+    endpoints: TopicEndpoints  # the star's one topic
+    publisher: str
+    impls: tuple[TopicImpl, TopicImpl]  # the topic's transport in baseline and mapped
 
 
 def _resolved(star: Scenario, policy: MappingPolicy) -> Scenario:
@@ -145,11 +147,17 @@ def _cell(target: SpeedupTarget) -> _Cell:
     )
     (topic,) = star.graph.topic_ids()  # a star has exactly one topic
     endpoints = topic_endpoints(star.graph, star.node_mapping, topic)
+    baseline = _resolved(star, MappingPolicy.ALWAYS_SMT)
+    mapped = _resolved(star, MappingPolicy.ALWAYS_GW_IF_MULTI_HW_SUB)
+    (publisher,) = endpoints.hw_pubs + endpoints.sw_pubs
     return _Cell(
-        baseline=_resolved(star, MappingPolicy.ALWAYS_SMT),
-        mapped=_resolved(star, MappingPolicy.ALWAYS_GW_IF_MULTI_HW_SUB),
+        baseline=baseline,
+        mapped=mapped,
         topic=topic,
         measured=frozenset(endpoints.hw_subs if target.measure == "hw" else endpoints.sw_subs),
+        endpoints=endpoints,
+        publisher=publisher,
+        impls=(baseline.comm_mapping.impl_of(topic), mapped.comm_mapping.impl_of(topic)),
     )
 
 
@@ -158,6 +166,22 @@ def simulated_speedup(target: SpeedupTarget, platform: PlatformModel) -> float:
     cell = _cell(target)
     base = fmean(_fanout_latencies(simulate(cell.baseline, platform), cell.topic, cell.measured))
     mapped = fmean(_fanout_latencies(simulate(cell.mapped, platform), cell.topic, cell.measured))
+    return base / mapped
+
+
+def predicted_speedup(target: SpeedupTarget, platform: PlatformModel) -> float:
+    """``simulated_speedup``'s value, bit for bit, from the latency model instead of the simulator.
+
+    With one message the mean fan-out time is the worst measured latency,
+    and dividing by ``NS_PER_US`` keeps the order of latencies, so the
+    worst of the engine's latencies in us is the worst prediction in us.
+    """
+    cell = _cell(target)
+    worst = []
+    for impl in cell.impls:
+        latency = predict_latency_ns(cell.endpoints, cell.publisher, impl, target.size_bytes, platform)
+        worst.append(max(latency[sub] for sub in cell.measured) / NS_PER_US)
+    base, mapped = worst
     return base / mapped
 
 
@@ -242,7 +266,7 @@ def calibrate(
 
     def speedups_on(platform: PlatformModel) -> tuple[float, ...]:
         if platform not in speedups:
-            speedups[platform] = tuple(simulated_speedup(t, platform) for t in targets)
+            speedups[platform] = tuple(predicted_speedup(t, platform) for t in targets)
         return speedups[platform]
 
     def objective(vec: dict[str, float]) -> float:
@@ -262,7 +286,8 @@ def calibrate(
 
     residuals = []
     all_ok = True
-    for t, sim in zip(targets, speedups_on(fitted)):
+    for t in targets:
+        sim = simulated_speedup(t, fitted)
         rel = sim / t.speedup - 1.0
         ok = abs(rel) <= threshold
         all_ok = all_ok and ok

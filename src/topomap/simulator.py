@@ -25,6 +25,8 @@ Conventions baked into the paths:
 
 Internally time is integer nanoseconds on a heap; all randomness flows
 from one seeded generator, so runs are reproducible event for event.
+The timing rules the engine charges with (nanosecond rounding, copy-slot
+order, the MEMIF pool) live in ``topomap.timing``.
 """
 
 from __future__ import annotations
@@ -56,19 +58,7 @@ from .mapping import (
     topic_endpoints,
 )
 from .platform_model import MAX_SIZE_BYTES, MAX_TIME_US, PlatformModel
-
-NS_PER_US = 1000
-
-
-def _us_to_ns(us: float) -> int:
-    return int(round(us * NS_PER_US))
-
-
-def _bytes_ns(nbytes: int, bytes_per_s: float) -> int:
-    # exact integer ceiling so repeated runs cannot drift
-    bps = int(round(bytes_per_s))
-    return (nbytes * 1_000_000_000 + bps - 1) // bps
-
+from .timing import GW_READ, HW_PULL, NS_PER_US, _bytes_ns, _MemifPool, _us_to_ns, copy_order, gateway_ids
 
 # -- scenario documents ----------------------------------------------------
 
@@ -150,6 +140,18 @@ def _typed(value, kind: type, where: str):
     return value
 
 
+def _known_keys(doc: dict, known, where: str) -> dict:
+    """``doc`` itself, if it has no key outside ``known``."""
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ScenarioError(f"{where}: unknown keys {unknown}")
+    return doc
+
+
+# the keys of a scenario document; ``node_mapping`` comes from the graph document
+_SCENARIO_KEYS = ("graph", "workload", "seed", "comm_mapping", "policy", "compute_us", "jitter_pct", "grid")
+
+
 def scenario_from_json(text: str, base_dir) -> Scenario:
     """Parse and range-check a scenario document; the graph is a path relative to base_dir."""
     try:
@@ -158,6 +160,7 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
         raise ScenarioError(f"invalid scenario JSON: {exc.msg} (line {exc.lineno})") from None
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
+    _known_keys(doc, _SCENARIO_KEYS, "scenario")
     if "graph" not in doc:
         raise ScenarioError("scenario: missing required key 'graph'")
     graph_path = Path(base_dir) / _typed(doc["graph"], str, "graph")
@@ -171,6 +174,7 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
         where = f"workload[{i}]"
         if not isinstance(entry, dict) or "publisher" not in entry or "topic" not in entry:
             raise ScenarioError(f"{where}: needs 'publisher' and 'topic'")
+        _known_keys(entry, WorkloadItem.__dataclass_fields__, where)
         size = entry.get("size_bytes")
         workload.append(
             WorkloadItem(
@@ -194,7 +198,7 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
 
     grid = None
     if "grid" in doc:
-        g = _typed(doc["grid"], dict, "grid")
+        g = _known_keys(_typed(doc["grid"], dict, "grid"), GridSpec.__dataclass_fields__, "grid")
         if g.get("publisher_kind") not in ("hw", "sw"):
             raise ScenarioError("grid.publisher_kind must be 'hw' or 'sw'")
         grid = GridSpec(
@@ -323,79 +327,6 @@ class SimResult:
         return dict(Counter(ev.kind for ev in self.trace))
 
 
-# -- MEMIF bandwidth pool ---------------------------------------------------
-
-
-class _MemifPool:
-    """Egalitarian bandwidth sharing: n concurrent transfers each get B/n.
-
-    Bytes are counted in generalized-processor-sharing virtual time
-    (Parekh & Gallager): ``V`` is what each active flow has received since
-    the pool last drained, so a flow started at ``V0`` with ``b`` bytes is
-    done once ``V`` reaches its finish tag ``V0 + b``.  Advancing time is
-    one addition and the next completion is the smallest tag, so a pool
-    operation costs O(log flows).  ``V`` rebases to 0 whenever the pool
-    drains, which keeps tags small and their float arithmetic tight.
-
-    The pool holds its one pending completion as ``due = (t_ns, seq)``
-    rather than as a heap event, so a reschedule replaces it instead of
-    leaving a stale event behind. ``seq`` comes from the engine's counter,
-    and the run loop fires ``due`` when it precedes the heap head, so the
-    completion keeps its place in the engine's ``(time, seq)`` order.
-    Every settled interval is recorded for throughput audits.
-    """
-
-    def __init__(self, sim: "_Sim", bytes_per_s: float):
-        self._sim = sim
-        self._bps = float(bytes_per_s)
-        self._v = 0.0
-        self._tags: list[tuple] = []  # heap of (finish tag, start number, fn, args)
-        self._started = 0
-        self._last_t = 0
-        self.due: tuple[int, int] | None = None
-        self.segments: list[tuple[int, int, int, float]] = []
-
-    def start(self, nbytes: float, fn, *args):
-        """Move ``nbytes`` through the pool, then call ``fn(*args)``."""
-        self._settle()
-        heapq.heappush(self._tags, (self._v + nbytes, self._started, fn, args))
-        self._started += 1
-        self._reschedule()
-
-    def _settle(self):
-        now = self._sim.now_ns
-        dt = now - self._last_t
-        n = len(self._tags)
-        if dt > 0 and n:
-            share = self._bps * dt / 1e9 / n
-            self._v += share
-            self.segments.append((self._last_t, now, n, share * n))
-        self._last_t = now
-
-    def _reschedule(self):
-        tags = self._tags
-        if not tags:
-            self.due = None
-            self._v = 0.0
-            return
-        dt_ns = math.ceil(max(tags[0][0] - self._v, 0.0) * len(tags) * 1e9 / self._bps)
-        sim = self._sim
-        self.due = (sim.now_ns + dt_ns, sim._seq)
-        sim._seq += 1
-
-    def complete(self):
-        """Fire ``due``: finish every flow that has drained, in start order."""
-        self._settle()
-        tags, done = self._tags, self._v + 1e-6
-        finished = []
-        while tags and tags[0][0] <= done:
-            finished.append(heapq.heappop(tags)[1:])
-        finished.sort()
-        self._reschedule()
-        for _, fn, args in finished:
-            fn(*args)
-
-
 # -- gateway actor -----------------------------------------------------------
 
 
@@ -418,7 +349,7 @@ class _GwActor:
     def __init__(self, sim: "_Sim", endpoints: TopicEndpoints):
         self._sim = sim
         self.endpoints = endpoints
-        self.state, actions = gw.init(f"gw.{endpoints.topic_id}", f"gw.{endpoints.topic_id}.hmt")
+        self.state, actions = gw.init(*gateway_ids(endpoints.topic_id))
         self._actions: deque[gw.Action] = deque(actions)
         self._queue: deque[gw.Event] = deque()
         self._busy = False
@@ -580,16 +511,18 @@ class _Sim:
         def later(fn):
             return lambda m, t: self.at(t, fn, m)
 
-        readers = [(sub, partial(self.sw_take, sub)) for sub in endpoints.sw_subs]
-        actor = None
-        if impl is TopicImpl.SMT:
-            readers += [(sub, later(partial(self._delegate_pull, sub))) for sub in endpoints.hw_subs]
-        elif impl is TopicImpl.GW:
-            # hardware subscribers listen on the HMT side, the gateway reads the SMT side
-            actor = _GwActor(self, endpoints)
-            readers.append((actor.state.own_smt_id, later(actor.offer)))
-        readers.sort(key=lambda reader: reader[0])
-        return _Route(impl, tuple((slot, *reader) for slot, reader in enumerate(readers)), endpoints, actor)
+        # on GW hardware subscribers listen on the HMT side, the gateway reads the SMT side
+        actor = _GwActor(self, endpoints) if impl is TopicImpl.GW else None
+
+        def take(reader: str, role: str):
+            if role == HW_PULL:
+                return later(partial(self._delegate_pull, reader))
+            if role == GW_READ:
+                return later(actor.offer)
+            return partial(self.sw_take, reader)
+
+        readers = enumerate(copy_order(endpoints, impl))
+        return _Route(impl, tuple((slot, reader, take(reader, role)) for slot, (reader, role) in readers), endpoints, actor)
 
     # -- primitives --
 

@@ -2,10 +2,11 @@
 
 Each case pins the sha256 of ``result_to_json(calibrate(...))`` for the
 packaged targets or for the packaged targets with one held out, as the
-benchmark's leave-one-out refits run them. The digests were taken before
-the per-target cells and the per-platform memo were added; any change to
-the probe sequence, to what a probe simulates or to the residuals shows
-up here as a mismatch.
+benchmark's leave-one-out refits run them. The digests were taken while
+every probe still simulated its targets; any change to the probe
+sequence, to a probe's speedups or to the residuals shows up here as a
+mismatch. A probe now prices its targets with the latency model, so its
+speedups must equal the simulated ones bit for bit.
 """
 
 import hashlib
@@ -39,7 +40,25 @@ def test_calibration_bytes(packaged, held_out, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_one_fit_simulates_each_scenario_and_platform_once(packaged, monkeypatch):
+@pytest.fixture(scope="module")
+def probed(packaged):
+    """Every platform the six packaged fits price, in first-probe order."""
+    targets, threshold = packaged
+    seen = {}
+    predicted_speedup = topomap.calibrate.predicted_speedup
+
+    def recording(target, platform):
+        seen.setdefault(platform)
+        return predicted_speedup(target, platform)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(topomap.calibrate, "predicted_speedup", recording)
+        for held_out in (None, *range(len(targets))):
+            calibrate([t for i, t in enumerate(targets) if i != held_out], threshold)
+    return list(seen)
+
+
+def test_one_fit_simulates_only_the_fitted_platform(packaged, monkeypatch):
     targets, threshold = packaged
     simulate = topomap.calibrate.simulate
     runs = []
@@ -50,11 +69,38 @@ def test_one_fit_simulates_each_scenario_and_platform_once(packaged, monkeypatch
 
     monkeypatch.setattr(topomap.calibrate, "simulate", recording)
     result = calibrate(targets, threshold)
-    assert len(set(runs)) == len(runs)
-    # two prebuilt scenarios per target, mappings resolved, reused by every probe
+    # the residuals: both prebuilt scenarios of each target, mappings resolved
+    assert len(runs) == 2 * len(targets)
+    assert all(platform == result.platform for _, platform in runs)
     assert len({id(scenario) for scenario, _ in runs}) == 2 * len(targets)
     assert all(scenario.comm_mapping is not None for scenario, _ in runs)
-    # every platform is simulated on every scenario, the fitted one among them
-    platforms = {platform for _, platform in runs}
-    assert len(runs) == 2 * len(targets) * len(platforms)
-    assert result.platform in platforms
+
+
+def test_predicted_speedups_equal_simulated_on_every_probed_platform(packaged, probed):
+    targets, _ = packaged
+    assert len(probed) == 231
+    for platform in probed:
+        for target in targets:
+            predicted = topomap.calibrate.predicted_speedup(target, platform)
+            simulated = topomap.calibrate.simulated_speedup(target, platform)
+            assert predicted.hex() == simulated.hex(), (target, platform)
+
+
+def test_a_repeated_fit_prices_every_probe_again(packaged, monkeypatch):
+    # only the per-target cells outlive a fit: nothing keyed on a platform does
+    targets, threshold = packaged
+    predict = topomap.calibrate.predict_latency_ns
+    platforms = []
+
+    def recording(endpoints, publisher, impl, size_bytes, platform):
+        platforms.append(platform)
+        return predict(endpoints, publisher, impl, size_bytes, platform)
+
+    monkeypatch.setattr(topomap.calibrate, "predict_latency_ns", recording)
+    counts = []
+    for _ in range(2):
+        platforms.clear()
+        calibrate(targets, threshold)
+        counts.append((len(platforms), len(set(platforms))))
+    # two predictions per target on each of the 52 distinct platforms the search probes
+    assert counts == [(2 * len(targets) * 52, 52)] * 2

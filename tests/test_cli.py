@@ -255,6 +255,10 @@ class TestScenarioValidation:
             (_workload(size_bytes=10**400), "size_bytes"),
             (_workload(size_bytes=2**53), "size_bytes"),
             (_grid(sizes=[2**53]), "grid.sizes"),
+            # misspelled keys are named, not run around with their defaults
+            ({"jiter_pct": 0.3}, "scenario: unknown keys ['jiter_pct']"),
+            (_workload(cont=5), "workload[0]: unknown keys ['cont']"),
+            (_grid(rep=2, size=[1]), "grid: unknown keys ['rep', 'size']"),
         ],
     )
     def test_rejected_with_one_line_error(self, workdir, capsys, extra, field):
@@ -265,6 +269,18 @@ class TestScenarioValidation:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and field in lines[0]
+
+    def test_packaged_chain_with_misspelled_keys_is_input_error(self, tmp_path, data_dir, capsys):
+        shutil.copy(data_dir / "chain_graph.json", tmp_path / "chain_graph.json")
+        doc = json.loads((data_dir / "chain_scenario.json").read_text(encoding="utf-8"))
+        doc["jiter_pct"] = 0.3
+        doc["workload"][0]["cont"] = 5
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("simulate", "--scenario", str(scenario)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: scenario: unknown keys ['jiter_pct']"]
 
     def test_in_range_values_run(self, workdir, capsys):
         scenario = write_scenario(workdir, jitter_pct=0.0, **_workload(size_bytes=64, count=0, period_us=0))
