@@ -12,7 +12,6 @@ from .graph import (
 )
 from .mapping import (
     CommMapping,
-    CostModelParams,
     MappingPolicy,
     TopicClass,
     TopicImpl,
@@ -47,7 +46,6 @@ __all__ = [
     "parse_graph",
     "serialize_graph",
     "CommMapping",
-    "CostModelParams",
     "MappingPolicy",
     "TopicClass",
     "TopicImpl",

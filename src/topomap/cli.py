@@ -31,7 +31,6 @@ from .graph import (
 from .mapping import (
     MappingError,
     MappingPolicy,
-    cost_params_from_platform,
     map_communication,
     mapping_report,
 )
@@ -93,8 +92,7 @@ def cmd_map(args) -> int:
         raise _InputError(f"graph document {args.graph!r}: missing required field 'node_mapping'")
     policy = _policy(args.policy)
     platform = _load_platform(args.platform)
-    cost_params = cost_params_from_platform(platform)
-    comm_mapping, rationales = map_communication(graph, node_mapping, policy, cost_params)
+    comm_mapping, rationales = map_communication(graph, node_mapping, policy, platform)
     report = mapping_report(graph, node_mapping, comm_mapping, rationales)
     _write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0

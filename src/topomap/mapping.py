@@ -11,26 +11,12 @@ Which of the two a mixed topic gets is the policy's call.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .graph import ComputationGraph, NodeMapping
 from .platform_model import PlatformModel
-
-
-class MappingError(ValueError):
-    """Inconsistent communication mapping for a given graph and placement."""
-
-
-class TopicClass(enum.Enum):
-    ALL_SW = "ALL_SW"
-    ALL_HW = "ALL_HW"
-    MIXED = "MIXED"
-
-
-class TopicImpl(enum.Enum):
-    SMT = "SMT"
-    HMT = "HMT"
-    GW = "GW"
+from .timing import NS_PER_US, predict_latency_ns
+from .topics import MappingError, TopicClass, TopicEndpoints, TopicImpl, topic_endpoints
 
 
 class MappingPolicy(enum.Enum):
@@ -38,110 +24,6 @@ class MappingPolicy(enum.Enum):
     COST = "cost"
     ALWAYS_GW_IF_MULTI_HW_SUB = "multi-hw-sub"
     ALWAYS_SMT = "smt"
-
-
-@dataclass(frozen=True)
-class CostModelParams:
-    """The estimator's view of a platform, all times in microseconds.
-
-    Bandwidths are in bytes per microsecond.  ``sw_dds_intercept_us`` and
-    ``sw_dds_us_per_byte`` form the affine latency of a software-side
-    delivery; the same leg appears in both estimators and therefore never
-    decides between them, but keeping it makes the estimates end-to-end.
-    It has no numbers of its own: ``cost_params_from_platform`` derives it.
-    """
-
-    delegate_roundtrip_us: float
-    gateway_fixed_overhead_us: float
-    memif_bandwidth_bytes_per_us: float
-    hmt_bandwidth_bytes_per_us: float
-    sw_dds_intercept_us: float
-    sw_dds_us_per_byte: float
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not value > 0:
-                raise ValueError(f"{f.name} must be positive, got {value!r}")
-        if self.hmt_bandwidth_bytes_per_us < self.memif_bandwidth_bytes_per_us:
-            raise ValueError("hmt bandwidth must be at least memif bandwidth")
-
-    def sw_dds_latency_us(self, size_bytes: int) -> float:
-        return self.sw_dds_intercept_us + self.sw_dds_us_per_byte * size_bytes
-
-
-def cost_params_from_platform(platform: PlatformModel) -> CostModelParams:
-    """Derive the cost model from the platform's timing parameters.
-
-    The delegate round trip is one OSIF round trip plus the delegate
-    publish; the gateway's fixed overhead doubles that, covering the
-    cancellable-read detour on ingest plus the publish-side round trip.
-    """
-    roundtrip = platform.osif_roundtrip_us + platform.delegate_publish_us
-    return CostModelParams(
-        delegate_roundtrip_us=roundtrip,
-        gateway_fixed_overhead_us=2.0 * roundtrip,
-        memif_bandwidth_bytes_per_us=platform.memif_bandwidth_bytes_per_s / 1e6,
-        hmt_bandwidth_bytes_per_us=platform.hmt_bandwidth_bytes_per_s / 1e6,
-        sw_dds_intercept_us=platform.sw_dds_intercept_us,
-        sw_dds_us_per_byte=platform.sw_dds_us_per_byte,
-    )
-
-
-@dataclass(frozen=True)
-class TopicEndpoints:
-    """One topic's publishers and subscribers split by placement, in node-id order.
-
-    The only HW/SW split of a topic: the mapper, the crossing count and the
-    simulator's routes all read it.  A node on both sides appears in both.
-    """
-
-    topic_id: str
-    hw_pubs: tuple[str, ...]
-    sw_pubs: tuple[str, ...]
-    hw_subs: tuple[str, ...]
-    sw_subs: tuple[str, ...]
-
-    @property
-    def has_endpoints(self) -> bool:
-        return bool(self.hw_pubs or self.sw_pubs or self.hw_subs or self.sw_subs)
-
-    @property
-    def topic_class(self) -> TopicClass:
-        if not self.has_endpoints:
-            raise MappingError(f"topic {self.topic_id!r} has no endpoints to classify")
-        hw, sw = self.hw_pubs + self.hw_subs, self.sw_pubs + self.sw_subs
-        return TopicClass.MIXED if hw and sw else TopicClass.ALL_HW if hw else TopicClass.ALL_SW
-
-    def check(self, impl: TopicImpl) -> None:
-        """The legality rule: SMT always, HMT only for ALL_HW endpoints, GW only for MIXED ones."""
-        if impl is TopicImpl.HMT and self.topic_class is not TopicClass.ALL_HW:
-            sw = sorted(set(self.sw_pubs + self.sw_subs))
-            raise MappingError(f"topic {self.topic_id!r} is mapped to HMT but has software endpoints: {sw}")
-        if impl is TopicImpl.GW and self.topic_class is not TopicClass.MIXED:
-            raise MappingError(f"topic {self.topic_id!r}: a gateway only makes sense for mixed endpoints")
-
-    def crossings(self, impl: TopicImpl) -> int:
-        """Edges crossing the HW/SW boundary: SMT's hardware edges, GW's software edges, none on HMT."""
-        self.check(impl)
-        if impl is TopicImpl.SMT:
-            return len(self.hw_pubs + self.hw_subs)
-        if impl is TopicImpl.GW:
-            return len(self.sw_pubs + self.sw_subs)
-        return 0
-
-
-def topic_endpoints(graph: ComputationGraph, node_mapping: NodeMapping, topic_id: str) -> TopicEndpoints:
-    """Split one topic's publishers and subscribers by placement."""
-    pubs, subs = graph.publishers_of(topic_id), graph.subscribers_of(topic_id)
-    hw = {n for n in set(pubs) | set(subs) if node_mapping.is_hw(n)}
-    return TopicEndpoints(
-        topic_id,
-        hw_pubs=tuple(n for n in pubs if n in hw),
-        sw_pubs=tuple(n for n in pubs if n not in hw),
-        hw_subs=tuple(n for n in subs if n in hw),
-        sw_subs=tuple(n for n in subs if n not in hw),
-    )
 
 
 def classify_topic(graph: ComputationGraph, node_mapping: NodeMapping, topic_id: str) -> TopicClass:
@@ -157,38 +39,6 @@ def check_topic_set(graph: ComputationGraph, comm_mapping: CommMapping) -> None:
             "comm_mapping must name exactly the graph's topics: "
             f"missing {sorted(topics - mapped)}, unknown {sorted(mapped - topics)}"
         )
-
-
-def estimate_smt_cost_us(size_bytes: int, hw_sub_count: int, params: CostModelParams) -> float:
-    """Cost of serving a mixed topic over SMT with hardware delegates.
-
-    Each of the ``hw_sub_count`` hardware subscribers pulls its own copy
-    across the shared-memory interface.
-    """
-    if hw_sub_count < 1:
-        raise MappingError("SMT-vs-GW estimate is only defined for topics with hardware subscribers")
-    return (
-        params.delegate_roundtrip_us
-        + size_bytes * hw_sub_count / params.memif_bandwidth_bytes_per_us
-        + params.sw_dds_latency_us(size_bytes)
-    )
-
-
-def estimate_gw_cost_us(size_bytes: int, hw_sub_count: int, params: CostModelParams) -> float:
-    """Cost of serving a mixed topic through a gateway.
-
-    The payload crosses the shared-memory interface once and is then
-    streamed on the hardware transport, which fans out to any number of
-    hardware subscribers at no extra per-subscriber transfer cost.
-    """
-    if hw_sub_count < 1:
-        raise MappingError("SMT-vs-GW estimate is only defined for topics with hardware subscribers")
-    return (
-        params.gateway_fixed_overhead_us
-        + size_bytes / params.memif_bandwidth_bytes_per_us
-        + size_bytes / params.hmt_bandwidth_bytes_per_us
-        + params.sw_dds_latency_us(size_bytes)
-    )
 
 
 @dataclass(frozen=True)
@@ -215,11 +65,23 @@ class CommMapping:
             raise MappingError(f"bad comm_mapping entry: {exc}") from None
 
 
+def cost_params_from_platform(platform: PlatformModel) -> PlatformModel:
+    """``platform`` itself; only the benchmark's regret cell calls it, until it uses ``Scenario.resolve_mapping``."""
+    return platform
+
+
+def _worst_latency_ns(endpoints: TopicEndpoints, impl: TopicImpl, size_bytes: int, platform: PlatformModel) -> int:
+    """The worst subscriber's predicted latency over all the topic's publishers."""
+    pubs = endpoints.hw_pubs + endpoints.sw_pubs
+    by_pub = (predict_latency_ns(endpoints, pub, impl, size_bytes, platform) for pub in pubs)
+    return max((ns for latency in by_pub for ns in latency.values()), default=0)
+
+
 def map_communication(
     graph: ComputationGraph,
     node_mapping: NodeMapping,
     policy: MappingPolicy,
-    cost_params: CostModelParams | None = None,
+    platform: PlatformModel | None = None,
 ) -> tuple[CommMapping, dict[str, str]]:
     """Assign an implementation to every topic and say why.
 
@@ -228,12 +90,11 @@ def map_communication(
     topic on the software transport, which is what an unmapped system
     does.  Only MIXED topics genuinely consult the policy.  A topic with
     no endpoints has no class and stays on SMT, the only transport
-    ``TopicEndpoints.check`` allows it.  Without ``cost_params`` the COST
-    policy derives them from the default platform.
+    ``TopicEndpoints.check`` allows it.  COST prices MIXED topics on
+    ``platform`` (None: the default one) and takes GW only if strictly faster.
     """
     node_mapping.validate_against(graph)
-    if cost_params is None and policy is MappingPolicy.COST:
-        cost_params = cost_params_from_platform(PlatformModel())
+    platform = platform or PlatformModel()
     assignments = []
     rationales = {}
     for topic_id in graph.topic_ids():
@@ -260,21 +121,20 @@ def map_communication(
             else:
                 impl = TopicImpl.SMT
                 why = f"mixed endpoints with {k} hardware subscriber(s), below the gateway threshold"
+        elif policy is MappingPolicy.COST and not endpoints.hw_pubs + endpoints.sw_pubs:
+            impl = TopicImpl.SMT
+            why = "no publishers, so no message to price; stays on SMT"
         elif policy is MappingPolicy.COST:
             size = graph.topic(topic_id).message_size_bytes
-            if k == 0:
-                # mixed only through a hardware publisher; nothing to amortize
-                impl = TopicImpl.SMT
-                why = "no hardware subscribers, a gateway has nothing to amortize"
+            smt = _worst_latency_ns(endpoints, TopicImpl.SMT, size, platform)
+            gw = _worst_latency_ns(endpoints, TopicImpl.GW, size, platform)
+            smt_us, gw_us = f"{smt / NS_PER_US:.3f}us", f"{gw / NS_PER_US:.3f}us"
+            if gw < smt:
+                impl = TopicImpl.GW
+                why = f"predicted gateway latency {gw_us} beats software transport {smt_us}"
             else:
-                smt = estimate_smt_cost_us(size, k, cost_params)
-                gw = estimate_gw_cost_us(size, k, cost_params)
-                if gw < smt:
-                    impl = TopicImpl.GW
-                    why = f"estimated gateway cost {gw:.2f}us beats software transport {smt:.2f}us"
-                else:
-                    impl = TopicImpl.SMT
-                    why = f"estimated software transport cost {smt:.2f}us within gateway cost {gw:.2f}us"
+                impl = TopicImpl.SMT
+                why = f"predicted software transport latency {smt_us} within gateway latency {gw_us}"
         else:  # pragma: no cover - enum is closed
             raise MappingError(f"unhandled policy {policy!r}")
         assignments.append((topic_id, impl))

@@ -53,7 +53,6 @@ from .mapping import (
     TopicEndpoints,
     TopicImpl,
     check_topic_set,
-    cost_params_from_platform,
     map_communication,
     topic_endpoints,
 )
@@ -101,8 +100,7 @@ class Scenario:
         if self.comm_mapping is not None:
             return self.comm_mapping
         policy = self.policy if self.policy is not None else MappingPolicy.COST
-        cost_params = cost_params_from_platform(platform) if policy is MappingPolicy.COST else None
-        mapping, _ = map_communication(self.graph, self.node_mapping, policy, cost_params)
+        mapping, _ = map_communication(self.graph, self.node_mapping, policy, platform)
         return mapping
 
 
@@ -218,6 +216,9 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
         raise ScenarioError(f"seed must be an integer, got {seed!r}")
     jitter = doc.get("jitter_pct")
     compute = _typed(doc.get("compute_us", {}), dict, "compute_us")
+    unknown = sorted(set(compute) - set(graph.nodes))
+    if unknown:
+        raise ScenarioError(f"compute_us: {unknown} name no node of graph {doc['graph']!r}")
     return Scenario(
         graph=graph,
         node_mapping=node_mapping,

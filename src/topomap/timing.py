@@ -19,7 +19,7 @@ import heapq
 import math
 from operator import itemgetter
 
-from .mapping import TopicEndpoints, TopicImpl
+from .topics import TopicEndpoints, TopicImpl
 from .platform_model import PlatformModel
 
 NS_PER_US = 1000

@@ -250,6 +250,8 @@ class TestScenarioValidation:
             # nanosecond values that no longer fit a finite int
             (_workload(period_us=1e308), "period_us"),
             ({"compute_us": {"2": 1e308}}, "compute_us.2"),
+            # a relay priced under a misspelled node would run at 0 us instead
+            ({"compute_us": {"gausian_blur": 400.0}}, "compute_us: ['gausian_blur'] name no node"),
             (_grid(period_us=1e308), "grid.period_us"),
             # byte counts that are no longer exact floats
             (_workload(size_bytes=10**400), "size_bytes"),
@@ -451,16 +453,16 @@ class TestGraphValidation:
 class TestCostPolicyOnePlatform:
     """map and simulate price a cost topic on the same platform document.
 
-    On a software-publisher star with two hardware and one software
-    subscriber and 100 kB messages, the default platform (HMT as fast as
-    MEMIF) keeps the topic on SMT; with HMT at 4.8 GB/s a gateway wins.
+    On a software-publisher star with two hardware subscribers and 100 kB
+    messages, the default platform (HMT as fast as MEMIF) keeps the topic
+    on SMT; with HMT at 4.8 GB/s a gateway wins.
     """
 
     COUNT = 3
 
     @pytest.fixture()
     def star_dir(self, tmp_path):
-        graph, node_mapping = star_graph("sw", 2, 1, 100_000)
+        graph, node_mapping = star_graph("sw", 2, 0, 100_000)
         (tmp_path / "star.json").write_text(serialize_graph(graph, node_mapping), encoding="utf-8")
         doc = {
             "graph": "star.json",

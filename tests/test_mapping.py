@@ -1,25 +1,19 @@
-"""Topic classification, mapping policies, cost estimates, crossings."""
+"""Topic classification, mapping policies, cost picks, crossings."""
 
-import dataclasses
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
-from topomap.graph import ComputationGraph, NodeMapping, Placement, TopicSpec
+from topomap.graph import ComputationGraph, DanglingTopicWarning, NodeMapping, Placement, TopicSpec
 from topomap.mapping import (
     CommMapping,
-    CostModelParams,
     MappingError,
     MappingPolicy,
     TopicClass,
     TopicImpl,
     classification_mapping,
     classify_topic,
-    cost_params_from_platform,
     count_boundary_crossings,
-    estimate_gw_cost_us,
-    estimate_smt_cost_us,
     map_communication,
     mapping_report,
     topic_endpoints,
@@ -27,8 +21,8 @@ from topomap.mapping import (
 from topomap.graph import parse_document
 from topomap.platform_model import PlatformModel
 
-# the estimator numbers the tests below were written against
-PARAMS = cost_params_from_platform(PlatformModel(hmt_bandwidth_bytes_per_s=4.8e9))
+# HMT four times as fast as MEMIF: one MEMIF crossing per message can pay for a gateway
+FAST_HMT = PlatformModel(hmt_bandwidth_bytes_per_s=4.8e9)
 
 
 def tiny(pub_kind, sub_kinds):
@@ -103,11 +97,11 @@ class TestPolicies:
         assert cm2.impl_of("t") is TopicImpl.GW
 
     def test_cost_policy_small_vs_large(self):
-        params = PARAMS
         g_small, nm = tiny(SW, [HW, HW])
-        cm, _ = map_communication(g_small, nm, MappingPolicy.COST, params)
-        # 1000 bytes: fixed gateway overhead dominates, stay on SMT
+        cm, rationales = map_communication(g_small, nm, MappingPolicy.COST, FAST_HMT)
+        # 1000 bytes: the gateway's OSIF round trips dominate, stay on SMT
         assert cm.impl_of("t") is TopicImpl.SMT
+        assert rationales["t"] == "MIXED: predicted software transport latency 31.668us within gateway latency 91.043us"
 
         big = ComputationGraph(
             nodes=g_small.nodes,
@@ -115,30 +109,37 @@ class TestPolicies:
             pub_edges=g_small.pub_edges,
             sub_edges=g_small.sub_edges,
         )
-        cm_big, _ = map_communication(big, nm, MappingPolicy.COST, params)
+        cm_big, rationales = map_communication(big, nm, MappingPolicy.COST, FAST_HMT)
+        # 10 MB: two MEMIF pulls cost more than one MEMIF crossing plus a fast HMT stream
         assert cm_big.impl_of("t") is TopicImpl.GW
+        assert rationales["t"] == "MIXED: predicted gateway latency 10506.668us beats software transport 16696.668us"
 
     def test_cost_tie_prefers_smt(self):
-        # with B == H, d == 2 us/KB fixed gap: pick size where costs are equal
-        params = CostModelParams(
-            delegate_roundtrip_us=76.0,
-            gateway_fixed_overhead_us=38.0,
-            memif_bandwidth_bytes_per_us=1000.0,
-            hmt_bandwidth_bytes_per_us=1000.0,
-            sw_dds_intercept_us=10.0,
-            sw_dds_us_per_byte=0.009,
-        )
-        size = 38_000  # smt = 76 + 38 + L, gw = 38 + 38 + 38 + L: exact tie
-        assert estimate_smt_cost_us(size, 1, params) == estimate_gw_cost_us(size, 1, params)
+        # SW publisher, one HW and one SW subscriber, 100 kB on the default platform:
+        # both transports deliver the worst subscriber after exactly 993.334 us
         graph = ComputationGraph(
-            nodes=("p", "s0"),
-            topics=(TopicSpec("t", size, 1.0),),
+            nodes=("p", "s0", "s1"),
+            topics=(TopicSpec("t", 100_000, 1.0),),
             pub_edges=(("p", "t"),),
-            sub_edges=(("t", "s0"),),
+            sub_edges=(("t", "s0"), ("t", "s1")),
         )
-        nm = NodeMapping((("p", SW), ("s0", HW)))
-        cm, rationale = map_communication(graph, nm, MappingPolicy.COST, params)
+        nm = NodeMapping((("p", SW), ("s0", HW), ("s1", SW)))
+        cm, rationales = map_communication(graph, nm, MappingPolicy.COST, PlatformModel())
         assert cm.impl_of("t") is TopicImpl.SMT
+        assert rationales["t"] == "MIXED: predicted software transport latency 993.334us within gateway latency 993.334us"
+
+    def test_cost_policy_without_publishers_stays_on_smt(self):
+        with pytest.warns(DanglingTopicWarning, match="no publishers"):
+            graph = ComputationGraph(
+                nodes=("s0", "s1"),
+                topics=(TopicSpec("t", 1000, 1.0),),
+                pub_edges=(),
+                sub_edges=(("t", "s0"), ("t", "s1")),
+            )
+        nm = NodeMapping((("s0", SW), ("s1", HW)))
+        cm, rationales = map_communication(graph, nm, MappingPolicy.COST)
+        assert cm.impl_of("t") is TopicImpl.SMT
+        assert rationales["t"] == "MIXED: no publishers, so no message to price; stays on SMT"
 
     def test_cost_policy_no_hw_subs(self):
         g, nm = tiny(HW, [SW])
@@ -187,99 +188,6 @@ class TestPolicies:
                 else:
                     expected = TopicImpl.SMT
                 assert cm.impl_of(t.id) is expected
-
-
-class TestEstimators:
-    def test_smt_cost_formula(self):
-        params = PARAMS
-        expected = 38.0 + 2 * 1200 / 1200.0 + (10.0 + 0.009 * 1200)
-        assert estimate_smt_cost_us(1200, 2, params) == pytest.approx(expected)
-
-    def test_gw_cost_formula(self):
-        params = PARAMS
-        expected = 76.0 + 1200 / 1200.0 + 1200 / 4800.0 + (10.0 + 0.009 * 1200)
-        assert estimate_gw_cost_us(1200, 2, params) == pytest.approx(expected)
-
-    def test_requires_hw_subscribers(self):
-        with pytest.raises(MappingError):
-            estimate_smt_cost_us(100, 0, PARAMS)
-        with pytest.raises(MappingError):
-            estimate_gw_cost_us(100, 0, PARAMS)
-
-    @given(
-        size=st.integers(min_value=1, max_value=10**8),
-        k1=st.integers(min_value=1, max_value=16),
-        k2=st.integers(min_value=1, max_value=16),
-    )
-    def test_smt_monotone_in_hw_subs_gw_flat(self, size, k1, k2):
-        params = PARAMS
-        lo, hi = sorted((k1, k2))
-        assert estimate_smt_cost_us(size, lo, params) <= estimate_smt_cost_us(size, hi, params)
-        assert estimate_gw_cost_us(size, k1, params) == estimate_gw_cost_us(size, k2, params)
-
-    @given(k=st.integers(min_value=2, max_value=16))
-    def test_gateway_dominates_large_messages(self, k):
-        """With two or more hardware subscribers the gateway wins eventually."""
-        params = PARAMS
-        size = 100_000_000
-        assert estimate_gw_cost_us(size, k, params) < estimate_smt_cost_us(size, k, params)
-
-    def test_cost_ratio_approaches_subscriber_count(self):
-        # kill the terms both estimates share and the ratio tends to k
-        params = CostModelParams(
-            delegate_roundtrip_us=1e-6,
-            gateway_fixed_overhead_us=1e-6,
-            memif_bandwidth_bytes_per_us=1000.0,
-            hmt_bandwidth_bytes_per_us=1e9,
-            sw_dds_intercept_us=1e-6,
-            sw_dds_us_per_byte=1e-12,
-        )
-        for k in (2, 4, 8):
-            ratio = estimate_smt_cost_us(10**9, k, params) / estimate_gw_cost_us(10**9, k, params)
-            assert ratio == pytest.approx(k, rel=1e-3)
-
-    def test_params_validated(self):
-        with pytest.raises(ValueError):
-            CostModelParams(
-                delegate_roundtrip_us=0.0,
-                gateway_fixed_overhead_us=76.0,
-                memif_bandwidth_bytes_per_us=1200.0,
-                hmt_bandwidth_bytes_per_us=4800.0,
-                sw_dds_intercept_us=10.0,
-                sw_dds_us_per_byte=0.009,
-            )
-        with pytest.raises(ValueError):
-            CostModelParams(
-                delegate_roundtrip_us=38.0,
-                gateway_fixed_overhead_us=76.0,
-                memif_bandwidth_bytes_per_us=2000.0,
-                hmt_bandwidth_bytes_per_us=1000.0,
-                sw_dds_intercept_us=10.0,
-                sw_dds_us_per_byte=0.009,
-            )
-
-
-class TestDerived:
-    def test_cost_params_derivation(self):
-        params = cost_params_from_platform(PlatformModel())
-        assert params.delegate_roundtrip_us == 38.0
-        assert params.gateway_fixed_overhead_us == 76.0
-        assert params.memif_bandwidth_bytes_per_us == pytest.approx(1200.0)
-        assert params.hmt_bandwidth_bytes_per_us == pytest.approx(1200.0)
-        assert params.sw_dds_intercept_us == 10.0
-        assert params.sw_dds_us_per_byte == 0.009
-
-    def test_cost_params_track_platform_changes(self):
-        p = dataclasses.replace(
-            PlatformModel(),
-            osif_roundtrip_us=20.0,
-            delegate_publish_us=5.0,
-            hmt_bandwidth_bytes_per_s=4.8e9,
-        )
-        params = cost_params_from_platform(p)
-        assert params.delegate_roundtrip_us == 25.0
-        assert params.gateway_fixed_overhead_us == 50.0
-        assert params.hmt_bandwidth_bytes_per_us == pytest.approx(4800.0)
 
 
 def crossings_oracle(graph, nm, cm):

@@ -13,7 +13,6 @@ from topomap.mapping import (
     MappingError,
     MappingPolicy,
     TopicImpl,
-    cost_params_from_platform,
     count_boundary_crossings,
     map_communication,
 )
@@ -382,13 +381,12 @@ class TestCostPickMatchesMap:
         ids=["default", "hmt-4.8GBps", "osif-60us"],
     )
     def test_resolve_mapping_matches_map_communication(self, platform):
-        params = cost_params_from_platform(platform)
         cells = itertools.product(("hw", "sw"), (0, 1, 2), (1_000, 10_000, 100_000, 1_000_000), (1, 2, 4, 8))
         for pub_kind, n_sw, size, n_hw in cells:
             scn = star_scenario(
                 pub_kind, n_hw, n_sw, size, reps=1, period_us=1.0, seed=0, policy=MappingPolicy.COST
             )
-            expected, _ = map_communication(scn.graph, scn.node_mapping, MappingPolicy.COST, params)
+            expected, _ = map_communication(scn.graph, scn.node_mapping, MappingPolicy.COST, platform)
             assert scn.resolve_mapping(platform) == expected, (pub_kind, n_sw, size, n_hw)
 
 

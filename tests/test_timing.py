@@ -3,7 +3,8 @@
 ``predict_latency_ns`` prices one isolated, jitter-free message without
 running the engine. Each case here simulates the same message and asserts
 that every subscriber's ``t_deliver_ns - t_pub_ns`` equals the prediction
-exactly: there is no tolerance.
+exactly: there is no tolerance. The ``cost`` policy picks with this model,
+so on the regret grid its pick must be the faster simulated transport.
 """
 
 from dataclasses import replace
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from topomap.mapping import CommMapping, TopicClass, TopicImpl, topic_endpoints
+from topomap.mapping import CommMapping, MappingPolicy, TopicClass, TopicImpl, map_communication, topic_endpoints
 from topomap.platform_model import PlatformModel
 from topomap.simulator import simulate, star_scenario
 from topomap.timing import predict_latency_ns
@@ -100,6 +101,22 @@ def test_regret_grid_has_eighty_cells():
 @pytest.mark.parametrize("pub, n_hw, n_sw, size", REGRET_CELLS)
 def test_prediction_equals_engine_on_regret_grid(pub, n_hw, n_sw, size):
     assert_matches_engine(pub, n_hw, n_sw, size, PlatformModel(), impls=[TopicImpl.SMT, TopicImpl.GW])
+
+
+@pytest.mark.parametrize("pub, n_hw, n_sw, size", REGRET_CELLS)
+def test_cost_pick_is_the_faster_transport_on_regret_grid(pub, n_hw, n_sw, size):
+    """Regret 1: the cost policy's pick has the lower simulated worst mean latency."""
+    platform = PlatformModel()
+    star = star_scenario(pub, n_hw, n_sw, size, reps=4, period_us=50_000.0, seed=0, jitter_pct=0.0)
+    picked, _ = map_communication(star.graph, star.node_mapping, MappingPolicy.COST, platform)
+    worst_mean = {}
+    for impl in (TopicImpl.SMT, TopicImpl.GW):
+        result = simulate(replace(star, comm_mapping=CommMapping((("t0", impl),))), platform)
+        per_sub = {}
+        for d in result.deliveries:
+            per_sub.setdefault(d.subscriber, []).append(d.latency_us)
+        worst_mean[impl] = max(sum(v) / len(v) for v in per_sub.values())
+    assert worst_mean[picked.impl_of("t0")] == min(worst_mean.values()), worst_mean
 
 
 def test_pull_starting_as_the_pool_drains():
