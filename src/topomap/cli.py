@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .calibrate import TargetError, calibrate, load_targets, result_to_json
@@ -44,7 +45,7 @@ from .simulator import (
     load_scenario,
     simulate,
     stats_to_csv,
-    trace_to_csv,
+    write_trace_csv,
 )
 
 
@@ -52,11 +53,19 @@ class _InputError(Exception):
     pass
 
 
-def _write_text(path: str | None, text: str):
+@contextmanager
+def _text_out(path: str | None):
+    """The text stream an output option names: stdout for none or ``-``, else the file, as UTF-8."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+
+
+def _write_text(path: str | None, text: str):
+    with _text_out(path) as out:
+        out.write(text)
 
 
 def _load_platform(path: str | None) -> PlatformModel:
@@ -101,11 +110,17 @@ def cmd_map(args) -> int:
 def cmd_simulate(args) -> int:
     if args.trace == args.stats == "-":
         raise _InputError("--trace and --stats cannot both write to stdout: the two CSVs would run together")
+    if args.trace and args.stats and "-" not in (args.trace, args.stats):
+        if Path(args.trace).resolve() == Path(args.stats).resolve():
+            raise _InputError(
+                f"--trace and --stats name one file {args.trace!r}: the stats CSV would overwrite the trace"
+            )
     scenario = load_scenario(args.scenario)
     platform = _load_platform(args.platform)
     result = simulate(scenario, platform, seed=_seed_override())
     if args.trace:
-        _write_text(args.trace, trace_to_csv(result))
+        with _text_out(args.trace) as out:
+            write_trace_csv(result, out)
     if args.stats:
         _write_text(args.stats, stats_to_csv(compute_stats(result)))
     # a CSV on stdout must stay parseable, so the summary then goes to stderr
@@ -216,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one scenario")
     p.add_argument("--scenario", required=True)
     p.add_argument("--platform", help="platform document: simulated timing and the cost model")
-    p.add_argument("--trace", help="write the event trace CSV here")
+    p.add_argument("--trace", help="stream the event trace CSV here ('-' for stdout)")
     p.add_argument("--stats", help="write per-(topic, subscriber) latency stats CSV here")
     p.set_defaults(func=cmd_simulate)
 

@@ -43,7 +43,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from . import gateway as gw
 from .graph import ComputationGraph, NodeMapping, Placement, TopicSpec, parse_document
@@ -497,7 +497,8 @@ class _Sim:
         self.pool = _MemifPool(self, platform.memif_bandwidth_bytes_per_s)
         self._trace: list[TraceEvent] = []
         self._deliveries: list[Delivery] = []
-        self._pub_times: dict[tuple[str, int], int] = {}
+        # (topic, seq) -> (publish time, the id every DELIVER row of that message shares)
+        self._pub_times: dict[tuple[str, int], tuple[int, str]] = {}
         self._next_msg_seq: dict[str, int] = {}
         self._relays = relays or {}
         check_topic_set(graph, comm_mapping)
@@ -565,8 +566,8 @@ class _Sim:
 
     def _deliver(self, topic: str, subscriber: str, seq: int):
         now = self.now_ns
-        self._trace.append(_tuple_new(TraceEvent, (now, "DELIVER", f"{topic}#{seq}", subscriber)))
-        t_pub = self._pub_times[(topic, seq)]
+        t_pub, delivery_id = self._pub_times[(topic, seq)]
+        self._trace.append(_tuple_new(TraceEvent, (now, "DELIVER", delivery_id, subscriber)))
         self._deliveries.append(_tuple_new(Delivery, (topic, subscriber, seq, t_pub, now)))
         relay = self._relays.get(subscriber)
         if relay is not None and relay.in_topic == topic:
@@ -581,7 +582,7 @@ class _Sim:
         if seq is None:
             seq = self._next_msg_seq.get(topic_id, 0)
             self._next_msg_seq[topic_id] = seq + 1
-        self._pub_times[(topic_id, seq)] = self.now_ns
+        self._pub_times[(topic_id, seq)] = (self.now_ns, f"{topic_id}#{seq}")
         message = gw.Message(publisher, seq, topic_id, size)
         self.trace("PUBLISH", message.message_id, publisher)
         if publisher in route.endpoints.hw_pubs:
@@ -666,7 +667,7 @@ class _Sim:
                 pool.complete()
             else:
                 break
-        return SimResult(self._trace, self._deliveries, list(self.pool.segments))
+        return SimResult(self._trace, self._deliveries, self.pool.segments)
 
 
 def simulate(
@@ -694,8 +695,9 @@ TRACE_HEADER = ("timestamp_us", "kind", "message_id", "endpoint")
 STATS_HEADER = ("topic", "subscriber", "count", "mean_us", "stddev_us", "min_us", "max_us")
 
 
-# rows joined per chunk, so no list of one string per row spans the whole trace
-_TRACE_CHUNK = 8192
+# rows joined per write: a chunk's row strings and their join are all the writer holds,
+# and below 8192 rows the chunk size does not change the writer's speed
+_TRACE_CHUNK = 2048
 
 
 class _CsvFields(dict):
@@ -708,17 +710,24 @@ class _CsvFields(dict):
         return field
 
 
-def trace_to_csv(result: SimResult) -> str:
+def write_trace_csv(result: SimResult, out: TextIO) -> None:
+    """Write the trace CSV to the text stream ``out``, one chunk of rows per write."""
     q = _CsvFields()
     trace = result.trace
-    parts = [",".join(q[h] for h in TRACE_HEADER) + "\n"]
+    out.write(",".join(q[h] for h in TRACE_HEADER) + "\n")
     for i in range(0, len(trace), _TRACE_CHUNK):
-        parts.append(
+        out.write(
             "".join(
                 [f"{t / NS_PER_US:.3f},{q[k]},{q[m]},{q[e]}\n" for t, k, m, e in trace[i : i + _TRACE_CHUNK]]
             )
         )
-    return "".join(parts)
+
+
+def trace_to_csv(result: SimResult) -> str:
+    """The trace CSV as one string: ``write_trace_csv`` into memory."""
+    buf = io.StringIO()
+    write_trace_csv(result, buf)
+    return buf.getvalue()
 
 
 def compute_stats(result: SimResult) -> list[dict]:

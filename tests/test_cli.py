@@ -12,7 +12,7 @@ from topomap.cli import main
 from topomap.gateway import transition_table
 from topomap.graph import DanglingTopicWarning, serialize_graph
 from topomap.platform_model import PlatformModel
-from topomap.simulator import STATS_HEADER, TRACE_HEADER, star_graph
+from topomap.simulator import STATS_HEADER, TRACE_HEADER, load_scenario, simulate, star_graph, trace_to_csv
 
 
 def run_cli(*argv):
@@ -179,6 +179,38 @@ class TestSimulate:
         scenario = write_scenario(workdir)
         assert run_cli("simulate", "--scenario", str(scenario), "--trace", "-", "--stats", "-") == 2
         _one_line_error(capsys, "stdout")
+
+    @pytest.mark.parametrize("stats", ["x.csv", "./x.csv"])
+    def test_both_csvs_to_one_file_rejected(self, workdir, capsys, monkeypatch, stats):
+        scenario = write_scenario(workdir)
+        monkeypatch.chdir(workdir)
+        assert run_cli("simulate", "--scenario", str(scenario), "--trace", "x.csv", "--stats", stats) == 2
+        _one_line_error(capsys, "one file")
+        assert not (workdir / "x.csv").exists()
+
+    @pytest.mark.parametrize("case", ["golden_gw_star", "packaged_chain"])
+    def test_trace_bytes_equal_trace_to_csv(self, tmp_path, data_dir, capsys, case):
+        if case == "packaged_chain":
+            scenario = data_dir / "chain_scenario.json"
+        else:
+            # the gateway star of tests/test_engine_golden.py
+            graph, node_mapping = star_graph("sw", 16, 8, 100_000)
+            (tmp_path / "star.json").write_text(serialize_graph(graph, node_mapping), encoding="utf-8")
+            doc = {
+                "graph": "star.json",
+                "policy": "multi-hw-sub",
+                "seed": 4,
+                "workload": [{"publisher": "pub0", "topic": "t0", "count": 40, "period_us": 5000.0}],
+            }
+            scenario = tmp_path / "scenario.json"
+            scenario.write_text(json.dumps(doc), encoding="utf-8")
+        expected = trace_to_csv(simulate(load_scenario(scenario), PlatformModel()))
+        trace = tmp_path / "trace.csv"
+        assert run_cli("simulate", "--scenario", str(scenario), "--trace", str(trace)) == 0
+        assert trace.read_bytes() == expected.encode("utf-8")
+        capsys.readouterr()
+        assert run_cli("simulate", "--scenario", str(scenario), "--trace", "-") == 0
+        assert capsys.readouterr().out == expected
 
     def test_seed_env_override(self, workdir, capsys, monkeypatch):
         scenario = write_scenario(workdir)

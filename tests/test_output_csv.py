@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -28,6 +29,7 @@ from topomap.simulator import (
     simulate,
     stats_to_csv,
     trace_to_csv,
+    write_trace_csv,
 )
 
 PIECES = [",", '"', "\r", "\n", " ", "", "a", "é", "名", "😀"]
@@ -62,15 +64,33 @@ def test_trace_matches_row_by_row_writer(trace):
     assert trace_to_csv(result) == reference_trace_csv(result)
 
 
-def test_long_trace_matches_row_by_row_writer():
+def long_trace(rows: int) -> SimResult:
     rng = random.Random(7)
     pool = ["".join(rng.choices(PIECES, k=rng.randrange(5))) for _ in range(50)]
     trace = [
         TraceEvent(rng.randrange(2**63), rng.choice(pool), rng.choice(pool), rng.choice(pool))
-        for _ in range(20_001)
+        for _ in range(rows)
     ]
-    result = SimResult(trace, [], [])
+    return SimResult(trace, [], [])
+
+
+def test_long_trace_matches_row_by_row_writer():
+    result = long_trace(20_001)
     assert trace_to_csv(result) == reference_trace_csv(result)
+
+
+def test_streamed_trace_memory_is_bounded_by_one_chunk(tmp_path):
+    result = long_trace(200_001)
+    path = tmp_path / "trace.csv"
+    tracemalloc.start()
+    try:
+        with open(path, "w", encoding="utf-8") as out:
+            write_trace_csv(result, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    length = len(path.read_text(encoding="utf-8"))
+    assert peak < length / 4, (peak, length)
 
 
 def stats_digest(result) -> str:
