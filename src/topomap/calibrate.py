@@ -21,6 +21,11 @@ priced (a revisited vector, or one the HMT-over-MEMIF clamp maps onto
 another) costs nothing.  The residuals of the fitted platform come from
 ``simulated_speedup``, two simulations per target, so the simulator
 stays the judge of the fit.
+
+A fit of the packaged targets predicts 52 platforms and simulates 10
+one-message runs.  Its predictions price 416 MEMIF schedules, of which
+82 are distinct once shifted to start at 0; ``timing`` replays each
+distinct schedule through the MEMIF pool once and looks up the rest.
 """
 
 from __future__ import annotations

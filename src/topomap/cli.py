@@ -146,12 +146,15 @@ def cmd_calibrate(args) -> int:
     targets, threshold = load_targets(args.targets)
     result = calibrate(targets, threshold=threshold)
     _write_text(args.out, result_to_json(result))
+    # the JSON on stdout must stay parseable, so the residual lines then go to stderr
+    residuals_to = sys.stderr if args.out in (None, "-") else sys.stdout
     for row in result.residuals:
         status = "ok" if row["ok"] else "MISS"
         print(
             f"{row['publisher_kind']}->{row['measure']} size={row['size_bytes']} "
-            f"hw_subs={row['hw_subs']}: simulated {row['simulated_speedup']:.3f} "
-            f"vs target {row['target_speedup']:.3f} ({row['rel_error']:+.1%}) {status}"
+            f"hw_subs={row['hw_subs']} sw_subs={row['sw_subs']}: simulated {row['simulated_speedup']:.3f} "
+            f"vs target {row['target_speedup']:.3f} ({row['rel_error']:+.1%}) {status}",
+            file=residuals_to,
         )
     if not result.ok:
         print(f"calibration residual above threshold {threshold:.0%}", file=sys.stderr)

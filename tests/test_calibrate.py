@@ -17,6 +17,7 @@ from topomap.calibrate import (
 from topomap.mapping import MappingPolicy
 from topomap.platform_model import PlatformModel
 from topomap.simulator import cell_times, star_scenario
+from topomap import timing
 
 
 class TestTargets:
@@ -183,6 +184,25 @@ class TestCalibrate:
         fitted = [r["simulated_speedup"] for r in result.residuals]
         assert fitted[0] == fitted[1]
         assert fitted[0] == pytest.approx(math.sqrt(lo * hi), rel=0.05)
+
+    def test_one_fit_runs_each_distinct_memif_schedule_once(self, data_dir, monkeypatch):
+        # counts, not times: they repeat exactly, so they pin what the cache saves
+        targets, threshold = load_targets(data_dir / "measured_speedups.json")
+        schedules = []
+        done_ns = timing._memif_done_ns
+
+        def recording(announced_ns, lead_ns, size_bytes, bytes_per_s):
+            offsets = tuple(t - announced_ns[0] for t in announced_ns)
+            schedules.append((offsets, lead_ns, size_bytes, bytes_per_s))
+            return done_ns(announced_ns, lead_ns, size_bytes, bytes_per_s)
+
+        monkeypatch.setattr(timing, "_memif_done_ns", recording)
+        timing._memif_schedule.cache_clear()
+        calibrate(targets, threshold)
+        info = timing._memif_schedule.cache_info()
+        assert (len(schedules), len(set(schedules))) == (416, 82)
+        assert info.misses == len(set(schedules))
+        assert info.hits + info.misses == len(schedules)
 
     def test_result_json_shape(self):
         target = SpeedupTarget("hw", 120_000, 2, 0, "hw", 1.2)

@@ -620,8 +620,36 @@ class TestCalibrate:
         path.write_text(json.dumps(targets), encoding="utf-8")
         assert run_cli("calibrate", "--targets", str(path)) == 4
         captured = capsys.readouterr()
-        assert "MISS" in captured.out
+        # the JSON went to stdout, so the residual lines are on stderr
+        assert "MISS" in captured.err
         assert "threshold" in captured.err
+        assert json.loads(captured.out)["ok"] is False
+
+    @pytest.mark.parametrize("out_arg", [[], ["--out", "-"]], ids=["no-out", "out-dash"])
+    def test_json_on_stdout_parses_and_equals_the_out_file(self, data_dir, tmp_path, capsys, out_arg):
+        targets = str(data_dir / "measured_speedups.json")
+        fit = tmp_path / "fit.json"
+        assert run_cli("calibrate", "--targets", targets, "--out", str(fit)) == 0
+        to_file = capsys.readouterr()
+        assert run_cli("calibrate", "--targets", targets, *out_arg) == 0
+        to_stdout = capsys.readouterr()
+        json.loads(to_stdout.out)
+        assert to_stdout.out.encode("utf-8") == fit.read_bytes()
+        # the residual lines move to stderr unchanged
+        assert to_stdout.err == to_file.out
+        assert to_file.err == ""
+
+    def test_residual_lines_name_sw_subs(self, tmp_path, capsys):
+        entry = {"publisher_kind": "sw", "size_bytes": 10000, "hw_subs": 2, "measure": "hw", "speedup": 1.5}
+        doc = {"threshold": 10.0, "targets": [{**entry, "sw_subs": 0}, {**entry, "sw_subs": 1}]}
+        path = tmp_path / "targets.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("calibrate", "--targets", str(path), "--out", str(tmp_path / "fit.json")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "sw->hw size=10000 hw_subs=2 sw_subs=0",
+            "sw->hw size=10000 hw_subs=2 sw_subs=1",
+        ]
 
     def test_malformed_targets_document(self, tmp_path, capsys):
         path = tmp_path / "targets.json"

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from topomap.mapping import CommMapping, MappingPolicy, TopicClass, TopicImpl, map_communication, topic_endpoints
 from topomap.platform_model import PlatformModel
 from topomap.simulator import simulate, star_scenario
-from topomap.timing import predict_latency_ns
+from topomap import timing
+from topomap.timing import _bytes_ns, _us_to_ns, predict_latency_ns
 
 
 def legal_impls(endpoints) -> list[TopicImpl]:
@@ -146,3 +147,66 @@ def test_illegal_impl_is_rejected():
     endpoints = topic_endpoints(star.graph, star.node_mapping, "t0")
     with pytest.raises(ValueError, match="HMT"):
         predict_latency_ns(endpoints, "pub0", TopicImpl.HMT, 1000, PlatformModel())
+
+
+# -- the cache in front of the pool loop -------------------------------------
+
+uncached_schedule = timing._memif_schedule.__wrapped__
+
+
+def assert_cached_equals_uncached(offsets, lead_ns, size_bytes, bytes_per_s, shift):
+    """Cached completions of the shifted schedule equal the pool loop run on it, and on it unshifted."""
+    schedule = [shift + t for t in offsets]
+    expected = list(uncached_schedule(tuple(schedule), lead_ns, size_bytes, bytes_per_s))
+    assert expected == [shift + t for t in uncached_schedule(tuple(offsets), lead_ns, size_bytes, bytes_per_s)]
+    # the first call may miss or hit; the second, shifted once more, hits the same entry
+    assert timing._memif_done_ns(schedule, lead_ns, size_bytes, bytes_per_s) == expected
+    later = [t + 12_345 for t in schedule]
+    assert timing._memif_done_ns(later, lead_ns, size_bytes, bytes_per_s) == [t + 12_345 for t in expected]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # small offsets repeat often, so equal announcements are common
+    offsets=st.lists(st.one_of(st.integers(0, 3), st.integers(0, 10**9)), min_size=1, max_size=12),
+    lead_ns=st.integers(0, 10**8),
+    size_bytes=st.one_of(st.integers(1, 2**20), st.integers(1, 2**52)),
+    bytes_per_s=st.one_of(st.floats(1e3, 1e11), st.integers(1, 10**11)),
+    shift=st.integers(0, 2**40),
+)
+def test_cached_schedule_equals_the_pool_loop(offsets, lead_ns, size_bytes, bytes_per_s, shift):
+    assert_cached_equals_uncached(offsets, lead_ns, size_bytes, bytes_per_s, shift)
+
+
+def _pulls(copy_bps, size_bytes, n_pulls):
+    # a SW publisher's pulls: one per copy slot, each an OSIF round trip after its copy
+    copy_ns = _bytes_ns(size_bytes, copy_bps)
+    return [slot * copy_ns for slot in range(n_pulls)]
+
+
+@pytest.mark.parametrize("shift", [0, 1, 8_334, 2**40])
+def test_cached_tie_cases(shift):
+    # the pull that starts on the nanosecond the pool drains (38334 ns), see above
+    memif = PlatformModel().memif_bandwidth_bytes_per_s
+    pulls = _pulls(PlatformModel().sw_copy_bandwidth_bytes_per_s, 10_000, 2)
+    assert_cached_equals_uncached(pulls, 30_000, 10_000, memif, shift)
+    assert timing._memif_done_ns([shift + t for t in pulls], 30_000, 10_000, memif) == [
+        shift + 38_334,
+        shift + 46_668,
+    ]
+    # the completion that must run before a tied start at 4.4e15 bytes, see above
+    size = 4_381_284_110_812_730
+    assert_cached_equals_uncached(_pulls(7e8, size, 4), _us_to_ns(16.667), size, 7e8, shift)
+
+
+def test_cached_answers_cannot_be_changed_by_a_caller():
+    first = timing._memif_done_ns([0, 100, 100], 500, 10_000, 1e9)
+    answer = list(first)
+    first[0] = -1
+    first.append(7)
+    assert timing._memif_done_ns([0, 100, 100], 500, 10_000, 1e9) == answer
+    assert isinstance(timing._memif_schedule((0, 100, 100), 500, 10_000, 1e9), tuple)
+
+
+def test_empty_schedule():
+    assert timing._memif_done_ns([], 0, 10_000, 1e9) == []
