@@ -23,10 +23,10 @@ Conventions baked into the paths:
   (readiness detection plus the response itself) where a plain delegate
   read needs one; that is the price of being able to abort it.
 
-Internally time is integer nanoseconds on a heap; all randomness flows
-from one seeded generator, so runs are reproducible event for event.
-The timing rules the engine charges with (nanosecond rounding, copy-slot
-order, the MEMIF pool) live in ``topomap.timing``.
+Internally time is integer nanoseconds; all randomness flows from one
+seeded generator, so runs are reproducible event for event. The timing
+rules (nanosecond rounding, copy-slot order, the MEMIF pool) and the
+``(time, seq)`` event loop the engine runs on live in ``topomap.timing``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ from .mapping import (
     topic_endpoints,
 )
 from .platform_model import MAX_SIZE_BYTES, MAX_TIME_US, PlatformModel
-from .timing import GW_READ, HW_PULL, NS_PER_US, _bytes_ns, _MemifPool, _us_to_ns, copy_order, gateway_ids
+from .timing import GW_READ, HW_PULL, NS_PER_US, _bytes_ns, _EventLoop, _us_to_ns, copy_order, gateway_ids
+from .timing import _MemifPool  # noqa: F401  the pool's tests import it from the engine
 
 # -- scenario documents ----------------------------------------------------
 
@@ -472,7 +473,7 @@ class _Route:
     actor: _GwActor | None
 
 
-class _Sim:
+class _Sim(_EventLoop):
     def __init__(
         self,
         graph: ComputationGraph,
@@ -483,6 +484,7 @@ class _Sim:
         jitter_pct: float | None = None,
         relays: dict[str, RelaySpec] | None = None,
     ):
+        super().__init__(platform.memif_bandwidth_bytes_per_s)
         self.graph = graph
         self.node_mapping = node_mapping
         self.comm_mapping = comm_mapping
@@ -491,10 +493,6 @@ class _Sim:
         # Random.uniform(a, b)'s own formula, a + (b - a) * random(), for a = -jitter, b = jitter
         self._jitter_lo, self._jitter_span = -jitter, jitter - -jitter
         self._random = random.Random(seed).random
-        self._heap: list = []
-        self._seq = 0
-        self.now_ns = 0
-        self.pool = _MemifPool(self, platform.memif_bandwidth_bytes_per_s)
         self._trace: list[TraceEvent] = []
         self._deliveries: list[Delivery] = []
         # (topic, seq) -> (publish time, the id every DELIVER row of that message shares)
@@ -527,11 +525,6 @@ class _Sim:
         return _Route(impl, tuple((slot, reader, take(reader, role)) for slot, (reader, role) in readers), endpoints, actor)
 
     # -- primitives --
-
-    def at(self, t_ns: int, fn, *args):
-        """Schedule ``fn(*args)`` at ``t_ns``; ties run in scheduling order."""
-        heapq.heappush(self._heap, (t_ns, self._seq, fn, args))
-        self._seq += 1
 
     def jit_ns(self, us: float) -> int:
         """``_us_to_ns`` of ``us`` scaled by one jitter draw; draws only when jitter is on."""
@@ -644,6 +637,8 @@ class _Sim:
     # -- run loop --
 
     def run(self, workload: tuple[WorkloadItem, ...]) -> SimResult:
+        # a relay republishes under its input's seq, so a workload item on its topic would reuse seqs
+        relayed = {relay.out_topic: node for node, relay in self._relays.items()}
         for item in workload:
             if item.publisher not in self.graph.nodes:
                 raise ScenarioError(f"workload publisher {item.publisher!r} is not a graph node")
@@ -651,22 +646,12 @@ class _Sim:
                 raise ScenarioError(
                     f"workload: {item.publisher!r} does not publish topic {item.topic!r}"
                 )
+            if item.topic in relayed:
+                raise ScenarioError(f"workload: topic {item.topic!r} is published by chain relay {relayed[item.topic]!r}")
             period_ns = _us_to_ns(item.period_us)
             for k in range(item.count):
                 self.at(period_ns * k, self.publish, item.publisher, item.topic, item.size_bytes)
-        heap, pool, pop = self._heap, self.pool, heapq.heappop
-        while True:
-            # the pool's completion is due before the heap head: same (time, seq) order as a heap event
-            due = pool.due
-            if heap and (due is None or heap[0] < due):
-                t, _, fn, args = pop(heap)
-                self.now_ns = t
-                fn(*args)
-            elif due is not None:
-                self.now_ns = due[0]
-                pool.complete()
-            else:
-                break
+        self.drain()
         return SimResult(self._trace, self._deliveries, self.pool.segments)
 
 
@@ -884,12 +869,17 @@ def chain_relays(graph: ComputationGraph, chain: list[str], compute_us: dict[str
     """Relay table for consecutive chain hops; returns (relays, first_topic, last_topic)."""
     if len(chain) < 2:
         raise ScenarioError("chain needs at least two nodes")
+    if len(set(chain)) < len(chain):
+        raise ScenarioError(f"chain names a node twice: {chain}")
     hop_topics = []
     for a, b in zip(chain, chain[1:]):
         shared = [t for t in graph.topic_ids() if a in graph.publishers_of(t) and b in graph.subscribers_of(t)]
         if not shared:
             raise ScenarioError(f"no topic connects {a!r} to {b!r}")
         hop_topics.append(shared[0])
+    if len(set(hop_topics)) < len(hop_topics):
+        # a relay would feed its own output back to itself or to an earlier hop
+        raise ScenarioError(f"chain repeats a hop topic: {hop_topics}")
     relays = {}
     for i, node in enumerate(chain[1:-1], start=1):
         relays[node] = RelaySpec(

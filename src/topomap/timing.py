@@ -7,10 +7,10 @@ take their copies in copy-slot order, and concurrent MEMIF transfers
 share one bandwidth pool.
 
 ``predict_latency_ns`` prices one isolated, jitter-free message from the
-same charges the engine schedules, without running the engine. It drives
-a real ``_MemifPool``, so MEMIF sharing and its ``(time, seq)`` tie order
-are stated only once, and it equals the engine's latency for every
-subscriber to the nanosecond.
+same charges the engine schedules, without running the engine. Engine
+and model both run on ``_EventLoop``, so MEMIF sharing and its
+``(time, seq)`` tie order are stated only once, and the model equals the
+engine's latency for every subscriber to the nanosecond.
 
 Calibration and the ``cost`` policy price the same few MEMIF schedules
 over and over, so each distinct schedule runs through the pool once and
@@ -74,7 +74,7 @@ def copy_order(endpoints: TopicEndpoints, impl: TopicImpl) -> list[tuple[str, st
     return readers
 
 
-# -- MEMIF bandwidth pool ---------------------------------------------------
+# -- the MEMIF bandwidth pool and the event loop that drives it -------------
 
 
 class _MemifPool:
@@ -90,11 +90,11 @@ class _MemifPool:
 
     The pool holds its one pending completion as ``due = (t_ns, seq)``
     rather than as a heap event, so a reschedule replaces it instead of
-    leaving a stale event behind. ``seq`` comes from the engine's counter,
-    and the run loop fires ``due`` when it precedes the heap head, so the
-    completion keeps its place in the engine's ``(time, seq)`` order.
-    ``sim`` is the engine, or any object with its two fields ``now_ns``
-    and ``_seq``. Every settled interval is recorded for throughput audits.
+    leaving a stale event behind. An ``_EventLoop`` drives it: ``seq``
+    comes from the loop's counter and ``drain`` fires ``due`` when it
+    precedes the heap head, keeping the completion in ``(time, seq)``
+    order. ``sim`` is the loop, or any object with ``now_ns`` and ``_seq``.
+    Every settled interval is recorded for throughput audits.
     """
 
     def __init__(self, sim, bytes_per_s: float):
@@ -148,17 +148,44 @@ class _MemifPool:
             fn(*args)
 
 
-# -- the latency model ---------------------------------------------------------
+class _EventLoop:
+    """Integer-nanosecond events in ``(time, seq)`` order, with one MEMIF pool.
 
+    ``seq`` counts every scheduling, so events at the same nanosecond run in
+    the order they were scheduled. The pool's pending completion takes its
+    ``seq`` from the same counter and runs when it precedes the heap head.
+    The engine is an event loop; the latency model replays its MEMIF
+    schedules on one.
+    """
 
-class _Clock:
-    """The two engine fields the pool reads: the time and the event counter."""
-
-    __slots__ = ("now_ns", "_seq")
-
-    def __init__(self):
+    def __init__(self, bytes_per_s: float):
         self.now_ns = 0
         self._seq = 0
+        self._heap: list = []
+        self.pool = _MemifPool(self, bytes_per_s)
+
+    def at(self, t_ns: int, fn, *args):
+        """Schedule ``fn(*args)`` at ``t_ns``; ties run in scheduling order."""
+        heapq.heappush(self._heap, (t_ns, self._seq, fn, args))
+        self._seq += 1
+
+    def drain(self):
+        """Run events until neither the heap nor the pool holds one."""
+        heap, pool, pop = self._heap, self.pool, heapq.heappop
+        while True:
+            due = pool.due
+            if heap and (due is None or heap[0] < due):
+                t, _, fn, args = pop(heap)
+                self.now_ns = t
+                fn(*args)
+            elif due is not None:
+                self.now_ns = due[0]
+                pool.complete()
+            else:
+                return
+
+
+# -- the latency model ---------------------------------------------------------
 
 
 def _memif_done_ns(announced_ns: list[int], lead_ns: int, size_bytes: int, bytes_per_s: float) -> list[int]:
@@ -179,38 +206,26 @@ def _memif_done_ns(announced_ns: list[int], lead_ns: int, size_bytes: int, bytes
 
 @functools.lru_cache(maxsize=256)
 def _memif_schedule(announced_ns: tuple[int, ...], lead_ns: int, size_bytes: int, bytes_per_s: float) -> tuple[int, ...]:
-    """``_memif_done_ns`` of one schedule, run through a real ``_MemifPool``.
+    """``_memif_done_ns`` of one schedule, replayed on the engine's event loop.
 
-    The announce and start events take their ``seq`` from the clock exactly
-    as the engine's do, so a start that falls on the nanosecond the pool
-    drains runs on the same side of that completion as it does in the engine.
+    Announcements and starts are scheduled on an ``_EventLoop`` as the
+    engine schedules them, so a start on the nanosecond the pool drains
+    runs on the same side of that completion as it does in the engine.
     """
-    clock = _Clock()
-    pool = _MemifPool(clock, bytes_per_s)
-    heap = [(t, j, j, False) for j, t in enumerate(announced_ns)]  # (t_ns, seq, transfer, started)
-    heapq.heapify(heap)
-    clock._seq = len(heap)
-    done = [0] * len(heap)
+    loop = _EventLoop(bytes_per_s)
+    pool, nbytes = loop.pool, float(size_bytes)
+    done = [0] * len(announced_ns)
 
     def finished(j):
-        done[j] = clock.now_ns
+        done[j] = loop.now_ns
 
-    nbytes = float(size_bytes)
-    while True:
-        due = pool.due
-        if heap and (due is None or heap[0] < due):
-            t, _, j, started = heapq.heappop(heap)
-            clock.now_ns = t
-            if started:
-                pool.start(nbytes, finished, j)
-            else:
-                heapq.heappush(heap, (t + lead_ns, clock._seq, j, True))
-                clock._seq += 1
-        elif due is not None:
-            clock.now_ns = due[0]
-            pool.complete()
-        else:
-            return tuple(done)
+    def announced(j):
+        loop.at(loop.now_ns + lead_ns, pool.start, nbytes, finished, j)
+
+    for j, t in enumerate(announced_ns):
+        loop.at(t, announced, j)
+    loop.drain()
+    return tuple(done)
 
 
 def predict_latency_ns(

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import json
 import random
+import signal
 import statistics
 
 import pytest
@@ -60,6 +62,19 @@ def quiet(publisher_kind, hw, sw, size, **kw):
     kw.setdefault("period_us", 1_000_000.0)
     kw.setdefault("seed", 0)
     return star_scenario(publisher_kind, hw, sw, size, jitter_pct=0.0, **kw)
+
+
+def software_graph(publishes, subscribes):
+    """An all-software graph of 1000-byte topics from (node, topic) and (topic, node) pairs."""
+    nodes = sorted({n for n, _ in publishes} | {n for _, n in subscribes})
+    doc = {
+        "nodes": [{"id": n} for n in nodes],
+        "topics": [{"id": t, "message_size_bytes": 1000, "publish_rate_hz": 30.0} for t in sorted({t for _, t in publishes})],
+        "publishes": [{"node": n, "topic": t} for n, t in publishes],
+        "subscribes": [{"topic": t, "node": n} for t, n in subscribes],
+        "node_mapping": {n: "SW" for n in nodes},
+    }
+    return parse_document(json.dumps(doc))
 
 
 def latencies(result, subscriber=None):
@@ -604,3 +619,40 @@ class TestChains:
         mean, stddev = run_chain_scenario(scn, PLATFORM, ["pub0", "sw_sub_1"])
         assert mean == pytest.approx(10.0 + 0.009 * S_10US)
         assert stddev == 0.0
+
+    def test_chain_naming_a_node_twice_is_rejected(self):
+        # B relays t1 -> t2 and t3 -> t4: one relay table entry would silently replace the other
+        graph, _ = software_graph(
+            [("A", "t1"), ("B", "t2"), ("C", "t3"), ("B", "t4")],
+            [("t1", "B"), ("t2", "C"), ("t3", "B"), ("t4", "D")],
+        )
+        with pytest.raises(ScenarioError, match="names a node twice"):
+            chain_relays(graph, ["A", "B", "C", "B", "D"], {})
+
+    def test_chain_repeating_a_hop_topic_is_rejected(self):
+        # C subscribes to and publishes t2, so as a relay it would feed itself without end
+        graph, mapping = software_graph([("A", "t1"), ("B", "t2"), ("C", "t2")], [("t1", "B"), ("t2", "C"), ("t2", "D")])
+        with pytest.raises(ScenarioError, match="repeats a hop topic"):
+            chain_relays(graph, ["A", "B", "C", "D"], {})
+        scn = Scenario(graph, mapping, (WorkloadItem("A", "t1"),), jitter_pct=0.0)
+        with pytest.raises(ScenarioError, match="repeats a hop topic"):
+            run_chain_scenario(scn, PLATFORM, ["A", "B", "C", "D"])
+
+    def test_workload_on_a_relayed_topic_is_rejected(self):
+        # X's t2#k and B's relayed t2#k would be one (topic, seq), so C would get t2#0 twice
+        graph, mapping = software_graph([("A", "t1"), ("B", "t2"), ("X", "t2")], [("t1", "B"), ("t2", "C")])
+        from_a = WorkloadItem("A", "t1", count=4, period_us=10_000.0)
+        scn = Scenario(graph, mapping, (from_a,), compute_us=(("B", 5000.0),), jitter_pct=0.0)
+        # each SMT hop is 10 + 0.009 * 1000 = 19 us
+        assert run_chain_scenario(scn, PLATFORM, ["A", "B", "C"]) == (19.0 + 5000.0 + 19.0, 0.0)
+        from_x = WorkloadItem("X", "t2", count=4, period_us=12_000.0)
+        with pytest.raises(ScenarioError, match="published by chain relay 'B'"):
+            run_chain_scenario(dataclasses.replace(scn, workload=(from_a, from_x)), PLATFORM, ["A", "B", "C"])
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM on this platform")
+def test_each_test_runs_under_an_alarm():
+    # a loop that stops advancing fails its own test instead of the whole run
+    remaining = signal.alarm(0)
+    signal.alarm(remaining)
+    assert 0 < remaining <= 120

@@ -7,10 +7,11 @@ exactly: there is no tolerance. The ``cost`` policy picks with this model,
 so on the regret grid its pick must be the faster simulated transport.
 """
 
+import heapq
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from topomap.mapping import CommMapping, MappingPolicy, TopicClass, TopicImpl, map_communication, topic_endpoints
@@ -210,3 +211,97 @@ def test_cached_answers_cannot_be_changed_by_a_caller():
 
 def test_empty_schedule():
     assert timing._memif_done_ns([], 0, 10_000, 1e9) == []
+
+
+# -- the shared event loop ------------------------------------------------------
+
+
+class _Clock:
+    """The two event-loop fields the pool reads: the time and the event counter."""
+
+    __slots__ = ("now_ns", "_seq")
+
+    def __init__(self):
+        self.now_ns = 0
+        self._seq = 0
+
+
+def reference_schedule(announced_ns, lead_ns, size_bytes, bytes_per_s):
+    """The oracle for ``_memif_schedule``: the same replay on a hand-built ``(t, seq, transfer, started)`` heap."""
+    clock = _Clock()
+    pool = timing._MemifPool(clock, bytes_per_s)
+    heap = [(t, j, j, False) for j, t in enumerate(announced_ns)]  # (t_ns, seq, transfer, started)
+    heapq.heapify(heap)
+    clock._seq = len(heap)
+    done = [0] * len(heap)
+
+    def finished(j):
+        done[j] = clock.now_ns
+
+    nbytes = float(size_bytes)
+    while True:
+        due = pool.due
+        if heap and (due is None or heap[0] < due):
+            t, _, j, started = heapq.heappop(heap)
+            clock.now_ns = t
+            if started:
+                pool.start(nbytes, finished, j)
+            else:
+                heapq.heappush(heap, (t + lead_ns, clock._seq, j, True))
+                clock._seq += 1
+        elif due is not None:
+            clock.now_ns = due[0]
+            pool.complete()
+        else:
+            return tuple(done)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # small offsets repeat often, so equal announcements are common
+    offsets=st.lists(st.one_of(st.integers(0, 3), st.integers(0, 10**9)), min_size=1, max_size=12),
+    lead_ns=st.integers(0, 10**8),
+    size_bytes=st.one_of(st.integers(1, 2**20), st.integers(1, 2**52)),
+    bytes_per_s=st.one_of(st.floats(1e3, 1e11), st.integers(1, 10**11)),
+)
+# the two tie cases of test_cached_tie_cases
+@example(_pulls(PlatformModel().sw_copy_bandwidth_bytes_per_s, 10_000, 2), 30_000, 10_000, PlatformModel().memif_bandwidth_bytes_per_s)
+@example(_pulls(7e8, 4_381_284_110_812_730, 4), _us_to_ns(16.667), 4_381_284_110_812_730, 7e8)
+def test_event_loop_replay_equals_the_reference_loop(offsets, lead_ns, size_bytes, bytes_per_s):
+    schedule = tuple(offsets)
+    assert uncached_schedule(schedule, lead_ns, size_bytes, bytes_per_s) == reference_schedule(
+        schedule, lead_ns, size_bytes, bytes_per_s
+    )
+
+
+def test_event_loop_runs_same_time_events_in_scheduling_order():
+    loop, ran = timing._EventLoop(1e9), []
+
+    def mark(name):
+        ran.append((loop.now_ns, name))
+
+    for name in "cab":
+        loop.at(50, mark, name)
+    loop.at(10, loop.at, 50, mark, "late")
+    loop.at(0, mark, "first")
+    loop.drain()
+    assert ran == [(0, "first"), (50, "c"), (50, "a"), (50, "b"), (50, "late")]
+
+
+@pytest.mark.parametrize("start_first", [True, False])
+def test_event_loop_runs_a_tied_pool_completion_by_seq(start_first):
+    # 1000 bytes at 1e9 B/s drain at 1000 ns; a heap event at that nanosecond runs
+    # after the completion exactly when it was scheduled after the pool's reschedule
+    loop, ran = timing._EventLoop(1e9), []
+
+    def heap_event():
+        ran.append(("heap", loop.now_ns))
+
+    if not start_first:
+        loop.at(1000, heap_event)
+    loop.at(0, loop.pool.start, 1000.0, lambda: ran.append(("pool", loop.now_ns)))
+    if start_first:
+        loop.at(0, lambda: loop.at(1000, heap_event))
+    loop.drain()
+    order = [("pool", 1000), ("heap", 1000)] if start_first else [("heap", 1000), ("pool", 1000)]
+    assert ran == order
