@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -262,27 +263,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _one_line_warnings():
+    """Print each warning as one ``warning:`` line, then restore the interpreter's format.
+
+    Only the format changes, so whoever records warnings still records them.
+    """
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
+    try:
+        yield
+    finally:
+        warnings.formatwarning = formatwarning
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (_InputError, GraphSyntaxError, PlatformSyntaxError, ScenarioError, TargetError,
-            FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
-    except (
-        DuplicateIdError,
-        UnknownEndpointError,
-        BadAnnotationError,
-        UnknownTopicError,
-        MappingError,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    with _one_line_warnings():
+        try:
+            return args.func(args)
+        except (_InputError, GraphSyntaxError, PlatformSyntaxError, ScenarioError, TargetError,
+                FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except json.JSONDecodeError as exc:
+            print(f"error: invalid JSON: {exc}", file=sys.stderr)
+            return 2
+        except (
+            DuplicateIdError,
+            UnknownEndpointError,
+            BadAnnotationError,
+            UnknownTopicError,
+            MappingError,
+            ValueError,
+        ) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -23,6 +23,10 @@ Conventions baked into the paths:
   (readiness detection plus the response itself) where a plain delegate
   read needs one; that is the price of being able to abort it.
 
+Each topic's route is plain data fixed when the engine starts: its
+software-side readers are ``copy_order``'s (reader id, role) pairs, and
+a fan-out serves each role in one branch, as the latency model prices it.
+
 Internally time is integer nanoseconds; all randomness flows from one
 seeded generator, so runs are reproducible event for event. The timing
 rules (nanosecond rounding, copy-slot order, the MEMIF pool) and the
@@ -32,21 +36,18 @@ rules (nanosecond rounding, copy-slot order, the MEMIF pool) and the
 from __future__ import annotations
 
 import csv
-import heapq
 import io
 import json
 import math
 import random
 import statistics
 from collections import Counter, deque
-from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
 from . import gateway as gw
-from .graph import ComputationGraph, NodeMapping, Placement, TopicSpec, parse_document
+from .graph import ComputationGraph, NodeMapping, Placement, TopicSpec, load_document
 from .mapping import (
     CommMapping,
     MappingPolicy,
@@ -57,7 +58,7 @@ from .mapping import (
     topic_endpoints,
 )
 from .platform_model import MAX_SIZE_BYTES, MAX_TIME_US, PlatformModel
-from .timing import GW_READ, HW_PULL, NS_PER_US, _bytes_ns, _EventLoop, _us_to_ns, copy_order, gateway_ids
+from .timing import HW_PULL, NS_PER_US, SW_SUB, _bytes_ns, _EventLoop, _us_to_ns, copy_order, gateway_ids
 from .timing import _MemifPool  # noqa: F401  the pool's tests import it from the engine
 
 # -- scenario documents ----------------------------------------------------
@@ -162,9 +163,7 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
     _known_keys(doc, _SCENARIO_KEYS, "scenario")
     if "graph" not in doc:
         raise ScenarioError("scenario: missing required key 'graph'")
-    graph_path = Path(base_dir) / _typed(doc["graph"], str, "graph")
-    with open(graph_path, "r", encoding="utf-8") as fh:
-        graph, node_mapping = parse_document(fh.read())
+    graph, node_mapping = load_document(Path(base_dir) / _typed(doc["graph"], str, "graph"))
     if node_mapping is None:
         raise ScenarioError(f"graph document {doc['graph']!r} has no node_mapping")
 
@@ -461,14 +460,14 @@ class RelaySpec:
 class _Route:
     """How one topic's messages travel, fixed when the engine starts.
 
-    ``readers`` are the software-side readers in reader-id order as
-    (copy slot, reader id, take); ``take(message, t_ready)`` schedules the
-    reader's share once its copy is ready.  ``endpoints.hw_subs`` are
-    served on the hardware side when the topic has one (HMT or GW).
+    ``readers`` are ``copy_order``'s (reader id, role) pairs: the
+    software-side readers in copy-slot order.  ``endpoints.hw_subs`` are
+    served on the hardware side when the topic has one (HMT or GW);
+    ``actor`` is the topic's gateway on GW, else None.
     """
 
     impl: TopicImpl
-    readers: tuple[tuple[int, str, Callable[[gw.Message, int], None]], ...]
+    readers: tuple[tuple[str, str], ...]
     endpoints: TopicEndpoints
     actor: _GwActor | None
 
@@ -486,8 +485,6 @@ class _Sim(_EventLoop):
     ):
         super().__init__(platform.memif_bandwidth_bytes_per_s)
         self.graph = graph
-        self.node_mapping = node_mapping
-        self.comm_mapping = comm_mapping
         self.platform = platform
         jitter = platform.jitter_pct if jitter_pct is None else jitter_pct
         # Random.uniform(a, b)'s own formula, a + (b - a) * random(), for a = -jitter, b = jitter
@@ -500,29 +497,17 @@ class _Sim(_EventLoop):
         self._next_msg_seq: dict[str, int] = {}
         self._relays = relays or {}
         check_topic_set(graph, comm_mapping)
-        self._routes = {topic_id: self._route(topic_id) for topic_id in graph.topic_ids()}
+        self._routes = {
+            topic_id: self._route(topic_endpoints(graph, node_mapping, topic_id), comm_mapping.impl_of(topic_id))
+            for topic_id in graph.topic_ids()
+        }
 
-    def _route(self, topic_id: str) -> _Route:
+    def _route(self, endpoints: TopicEndpoints, impl: TopicImpl) -> _Route:
         """Decide once how a topic's messages travel; rejects impossible mappings."""
-        impl = self.comm_mapping.impl_of(topic_id)
-        endpoints = topic_endpoints(self.graph, self.node_mapping, topic_id)
         endpoints.check(impl)
-
-        def later(fn):
-            return lambda m, t: self.at(t, fn, m)
-
         # on GW hardware subscribers listen on the HMT side, the gateway reads the SMT side
         actor = _GwActor(self, endpoints) if impl is TopicImpl.GW else None
-
-        def take(reader: str, role: str):
-            if role == HW_PULL:
-                return later(partial(self._delegate_pull, reader))
-            if role == GW_READ:
-                return later(actor.offer)
-            return partial(self.sw_take, reader)
-
-        readers = enumerate(copy_order(endpoints, impl))
-        return _Route(impl, tuple((slot, reader, take(reader, role)) for slot, (reader, role) in readers), endpoints, actor)
+        return _Route(impl, tuple(copy_order(endpoints, impl)), endpoints, actor)
 
     # -- primitives --
 
@@ -547,15 +532,10 @@ class _Sim(_EventLoop):
     def sw_take(self, subscriber: str, message: gw.Message, t_ready: int):
         """A software subscriber's copy is ready; software-side delivery follows."""
         t_deliver = t_ready + _us_to_ns(self.platform.sw_dds_latency_us(message.size_bytes))
-        self.deliver_at(t_deliver, message.topic, subscriber, message.seq)
+        self.at(t_deliver, self._deliver, message.topic, subscriber, message.seq)
 
     def trace(self, kind: str, message_id: str, endpoint: str):
         self._trace.append(_tuple_new(TraceEvent, (self.now_ns, kind, message_id, endpoint)))
-
-    def deliver_at(self, t_ns: int, topic: str, subscriber: str, seq: int):
-        # the hottest push: same entry as ``at``, one frame fewer
-        heapq.heappush(self._heap, (t_ns, self._seq, self._deliver, (topic, subscriber, seq)))
-        self._seq += 1
 
     def _deliver(self, topic: str, subscriber: str, seq: int):
         now = self.now_ns
@@ -594,18 +574,23 @@ class _Sim(_EventLoop):
             self.at(t_arrive, self._streams_arrived, route, message)
 
     def _smt_fanout(self, route: _Route, message: gw.Message, loaned: bool):
-        """Hand the message to every software-side reader.
+        """Hand the message to every software-side reader, by its ``copy_order`` role.
 
         ``loaned`` fan-out (hardware publications, already in main memory)
         reaches all readers at once; a software publisher copies serially,
         first reader free.
         """
         copy_ns = _bytes_ns(message.size_bytes, self.platform.sw_copy_bandwidth_bytes_per_s)
-        for slot, reader, take in route.readers:
+        for slot, (reader, role) in enumerate(route.readers):
             t_ready = self.now_ns if loaned else self.now_ns + slot * copy_ns
             if not loaned and slot > 0:
                 self.at(t_ready, self.trace, "SW_COPY", message.message_id, reader)
-            take(message, t_ready)
+            if role == SW_SUB:
+                self.sw_take(reader, message, t_ready)
+            elif role == HW_PULL:
+                self.at(t_ready, self._delegate_pull, reader, message)
+            else:  # the gateway's read
+                self.at(t_ready, route.actor.offer, message)
 
     def _delegate_pull(self, subscriber: str, message: gw.Message):
         """A hardware subscriber's delegate fetches its copy over MEMIF."""
@@ -617,13 +602,13 @@ class _Sim(_EventLoop):
 
     def _pulled(self, subscriber: str, message: gw.Message):
         self.trace("MEMIF_TRANSFER", message.message_id, subscriber)
-        self.deliver_at(self.now_ns, message.topic, subscriber, message.seq)
+        self.at(self.now_ns, self._deliver, message.topic, subscriber, message.seq)
 
     def hmt_arrival(self, message: gw.Message, subscriber: str):
         """A stream reached a hardware subscriber, which takes delivery after one OSIF round trip."""
         self.trace("HMT_TRANSFER", message.message_id, subscriber)
         dt = self.jit_ns(self.platform.osif_roundtrip_us)
-        self.deliver_at(self.now_ns + dt, message.topic, subscriber, message.seq)
+        self.at(self.now_ns + dt, self._deliver, message.topic, subscriber, message.seq)
 
     def _streams_arrived(self, route: _Route, message: gw.Message):
         """All streams of one message arrive together: the subscribers in order, then the tap."""
@@ -896,6 +881,9 @@ def run_chain_scenario(
     """End-to-end chain latency over the scenario workload: (mean, stddev) in us."""
     if not chain:
         raise ScenarioError("chain needs at least one node")
+    unknown = [node for node in chain if node not in scenario.graph.nodes]
+    if unknown:
+        raise ScenarioError(f"chain: {unknown} name no node of the graph")
     if len(chain) == 1:
         # degenerate chain: source and sink coincide, nothing traverses a topic
         return 0.0, 0.0

@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -238,6 +239,36 @@ class TestSimulate:
 
     def test_missing_scenario_file(self, tmp_path):
         assert run_cli("simulate", "--scenario", str(tmp_path / "none.json")) == 2
+
+    def test_missing_graph_file_is_input_error(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"graph": "none.json", "policy": "smt"}), encoding="utf-8")
+        assert run_cli("simulate", "--scenario", str(scenario)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and "none.json" in lines[0]
+
+    def test_dangling_topic_warning_is_one_line(self, tmp_path):
+        graph = _endpointless_graph(tmp_path)
+        scenario = tmp_path / "scenario.json"
+        doc = {"graph": graph.name, "policy": "smt", "workload": [{"publisher": "pub0", "topic": "t"}]}
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "topomap.cli", "simulate", "--scenario", str(scenario), "--stats", "-"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == "warning: topic 'orphan' has no endpoints\nsimulated 3 events, 1 deliveries\n"
+
+    def test_warning_format_is_restored(self, tmp_path, capsys):
+        graph = _endpointless_graph(tmp_path)
+        before = warnings.formatwarning
+        with pytest.warns(DanglingTopicWarning, match="orphan"):
+            assert run_cli("map", "--graph", str(graph), "--policy", "smt") == 0
+        assert warnings.formatwarning is before
 
     def test_policy_leaves_endpointless_topic_on_smt(self, tmp_path, capsys):
         graph = _endpointless_graph(tmp_path)

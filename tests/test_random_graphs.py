@@ -1,4 +1,4 @@
-"""Engine invariants on small random pub-sub graphs, not only on stars.
+"""Engine invariants, and the latency model's exactness, on small random pub-sub graphs.
 
 Graphs have up to six nodes and four topics; nodes may publish several
 topics and subscribe to their own.  Each topic gets a random transport
@@ -6,15 +6,17 @@ that is valid for its endpoints: HMT only when every endpoint is
 hardware, GW only when the endpoints are mixed, SMT always.
 """
 
+import dataclasses
 import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topomap.graph import ComputationGraph, DanglingTopicWarning, NodeMapping, Placement, TopicSpec
-from topomap.mapping import CommMapping, TopicImpl
+from topomap.mapping import CommMapping, TopicImpl, topic_endpoints
 from topomap.platform_model import PlatformModel
 from topomap.simulator import Scenario, WorkloadItem, simulate, trace_to_csv
+from topomap.timing import predict_latency_ns
 
 PLATFORM = PlatformModel()
 
@@ -86,3 +88,18 @@ def test_engine_invariants_on_random_graphs(scenario):
         assert nbytes <= (t1 - t0) * bps / 1e9 * (1 + 1e-9)
 
     assert trace_to_csv(simulate(scenario, PLATFORM)) == trace_to_csv(result)
+
+
+@given(scenarios(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_model_equals_engine_on_random_graphs(scenario, data):
+    # one message from one of a topic's publishers, alone in the graph
+    item = dataclasses.replace(data.draw(st.sampled_from(scenario.workload)), count=1)
+    scenario = dataclasses.replace(scenario, workload=(item,), jitter_pct=0.0)
+    size = item.size_bytes or scenario.graph.topic(item.topic).message_size_bytes
+    endpoints = topic_endpoints(scenario.graph, scenario.node_mapping, item.topic)
+    impl = scenario.comm_mapping.impl_of(item.topic)
+
+    predicted = predict_latency_ns(endpoints, item.publisher, impl, size, PLATFORM)
+    result = simulate(scenario, PLATFORM)
+    assert {d.subscriber: d.t_deliver_ns - d.t_pub_ns for d in result.deliveries} == predicted

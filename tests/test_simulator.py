@@ -606,6 +606,12 @@ class TestChains:
         scn = quiet("sw", 0, 1, S_10US)
         assert run_chain_scenario(scn, PLATFORM, ["pub0"]) == (0.0, 0.0)
 
+    def test_one_node_chain_naming_no_node_is_rejected(self, data_dir):
+        scn = load_scenario(data_dir / "chain_scenario.json")
+        with pytest.raises(ScenarioError, match="no_such_node"):
+            run_chain_scenario(scn, PLATFORM, ["no_such_node"])
+        assert run_chain_scenario(scn, PLATFORM, ["camera"]) == (0.0, 0.0)
+
     def test_degenerate_chains_rejected(self):
         scn = quiet("sw", 0, 1, S_10US)
         with pytest.raises(ScenarioError, match="at least one"):
