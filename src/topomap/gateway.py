@@ -17,8 +17,7 @@ transition table raises ``GatewayProtocolError``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field
 
 
 class Phase(enum.Enum):
@@ -40,10 +39,11 @@ class Message:
     seq: int
     topic: str
     size_bytes: int
+    # derived once: the engine reads it for every trace row of the message
+    message_id: str = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def message_id(self) -> str:
-        return f"{self.publisher_id}/{self.seq}"
+    def __post_init__(self):
+        object.__setattr__(self, "message_id", f"{self.publisher_id}/{self.seq}")
 
 
 # -- events ---------------------------------------------------------------
@@ -114,6 +114,9 @@ class Discard:
 
 Action = RequestSmtMessage | CancelSmtRequest | TransferToHmt | TransferToMain | PublishSmt | Discard
 
+# the argument-less actions are values, so every step shares one of each
+_REQUEST, _CANCEL = RequestSmtMessage(), CancelSmtRequest()
+
 
 class GatewayProtocolError(RuntimeError):
     """Event not legal in the current phase."""
@@ -177,36 +180,36 @@ def step(state: GatewayState, event: Event) -> tuple[GatewayState, list[Action]]
     phase = state.phase
 
     if phase is Phase.AWAIT_BUFFER and isinstance(event, BufferLocation):
-        return replace(state, phase=Phase.POLLING), [RequestSmtMessage()]
+        return GatewayState(state.own_smt_id, state.own_hmt_id, Phase.POLLING), [_REQUEST]
 
     if phase is Phase.POLLING and isinstance(event, DelegateResponse):
         m = event.message
         if filter_message(m, "SMT", state) is FilterDecision.ACCEPT:
             # passes through FWD_SMT_TO_HMT and back to POLLING
-            return state, [TransferToHmt(m), RequestSmtMessage()]
-        return state, [Discard(m), RequestSmtMessage()]
+            return state, [TransferToHmt(m), _REQUEST]
+        return state, [Discard(m), _REQUEST]
 
     if phase is Phase.POLLING and isinstance(event, HmtArrival):
         m = event.message
         if filter_message(m, "HMT", state) is FilterDecision.ACCEPT:
             # passes through FWD_HMT_TO_MAIN, then parks m until the cancel resolves
-            new = replace(state, phase=Phase.CANCELLING, held=m)
-            return new, [TransferToMain(m), CancelSmtRequest()]
+            new = GatewayState(state.own_smt_id, state.own_hmt_id, Phase.CANCELLING, m)
+            return new, [TransferToMain(m), _CANCEL]
         return state, [Discard(m)]
 
     if phase is Phase.CANCELLING and isinstance(event, CancelResult):
         held = state.held
         if held is None:  # pragma: no cover - unreachable via legal steps
             raise GatewayProtocolError(phase, event)
-        new = replace(state, phase=Phase.POLLING, held=None)
+        new = GatewayState(state.own_smt_id, state.own_hmt_id, Phase.POLLING)
         if event.message is None:
             # clean cancel: publish the parked message, reopen the read
-            return new, [PublishSmt(held), RequestSmtMessage()]
+            return new, [PublishSmt(held), _REQUEST]
         m2 = event.message
         if filter_message(m2, "SMT", state) is FilterDecision.ACCEPT:
             # the read raced the cancel; flush its response first
-            return new, [TransferToHmt(m2), PublishSmt(held), RequestSmtMessage()]
-        return new, [Discard(m2), PublishSmt(held), RequestSmtMessage()]
+            return new, [TransferToHmt(m2), PublishSmt(held), _REQUEST]
+        return new, [Discard(m2), PublishSmt(held), _REQUEST]
 
     raise GatewayProtocolError(phase, event)
 

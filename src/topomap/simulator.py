@@ -330,6 +330,9 @@ class SimResult:
 
 # -- gateway actor -----------------------------------------------------------
 
+# each action's trace kind, built once
+_ACTION_TRACE_KIND = {cls: f"GW_ACTION:{kind}" for cls, kind in gw._ACTION_KIND.items()}
+
 
 class _GwActor:
     """One gateway inside the simulation: its state machine and its reader on SMT.
@@ -398,7 +401,7 @@ class _GwActor:
             action = actions.popleft()
             message = getattr(action, "message", None)
             mid = "-" if message is None else message.message_id
-            sim.trace(f"GW_ACTION:{gw._ACTION_KIND[type(action)]}", mid, self.state.own_smt_id)
+            sim.trace(_ACTION_TRACE_KIND[type(action)], mid, self.state.own_smt_id)
             if isinstance(action, gw.RequestSmtMessage):
                 self._open = True
                 self._read()
@@ -542,10 +545,10 @@ class _Sim(_EventLoop):
         t_pub, delivery_id = self._pub_times[(topic, seq)]
         self._trace.append(_tuple_new(TraceEvent, (now, "DELIVER", delivery_id, subscriber)))
         self._deliveries.append(_tuple_new(Delivery, (topic, subscriber, seq, t_pub, now)))
-        relay = self._relays.get(subscriber)
-        if relay is not None and relay.in_topic == topic:
-            t_out = self.now_ns + _us_to_ns(relay.compute_us)
-            self.at(t_out, self.publish, subscriber, relay.out_topic, None, seq)
+        if self._relays:  # only chains relay
+            relay = self._relays.get(subscriber)
+            if relay is not None and relay.in_topic == topic:
+                self.at(now + _us_to_ns(relay.compute_us), self.publish, subscriber, relay.out_topic, None, seq)
 
     # -- publishing --
 
@@ -637,7 +640,11 @@ class _Sim(_EventLoop):
             for k in range(item.count):
                 self.at(period_ns * k, self.publish, item.publisher, item.topic, item.size_bytes)
         self.drain()
-        return SimResult(self._trace, self._deliveries, self.pool.segments)
+        result = SimResult(self._trace, self._deliveries, self.pool.segments)
+        # the pool and the gateways point back at the engine; dropping them
+        # lets reference counting free a finished engine without the cyclic collector
+        del self.pool, self._routes
+        return result
 
 
 def simulate(

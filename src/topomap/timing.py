@@ -28,8 +28,8 @@ tuples, so no caller can change a cached answer.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
+from heapq import heappop, heappush
 from operator import itemgetter
 
 from .topics import TopicEndpoints, TopicImpl
@@ -110,7 +110,7 @@ class _MemifPool:
     def start(self, nbytes: float, fn, *args):
         """Move ``nbytes`` through the pool, then call ``fn(*args)``."""
         self._settle()
-        heapq.heappush(self._tags, (self._v + nbytes, self._started, fn, args))
+        heappush(self._tags, (self._v + nbytes, self._started, fn, args))
         self._started += 1
         self._reschedule()
 
@@ -139,9 +139,16 @@ class _MemifPool:
         """Fire ``due``: finish every flow that has drained, in start order."""
         self._settle()
         tags, done = self._tags, self._v + 1e-6
+        # ``due`` is set, so a flow is active; the head's two children bound
+        # every other tag, so when neither has drained the head finishes alone
+        if tags[0][0] <= done and (len(tags) < 2 or min(tags[1:3])[0] > done):
+            _, _, fn, args = heappop(tags)
+            self._reschedule()
+            fn(*args)
+            return
         finished = []
         while tags and tags[0][0] <= done:
-            finished.append(heapq.heappop(tags)[1:])
+            finished.append(heappop(tags)[1:])
         finished.sort()
         self._reschedule()
         for _, fn, args in finished:
@@ -166,12 +173,13 @@ class _EventLoop:
 
     def at(self, t_ns: int, fn, *args):
         """Schedule ``fn(*args)`` at ``t_ns``; ties run in scheduling order."""
-        heapq.heappush(self._heap, (t_ns, self._seq, fn, args))
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (t_ns, seq, fn, args))
 
     def drain(self):
         """Run events until neither the heap nor the pool holds one."""
-        heap, pool, pop = self._heap, self.pool, heapq.heappop
+        heap, pool, pop = self._heap, self.pool, heappop
         while True:
             due = pool.due
             if heap and (due is None or heap[0] < due):

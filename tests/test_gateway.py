@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -48,6 +49,32 @@ class TestInit:
 
     def test_message_id(self):
         assert msg("pub", 17).message_id == "pub/17"
+
+
+class TestMessageValue:
+    """A message is a value: ``message_id`` derives from its fields and is no field of its own."""
+
+    def test_id_is_no_constructor_parameter(self):
+        with pytest.raises(TypeError):
+            gw.Message("a", 1, "t", 5, "a/1")
+        with pytest.raises(TypeError):
+            gw.Message(publisher_id="a", seq=1, topic="t", size_bytes=5, message_id="x")
+
+    def test_equal_messages_hash_equal(self):
+        a, b = gw.Message("a", 1, "t", 5), gw.Message("a", 1, "t", 5)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != gw.Message("a", 2, "t", 5)
+        assert len({a, b, gw.Message("a", 2, "t", 5)}) == 2
+
+    def test_repr_shows_the_constructor_fields(self):
+        assert repr(gw.Message("a", 1, "t", 5)) == "Message(publisher_id='a', seq=1, topic='t', size_bytes=5)"
+
+    @pytest.mark.parametrize("name", ["publisher_id", "seq", "message_id"])
+    def test_attributes_cannot_be_assigned(self, name):
+        m = gw.Message("a", 1, "t", 5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, name, "b/2")
+        assert m.message_id == "a/1"
 
 
 class TestFilter:

@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import itertools
 import json
 import random
 import signal
 import statistics
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from topomap.simulator import (
     TRACE_HEADER,
     WorkloadItem,
     _fanout_latencies,
+    _Sim,
     cell_times,
     chain_relays,
     compare_grid,
@@ -284,6 +287,23 @@ class TestInvariants:
                 assert discards == kinds.get("GW_ACTION:PUBLISH_SMT", 0) + kinds.get(
                     "GW_ACTION:TRANSFER_TO_HMT", 0
                 ), label
+
+    @pytest.mark.parametrize("publisher_kind", ["hw", "sw"])
+    def test_finished_engine_is_freed_without_the_cyclic_collector(self, publisher_kind):
+        scn = star_scenario(publisher_kind, 4, 2, S_10US, reps=50, period_us=100.0, seed=1, policy=CLASSIFYING)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            sim = _Sim(scn.graph, scn.node_mapping, scn.resolve_mapping(PLATFORM), PLATFORM, seed=scn.seed)
+            engine = weakref.ref(sim)
+            result = sim.run(scn.workload)
+            forwarded = "GW_ACTION:TRANSFER_TO_MAIN" if publisher_kind == "hw" else "GW_ACTION:TRANSFER_TO_HMT"
+            assert result.kind_counts()[forwarded] == 50  # every message crossed the gateway
+            del sim, result
+            assert engine() is None
+        finally:
+            if collecting:
+                gc.enable()
 
     def test_empty_workload_is_a_quiet_success(self):
         scn = dataclasses.replace(quiet("sw", 1, 1, S_1US), workload=())

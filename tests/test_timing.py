@@ -305,3 +305,25 @@ def test_event_loop_runs_a_tied_pool_completion_by_seq(start_first):
     loop.drain()
     order = [("pool", 1000), ("heap", 1000)] if start_first else [("heap", 1000), ("pool", 1000)]
     assert ran == order
+
+
+def test_pool_finishes_every_drained_flow_when_one_sits_behind_a_later_tag():
+    # At 1000 B/s one nanosecond moves 1e-6 bytes, so flows b and c, started a
+    # nanosecond apart, drain within the pool's 1e-6-byte tolerance of each
+    # other. Pushed in start order the tags heap as [a, b, c, d]; popping a
+    # leaves [b, d, c], so c has drained with the head b although its first child, d,
+    # has not. The nanoseconds are those of the exact rule in test_memif_pool.
+    offsets, size, bps = (0, 1_000, 1_001, 2_000), 1, 1000.0
+    loop, fired, tags_after_a = timing._EventLoop(bps), [], []
+
+    def finished(j):
+        fired.append((j, loop.now_ns))
+        if j == 0:
+            tags_after_a.extend(tag for tag, *_ in loop.pool._tags)
+
+    for j, t in enumerate(offsets):
+        loop.at(t, loop.pool.start, float(size), finished, j)
+    loop.drain()
+    assert len(tags_after_a) == 3 and tags_after_a[2] < tags_after_a[1]
+    assert fired == [(0, 3_996_666), (1, 3_999_666), (2, 3_999_666), (3, 4_000_000)]
+    assert [t for _, t in fired] == list(uncached_schedule(offsets, 0, size, bps))
