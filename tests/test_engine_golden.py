@@ -25,6 +25,7 @@ from topomap.simulator import (
     compare_to_csv,
     load_scenario,
     simulate,
+    star_graph,
     star_scenario,
     trace_to_csv,
 )
@@ -80,6 +81,75 @@ def test_packaged_chain_with_relays(data_dir, policy, digest):
     relays, _, _ = chain_relays(scenario.graph, CHAIN, dict(scenario.compute_us))
     result = simulate(replace(scenario, policy=policy), PLATFORM, relays=relays)
     assert result_digest(result) == digest
+
+
+@pytest.mark.parametrize(
+    "policy, digest",
+    [
+        (SMT, "391f2a78af46999f7124918b175fa38a2632078faef18a577984d18205b141fc"),
+        (GW, "31696ce1252e6a9cd7fa5e80fe75cc7eab887bcd54ec5646acc79b0941c2a497"),
+    ],
+    ids=["smt", "multi-hw-sub"],
+)
+def test_packaged_chain_with_zero_compute_relays(data_dir, policy, digest):
+    """Each relay republishes on the nanosecond its input is delivered."""
+    scenario = load_scenario(data_dir / "chain_scenario.json")
+    relays, _, _ = chain_relays(scenario.graph, CHAIN, {})
+    result = simulate(replace(scenario, policy=policy), PLATFORM, relays=relays)
+    assert result_digest(result) == digest
+
+
+def test_two_items_publish_on_the_same_nanosecond():
+    """Two topics, same period, no jitter: every publication ties with the other item's.
+
+    Ties run in the order the workload items are listed, and both topics'
+    pulls share the MEMIF pool.
+    """
+    hw, sw = Placement.HW, Placement.SW
+    placements = {"cam": hw, "ctl": sw, "hw_a": hw, "hw_b": hw, "sw_a": sw}
+    graph = ComputationGraph(
+        nodes=tuple(placements),
+        topics=(TopicSpec("img", 60_000, 10.0), TopicSpec("cmd", 30_000, 10.0)),
+        pub_edges=(("cam", "img"), ("ctl", "cmd")),
+        sub_edges=(("img", "hw_a"), ("img", "hw_b"), ("img", "sw_a"), ("cmd", "hw_a"), ("cmd", "hw_b")),
+    )
+    scenario = Scenario(
+        graph=graph,
+        node_mapping=NodeMapping(tuple(placements.items())),
+        workload=(WorkloadItem("cam", "img", 30, 80.0), WorkloadItem("ctl", "cmd", 30, 80.0)),
+        seed=2,
+        comm_mapping=CommMapping((("img", TopicImpl.SMT), ("cmd", TopicImpl.SMT))),
+        jitter_pct=0.0,
+    )
+    digest = "696a7a64c1dbfd5a6ced17627912b6a2f9a7acc717f807edbbe25932e1f73b28"
+    assert result_digest(simulate(scenario, PLATFORM)) == digest
+
+
+def test_zero_period_publishes_everything_at_once():
+    scenario = star_scenario("sw", 6, 3, 50_000, 25, 0.0, 6, policy=SMT)
+    digest = "3f0bf0270f9ff0f853898b8863010c3e5681991b77f1c16eab19b3a7c810b449"
+    assert result_digest(simulate(scenario, PLATFORM)) == digest
+
+
+@pytest.mark.parametrize(
+    "policy, digest",
+    [
+        (SMT, "0706ea5932731972f9709b757d069527f024beec63e0e3abb87de49dc241c319"),
+        (GW, "90b70ad58d0133f115f18609799328a25b34706e2c43809d7d0e6699503865cc"),
+    ],
+    ids=["smt", "multi-hw-sub"],
+)
+def test_workload_size_overrides_the_topic_size(policy, digest):
+    """A software publisher's 37 kB messages on a topic declared at 100 kB."""
+    graph, node_mapping = star_graph("sw", 5, 3, 100_000)
+    scenario = Scenario(
+        graph=graph,
+        node_mapping=node_mapping,
+        workload=(WorkloadItem("pub0", "t0", 30, 400.0, size_bytes=37_000),),
+        seed=7,
+        policy=policy,
+    )
+    assert result_digest(simulate(scenario, PLATFORM)) == digest
 
 
 def test_compare_grid_csv(data_dir):
