@@ -43,6 +43,7 @@ import random
 import statistics
 from collections import Counter, deque
 from dataclasses import dataclass, replace
+from heapq import heappush
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
@@ -425,11 +426,10 @@ class _GwActor:
     def _read_to_hmt(self, m: gw.Message):
         sim = self._sim
         sim.trace("MEMIF_TRANSFER", m.message_id, self.state.own_smt_id)
-        sim.at(sim.now_ns + _bytes_ns(m.size_bytes, sim.platform.hmt_bandwidth_bytes_per_s), self._streamed, m)
+        sim.at(sim.now_ns + sim._hmt_ns[m.size_bytes], self._streamed, m)
 
     def _streamed(self, m: gw.Message):
-        for sub in self.endpoints.hw_subs:
-            self._sim.hmt_arrival(m, sub)
+        self._sim.hmt_arrival(m, self.endpoints.hw_subs)
         # own transfer loops back through the tap under the gateway's identity
         self._queue.append(gw.HmtArrival(gw.Message(self.state.own_hmt_id, m.seq, m.topic, m.size_bytes)))
         self._next()
@@ -457,6 +457,22 @@ class RelaySpec:
     in_topic: str
     out_topic: str
     compute_us: float
+
+
+class _PerSize(dict):
+    """One charge per message size, computed on first use.
+
+    Keyed by size, not by topic: a workload item's ``size_bytes`` overrides
+    its topic's declared size.
+    """
+
+    def __init__(self, charge):
+        super().__init__()
+        self._charge = charge
+
+    def __missing__(self, size: int) -> int:
+        ns = self[size] = self._charge(size)
+        return ns
 
 
 @dataclass(frozen=True)
@@ -499,6 +515,9 @@ class _Sim(_EventLoop):
         self._pub_times: dict[tuple[str, int], tuple[int, str]] = {}
         self._next_msg_seq: dict[str, int] = {}
         self._relays = relays or {}
+        self._dds_ns = _PerSize(lambda size: _us_to_ns(platform.sw_dds_latency_us(size)))
+        self._copy_ns = _PerSize(lambda size: _bytes_ns(size, platform.sw_copy_bandwidth_bytes_per_s))
+        self._hmt_ns = _PerSize(lambda size: _bytes_ns(size, platform.hmt_bandwidth_bytes_per_s))
         check_topic_set(graph, comm_mapping)
         self._routes = {
             topic_id: self._route(topic_endpoints(graph, node_mapping, topic_id), comm_mapping.impl_of(topic_id))
@@ -513,6 +532,11 @@ class _Sim(_EventLoop):
         return _Route(impl, tuple(copy_order(endpoints, impl)), endpoints, actor)
 
     # -- primitives --
+    #
+    # The per-hop methods below push onto the heap with the ``seq`` counter
+    # and append trace rows themselves, and draw jitter inline with
+    # ``jit_ns``'s float operations in its order; ``at``, ``trace`` and
+    # ``jit_ns`` serve the cold paths and the gateway actor.
 
     def jit_ns(self, us: float) -> int:
         """``_us_to_ns`` of ``us`` scaled by one jitter draw; draws only when jitter is on."""
@@ -534,8 +558,10 @@ class _Sim(_EventLoop):
 
     def sw_take(self, subscriber: str, message: gw.Message, t_ready: int):
         """A software subscriber's copy is ready; software-side delivery follows."""
-        t_deliver = t_ready + _us_to_ns(self.platform.sw_dds_latency_us(message.size_bytes))
-        self.at(t_deliver, self._deliver, message.topic, subscriber, message.seq)
+        seq = self._seq
+        self._seq = seq + 1
+        t_deliver = t_ready + self._dds_ns[message.size_bytes]
+        heappush(self._heap, (t_deliver, seq, self._deliver, (message.topic, subscriber, message.seq)))
 
     def trace(self, kind: str, message_id: str, endpoint: str):
         self._trace.append(_tuple_new(TraceEvent, (self.now_ns, kind, message_id, endpoint)))
@@ -558,12 +584,22 @@ class _Sim(_EventLoop):
         if seq is None:
             seq = self._next_msg_seq.get(topic_id, 0)
             self._next_msg_seq[topic_id] = seq + 1
-        self._pub_times[(topic_id, seq)] = (self.now_ns, f"{topic_id}#{seq}")
+        now = self.now_ns
+        self._pub_times[(topic_id, seq)] = (now, f"{topic_id}#{seq}")
         message = gw.Message(publisher, seq, topic_id, size)
-        self.trace("PUBLISH", message.message_id, publisher)
+        self._trace.append(_tuple_new(TraceEvent, (now, "PUBLISH", message.message_id, publisher)))
         if publisher in route.endpoints.hw_pubs:
-            dt = self.jit_ns(self.platform.osif_roundtrip_us) + self.jit_ns(self.platform.delegate_publish_us)
-            self.at(self.now_ns + dt, self._from_hw, route, message)
+            # one OSIF round trip, then one delegate publish: two draws, in that order
+            platform, lo, span = self.platform, self._jitter_lo, self._jitter_span
+            osif = delegate = 1.0
+            if span > 0:
+                osif += lo + span * self._random()
+                delegate += lo + span * self._random()
+            dt = int(round(platform.osif_roundtrip_us * osif * NS_PER_US))
+            dt += int(round(platform.delegate_publish_us * delegate * NS_PER_US))
+            heap_seq = self._seq
+            self._seq = heap_seq + 1
+            heappush(self._heap, (now + dt, heap_seq, self._from_hw, (route, message)))
         else:
             self._smt_fanout(route, message, loaned=False)
 
@@ -573,8 +609,10 @@ class _Sim(_EventLoop):
             self._smt_fanout(route, message, loaned=True)
         else:
             # one stream per hardware subscriber, plus the gateway's tap; streams share no bandwidth
-            t_arrive = self.now_ns + _bytes_ns(message.size_bytes, self.platform.hmt_bandwidth_bytes_per_s)
-            self.at(t_arrive, self._streams_arrived, route, message)
+            seq = self._seq
+            self._seq = seq + 1
+            t_arrive = self.now_ns + self._hmt_ns[message.size_bytes]
+            heappush(self._heap, (t_arrive, seq, self._streams_arrived, (route, message)))
 
     def _smt_fanout(self, route: _Route, message: gw.Message, loaned: bool):
         """Hand the message to every software-side reader, by its ``copy_order`` role.
@@ -583,46 +621,82 @@ class _Sim(_EventLoop):
         reaches all readers at once; a software publisher copies serially,
         first reader free.
         """
-        copy_ns = _bytes_ns(message.size_bytes, self.platform.sw_copy_bandwidth_bytes_per_s)
+        heap, now, size = self._heap, self.now_ns, message.size_bytes
+        copy_ns = 0 if loaned else self._copy_ns[size]
+        seq = self._seq
         for slot, (reader, role) in enumerate(route.readers):
-            t_ready = self.now_ns if loaned else self.now_ns + slot * copy_ns
-            if not loaned and slot > 0:
-                self.at(t_ready, self.trace, "SW_COPY", message.message_id, reader)
+            t_ready = now + slot * copy_ns
+            if slot and not loaned:
+                heappush(heap, (t_ready, seq, self.trace, ("SW_COPY", message.message_id, reader)))
+                seq += 1
             if role == SW_SUB:
-                self.sw_take(reader, message, t_ready)
+                args = (message.topic, reader, message.seq)
+                heappush(heap, (t_ready + self._dds_ns[size], seq, self._deliver, args))
             elif role == HW_PULL:
-                self.at(t_ready, self._delegate_pull, reader, message)
+                heappush(heap, (t_ready, seq, self._delegate_pull, (reader, message)))
             else:  # the gateway's read
-                self.at(t_ready, route.actor.offer, message)
+                heappush(heap, (t_ready, seq, route.actor.offer, (message,)))
+            seq += 1
+        self._seq = seq
 
     def _delegate_pull(self, subscriber: str, message: gw.Message):
-        """A hardware subscriber's delegate fetches its copy over MEMIF."""
-        dt = self.jit_ns(self.platform.osif_roundtrip_us)
-        self.at(self.now_ns + dt, self._start_pull, subscriber, message)
+        """A hardware subscriber's delegate fetches its copy over MEMIF after one OSIF round trip."""
+        factor = 1.0
+        if self._jitter_span > 0:
+            factor += self._jitter_lo + self._jitter_span * self._random()
+        seq = self._seq
+        self._seq = seq + 1
+        t = self.now_ns + int(round(self.platform.osif_roundtrip_us * factor * NS_PER_US))
+        heappush(self._heap, (t, seq, self._start_pull, (subscriber, message)))
 
     def _start_pull(self, subscriber: str, message: gw.Message):
-        self.pool.start(self.jit_bytes(message.size_bytes), self._pulled, subscriber, message)
+        factor = 1.0  # ``jit_bytes``
+        if self._jitter_span > 0:
+            factor += self._jitter_lo + self._jitter_span * self._random()
+        self.pool.start(message.size_bytes * factor, self._pulled, subscriber, message)
 
     def _pulled(self, subscriber: str, message: gw.Message):
-        self.trace("MEMIF_TRANSFER", message.message_id, subscriber)
-        self.at(self.now_ns, self._deliver, message.topic, subscriber, message.seq)
+        now = self.now_ns
+        self._trace.append(_tuple_new(TraceEvent, (now, "MEMIF_TRANSFER", message.message_id, subscriber)))
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (now, seq, self._deliver, (message.topic, subscriber, message.seq)))
 
-    def hmt_arrival(self, message: gw.Message, subscriber: str):
-        """A stream reached a hardware subscriber, which takes delivery after one OSIF round trip."""
-        self.trace("HMT_TRANSFER", message.message_id, subscriber)
-        dt = self.jit_ns(self.platform.osif_roundtrip_us)
-        self.at(self.now_ns + dt, self._deliver, message.topic, subscriber, message.seq)
+    def hmt_arrival(self, message: gw.Message, subscribers: tuple[str, ...]):
+        """A stream reached each hardware subscriber, in order; each takes delivery after one OSIF round trip."""
+        heap, trace, now, mid = self._heap, self._trace, self.now_ns, message.message_id
+        osif_us, lo, span = self.platform.osif_roundtrip_us, self._jitter_lo, self._jitter_span
+        seq = self._seq
+        for sub in subscribers:
+            trace.append(_tuple_new(TraceEvent, (now, "HMT_TRANSFER", mid, sub)))
+            factor = 1.0
+            if span > 0:
+                factor += lo + span * self._random()
+            t = now + int(round(osif_us * factor * NS_PER_US))
+            heappush(heap, (t, seq, self._deliver, (message.topic, sub, message.seq)))
+            seq += 1
+        self._seq = seq
 
     def _streams_arrived(self, route: _Route, message: gw.Message):
         """All streams of one message arrive together: the subscribers in order, then the tap."""
-        for sub in route.endpoints.hw_subs:
-            self.hmt_arrival(message, sub)
+        self.hmt_arrival(message, route.endpoints.hw_subs)
         actor = route.actor
         if actor is not None:
             self.trace("HMT_TRANSFER", message.message_id, actor.state.own_hmt_id)
             actor.post(gw.HmtArrival(message))
 
     # -- run loop --
+
+    def _publish_next(self, item: WorkloadItem, period_ns: int, first: int, seqs):
+        """Publish the item's next message, after pushing the one after it.
+
+        Publication ``k`` runs at ``period_ns * k`` under seq ``first + k``:
+        the key it would have had if every publication were pushed up front.
+        """
+        seq = next(seqs, None)
+        if seq is not None:
+            heappush(self._heap, (period_ns * (seq - first), seq, self._publish_next, (item, period_ns, first, seqs)))
+        self.publish(item.publisher, item.topic, item.size_bytes)
 
     def run(self, workload: tuple[WorkloadItem, ...]) -> SimResult:
         # a relay republishes under its input's seq, so a workload item on its topic would reuse seqs
@@ -636,9 +710,15 @@ class _Sim(_EventLoop):
                 )
             if item.topic in relayed:
                 raise ScenarioError(f"workload: topic {item.topic!r} is published by chain relay {relayed[item.topic]!r}")
-            period_ns = _us_to_ns(item.period_us)
-            for k in range(item.count):
-                self.at(period_ns * k, self.publish, item.publisher, item.topic, item.size_bytes)
+        # each item's publications take the next ``count`` seqs, in item order; only
+        # an item's next publication waits on the heap, at the seq reserved for it
+        first = self._seq
+        self._seq += sum(item.count for item in workload)
+        for item in workload:
+            if item.count:
+                seqs = iter(range(first + 1, first + item.count))
+                heappush(self._heap, (0, first, self._publish_next, (item, _us_to_ns(item.period_us), first, seqs)))
+            first += item.count
         self.drain()
         result = SimResult(self._trace, self._deliveries, self.pool.segments)
         # the pool and the gateways point back at the engine; dropping them

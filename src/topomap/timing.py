@@ -18,7 +18,7 @@ is then looked up. The key is the schedule shifted to start at 0 (its
 announce offsets from the first announcement, the lead, the size and the
 bandwidth), and the first announcement is added back to every cached
 completion. The shift is exact: the pool reads only time differences
-(``_settle``, ``_reschedule``), its ``V`` rebases when it drains, and a
+when it settles and reschedules, its ``V`` rebases when it drains, and a
 constant shift keeps every ``(time, seq)`` order, so the float
 arithmetic sees the same operands. The cache holds 256 schedules, more
 than the 82 one fit of the packaged targets needs; its entries are
@@ -107,50 +107,52 @@ class _MemifPool:
         self.due: tuple[int, int] | None = None
         self.segments: list[tuple[int, int, int, float]] = []
 
+    # ``start`` and ``complete`` settle (advance ``V`` to now, recording the
+    # interval) and reschedule (set ``due`` from the smallest tag) inline,
+    # each with the same float operations in the same order
+
     def start(self, nbytes: float, fn, *args):
         """Move ``nbytes`` through the pool, then call ``fn(*args)``."""
-        self._settle()
-        heappush(self._tags, (self._v + nbytes, self._started, fn, args))
-        self._started += 1
-        self._reschedule()
-
-    def _settle(self):
-        now = self._sim.now_ns
+        sim, tags = self._sim, self._tags
+        now, n = sim.now_ns, len(tags)
         dt = now - self._last_t
-        n = len(self._tags)
         if dt > 0 and n:
             share = self._bps * dt / 1e9 / n
             self._v += share
             self.segments.append((self._last_t, now, n, share * n))
         self._last_t = now
-
-    def _reschedule(self):
-        tags = self._tags
-        if not tags:
-            self.due = None
-            self._v = 0.0
-            return
-        dt_ns = math.ceil(max(tags[0][0] - self._v, 0.0) * len(tags) * 1e9 / self._bps)
-        sim = self._sim
-        self.due = (sim.now_ns + dt_ns, sim._seq)
-        sim._seq += 1
+        v = self._v
+        heappush(tags, (v + nbytes, self._started, fn, args))
+        self._started += 1
+        seq = sim._seq
+        self.due = (now + math.ceil(max(tags[0][0] - v, 0.0) * (n + 1) * 1e9 / self._bps), seq)
+        sim._seq = seq + 1
 
     def complete(self):
         """Fire ``due``: finish every flow that has drained, in start order."""
-        self._settle()
-        tags, done = self._tags, self._v + 1e-6
-        # ``due`` is set, so a flow is active; the head's two children bound
-        # every other tag, so when neither has drained the head finishes alone
-        if tags[0][0] <= done and (len(tags) < 2 or min(tags[1:3])[0] > done):
-            _, _, fn, args = heappop(tags)
-            self._reschedule()
-            fn(*args)
-            return
-        finished = []
-        while tags and tags[0][0] <= done:
-            finished.append(heappop(tags)[1:])
-        finished.sort()
-        self._reschedule()
+        sim, tags = self._sim, self._tags
+        now, n = sim.now_ns, len(tags)  # ``due`` is set, so a flow is active
+        dt = now - self._last_t
+        if dt > 0:
+            share = self._bps * dt / 1e9 / n
+            self._v += share
+            self.segments.append((self._last_t, now, n, share * n))
+        self._last_t = now
+        done = self._v + 1e-6
+        # the head's two children bound every other tag, so when neither has drained the head finishes alone
+        if tags[0][0] <= done and (n < 2 or tags[1][0] > done) and (n < 3 or tags[2][0] > done):
+            finished = [heappop(tags)[1:]]
+        else:
+            finished = []
+            while tags and tags[0][0] <= done:
+                finished.append(heappop(tags)[1:])
+            finished.sort()
+        if tags:
+            seq = sim._seq
+            self.due = (now + math.ceil(max(tags[0][0] - self._v, 0.0) * len(tags) * 1e9 / self._bps), seq)
+            sim._seq = seq + 1
+        else:  # drained: ``V`` rebases
+            self.due, self._v = None, 0.0
         for _, fn, args in finished:
             fn(*args)
 
@@ -233,6 +235,8 @@ def _memif_schedule(announced_ns: tuple[int, ...], lead_ns: int, size_bytes: int
     for j, t in enumerate(announced_ns):
         loop.at(t, announced, j)
     loop.drain()
+    # the pool points back at the loop; dropping it lets reference counting free both
+    del loop.pool
     return tuple(done)
 
 

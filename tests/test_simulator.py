@@ -19,6 +19,7 @@ from topomap.mapping import (
     TopicImpl,
     count_boundary_crossings,
     map_communication,
+    topic_endpoints,
 )
 from topomap.platform_model import PlatformModel
 from topomap.simulator import (
@@ -46,6 +47,7 @@ from topomap.simulator import (
     stats_to_csv,
     trace_to_csv,
 )
+from topomap.timing import predict_latency_ns
 
 PLATFORM = PlatformModel()
 
@@ -248,6 +250,45 @@ class TestTraceOutput:
         assert row["max_us"] == max(lats)
         expected_std = statistics.stdev(lats) if len(lats) > 1 else 0.0
         assert row["stddev_us"] == pytest.approx(expected_std)
+
+
+class TestEngineCosts:
+    """What the engine keeps and computes per event, beyond the timings themselves."""
+
+    def test_heap_holds_only_in_flight_events(self):
+        # the next publication waits on the heap, the other 1998 do not
+        class HeapAtPublish(_Sim):
+            def publish(self, *args):
+                heap_sizes.append(len(self._heap))
+                super().publish(*args)
+
+        heap_sizes = []
+        scn = star_scenario("sw", 1, 0, S_10US, reps=2000, period_us=100.0, seed=1, policy=SMT)
+        sim = HeapAtPublish(scn.graph, scn.node_mapping, scn.resolve_mapping(PLATFORM), PLATFORM, seed=scn.seed)
+        result = sim.run(scn.workload)
+        assert len(result.deliveries) == len(heap_sizes) == 2000
+        assert max(heap_sizes) < 10
+
+    @pytest.mark.parametrize("impl", [TopicImpl.SMT, TopicImpl.GW])
+    @pytest.mark.parametrize("publisher_kind", ["hw", "sw"])
+    def test_charges_follow_the_workload_size(self, publisher_kind, impl):
+        """A workload ``size_bytes`` overrides the topic's size in every charge of every path."""
+        graph, node_mapping = star_graph(publisher_kind, 3, 2, S_100US)
+        size = 37_000
+        scn = Scenario(
+            graph=graph,
+            node_mapping=node_mapping,
+            workload=(WorkloadItem("pub0", "t0", count=4, period_us=1_000_000.0, size_bytes=size),),
+            comm_mapping=CommMapping((("t0", impl),)),
+            jitter_pct=0.0,
+        )
+        endpoints = topic_endpoints(graph, node_mapping, "t0")
+        expected = predict_latency_ns(endpoints, "pub0", impl, size, PLATFORM)
+        assert expected != predict_latency_ns(endpoints, "pub0", impl, S_100US, PLATFORM)
+        result = simulate(scn, PLATFORM)
+        assert len(result.deliveries) == 4 * len(expected)
+        for d in result.deliveries:
+            assert d.t_deliver_ns - d.t_pub_ns == expected[d.subscriber], d
 
 
 class TestInvariants:

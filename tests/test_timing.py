@@ -7,7 +7,9 @@ exactly: there is no tolerance. The ``cost`` policy picks with this model,
 so on the regret grid its pick must be the faster simulated transport.
 """
 
+import gc
 import heapq
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -327,3 +329,22 @@ def test_pool_finishes_every_drained_flow_when_one_sits_behind_a_later_tag():
     assert len(tags_after_a) == 3 and tags_after_a[2] < tags_after_a[1]
     assert fired == [(0, 3_996_666), (1, 3_999_666), (2, 3_999_666), (3, 4_000_000)]
     assert [t for _, t in fired] == list(uncached_schedule(offsets, 0, size, bps))
+
+
+def test_replay_loop_is_freed_without_the_cyclic_collector(monkeypatch):
+    loops = []
+
+    class RecordedLoop(timing._EventLoop):
+        def __init__(self, bytes_per_s):
+            super().__init__(bytes_per_s)
+            loops.append(weakref.ref(self))
+
+    monkeypatch.setattr(timing, "_EventLoop", RecordedLoop)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        assert uncached_schedule((0, 10, 20), 100, 1000, 1e9) == (3075, 3095, 3100)
+        assert len(loops) == 1 and loops[0]() is None
+    finally:
+        if collecting:
+            gc.enable()
