@@ -283,7 +283,7 @@ def main(argv=None) -> int:
         try:
             return args.func(args)
         except (_InputError, GraphSyntaxError, PlatformSyntaxError, ScenarioError, TargetError,
-                FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+                FileNotFoundError, IsADirectoryError, PermissionError, UnicodeDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except json.JSONDecodeError as exc:

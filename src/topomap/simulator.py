@@ -60,7 +60,6 @@ from .mapping import (
 )
 from .platform_model import MAX_SIZE_BYTES, MAX_TIME_US, PlatformModel
 from .timing import HW_PULL, NS_PER_US, SW_SUB, _bytes_ns, _EventLoop, _us_to_ns, copy_order, gateway_ids
-from .timing import _MemifPool  # noqa: F401  the pool's tests import it from the engine
 
 # -- scenario documents ----------------------------------------------------
 

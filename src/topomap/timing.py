@@ -28,6 +28,7 @@ tuples, so no caller can change a cached answer.
 from __future__ import annotations
 
 import functools
+import gc
 import math
 from heapq import heappop, heappush
 from operator import itemgetter
@@ -164,7 +165,9 @@ class _EventLoop:
     the order they were scheduled. The pool's pending completion takes its
     ``seq`` from the same counter and runs when it precedes the heap head.
     The engine is an event loop; the latency model replays its MEMIF
-    schedules on one.
+    schedules on one. ``drain`` pauses the cyclic garbage collector: a run
+    makes no reference cycles, but its trace rows outlive it as tracked
+    tuples that the collector would keep rescanning.
     """
 
     def __init__(self, bytes_per_s: float):
@@ -180,19 +183,29 @@ class _EventLoop:
         heappush(self._heap, (t_ns, seq, fn, args))
 
     def drain(self):
-        """Run events until neither the heap nor the pool holds one."""
+        """Run events until neither the heap nor the pool holds one.
+
+        The cyclic collector is off while the loop runs and is switched
+        back on afterwards, even if a handler raises, only if it was on.
+        """
         heap, pool, pop = self._heap, self.pool, heappop
-        while True:
-            due = pool.due
-            if heap and (due is None or heap[0] < due):
-                t, _, fn, args = pop(heap)
-                self.now_ns = t
-                fn(*args)
-            elif due is not None:
-                self.now_ns = due[0]
-                pool.complete()
-            else:
-                return
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            while True:
+                due = pool.due
+                if heap and (due is None or heap[0] < due):
+                    t, _, fn, args = pop(heap)
+                    self.now_ns = t
+                    fn(*args)
+                elif due is not None:
+                    self.now_ns = due[0]
+                    pool.complete()
+                else:
+                    return
+        finally:
+            if collecting:
+                gc.enable()
 
 
 # -- the latency model ---------------------------------------------------------

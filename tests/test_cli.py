@@ -513,6 +513,28 @@ class TestGraphValidation:
         _one_line_error(capsys, field)
 
 
+class TestUndecodableDocument:
+    """A document that is not valid UTF-8 is an input error (exit 2, one line)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "--graph", "{bad}", "--policy", "cost"],
+            ["map", "--graph", "graph.json", "--policy", "cost", "--platform", "{bad}"],
+            ["simulate", "--scenario", "{bad}"],
+            ["calibrate", "--targets", "{bad}"],
+            ["report", "--in", "{bad}", "--out-dir", "out"],
+        ],
+        ids=["map-graph", "map-platform", "simulate-scenario", "calibrate-targets", "report-in"],
+    )
+    def test_rejected_with_one_line_error(self, workdir, capsys, monkeypatch, argv):
+        monkeypatch.chdir(workdir)
+        (workdir / "bad.json").write_bytes(b"\xff\xfe{}")
+        assert run_cli(*(arg.replace("{bad}", "bad.json") for arg in argv)) == 2
+        _one_line_error(capsys, "codec can't decode")
+        assert not (workdir / "out").exists()
+
+
 class TestCostPolicyOnePlatform:
     """map and simulate price a cost topic on the same platform document.
 

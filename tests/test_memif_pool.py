@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from topomap.platform_model import PlatformModel
-from topomap.simulator import _MemifPool
+from topomap.timing import _MemifPool
 
 BPS = PlatformModel().memif_bandwidth_bytes_per_s
 

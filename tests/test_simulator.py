@@ -47,6 +47,7 @@ from topomap.simulator import (
     stats_to_csv,
     trace_to_csv,
 )
+from topomap import timing
 from topomap.timing import predict_latency_ns
 
 PLATFORM = PlatformModel()
@@ -289,6 +290,34 @@ class TestEngineCosts:
         assert len(result.deliveries) == 4 * len(expected)
         for d in result.deliveries:
             assert d.t_deliver_ns - d.t_pub_ns == expected[d.subscriber], d
+
+
+    @staticmethod
+    def _gc_free_cases(data_dir):
+        chain_scn = load_scenario(data_dir / "chain_scenario.json")
+        chain = ["camera", "image_compensation", "gaussian_blur", "lane_planner", "polyfit", "lane_control"]
+        yield "packaged chain", lambda: run_chain_scenario(chain_scn, PLATFORM, chain)
+        for kind, policy in itertools.product(["hw", "sw"], [SMT, CLASSIFYING, MappingPolicy.COST]):
+            scn = star_scenario(kind, 4, 2, S_10US, reps=50, period_us=100.0, seed=1, policy=policy)
+            yield f"{kind} star, {policy.value}", lambda scn=scn: simulate(scn, PLATFORM)
+        yield "memif replay", lambda: timing._memif_schedule.__wrapped__((0, 10, 20), 100, 1000, 1e9)
+        yield "cost mapping", lambda: map_communication(
+            chain_scn.graph, chain_scn.node_mapping, MappingPolicy.COST, PLATFORM
+        )
+
+    def test_runs_leave_no_reference_cycles(self, data_dir):
+        """What makes pausing the collector in ``_EventLoop.drain`` safe: nothing a run makes needs it."""
+        collecting = gc.isenabled()
+        try:
+            for label, case in self._gc_free_cases(data_dir):
+                gc.collect()
+                gc.disable()
+                result = case()
+                del result
+                assert gc.collect() == 0, label
+                gc.enable()
+        finally:
+            (gc.enable if collecting else gc.disable)()
 
 
 class TestInvariants:

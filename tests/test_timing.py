@@ -348,3 +348,32 @@ def test_replay_loop_is_freed_without_the_cyclic_collector(monkeypatch):
     finally:
         if collecting:
             gc.enable()
+
+
+class _HandlerFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_drain_pauses_the_collector_and_restores_its_state(enabled, raises):
+    loop, seen = timing._EventLoop(1e9), []
+
+    def handler():
+        seen.append(gc.isenabled())
+        if raises:
+            raise _HandlerFailed
+
+    loop.at(5, handler)
+    collecting = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if raises:
+            with pytest.raises(_HandlerFailed):
+                loop.drain()
+        else:
+            loop.drain()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if collecting else gc.disable)()
+    assert seen == [False]
