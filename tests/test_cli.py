@@ -532,7 +532,6 @@ class TestUndecodableDocument:
         (workdir / "bad.json").write_bytes(b"\xff\xfe{}")
         assert run_cli(*(arg.replace("{bad}", "bad.json") for arg in argv)) == 2
         _one_line_error(capsys, "codec can't decode")
-        assert not (workdir / "out").exists()
 
 
 class TestCostPolicyOnePlatform:

@@ -291,7 +291,6 @@ class TestEngineCosts:
         for d in result.deliveries:
             assert d.t_deliver_ns - d.t_pub_ns == expected[d.subscriber], d
 
-
     @staticmethod
     def _gc_free_cases(data_dir):
         chain_scn = load_scenario(data_dir / "chain_scenario.json")
@@ -312,8 +311,7 @@ class TestEngineCosts:
             for label, case in self._gc_free_cases(data_dir):
                 gc.collect()
                 gc.disable()
-                result = case()
-                del result
+                case()  # its result is dropped at once
                 assert gc.collect() == 0, label
                 gc.enable()
         finally:

@@ -350,10 +350,6 @@ def test_replay_loop_is_freed_without_the_cyclic_collector(monkeypatch):
             gc.enable()
 
 
-class _HandlerFailed(Exception):
-    pass
-
-
 @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 def test_drain_pauses_the_collector_and_restores_its_state(enabled, raises):
@@ -362,14 +358,14 @@ def test_drain_pauses_the_collector_and_restores_its_state(enabled, raises):
     def handler():
         seen.append(gc.isenabled())
         if raises:
-            raise _HandlerFailed
+            raise RuntimeError("handler failed")
 
     loop.at(5, handler)
     collecting = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
         if raises:
-            with pytest.raises(_HandlerFailed):
+            with pytest.raises(RuntimeError, match="handler failed"):
                 loop.drain()
         else:
             loop.drain()
