@@ -34,27 +34,16 @@ import functools
 import json
 import math
 from dataclasses import dataclass, asdict, replace
-from statistics import fmean
 
+from .documents import DocumentError
 from .mapping import MappingPolicy, TopicEndpoints, TopicImpl, topic_endpoints
 from .platform_model import PlatformModel
-from .simulator import (
-    Scenario,
-    ScenarioError,
-    _fanout_latencies,
-    _integer,
-    _known_keys,
-    _number,
-    _size,
-    _typed,
-    simulate,
-    star_scenario,
-)
+from .simulator import Scenario, cell_times, star_scenario
 from .timing import NS_PER_US, predict_latency_ns
 
 
-class TargetError(ValueError):
-    pass
+class TargetError(DocumentError):
+    what = "targets document"
 
 
 @dataclass(frozen=True)
@@ -80,61 +69,48 @@ class SpeedupTarget:
 
 
 def _target(entry, where: str) -> SpeedupTarget:
-    _known_keys(_typed(entry, dict, where), SpeedupTarget.__dataclass_fields__, where)
-    try:
-        return SpeedupTarget(
-            publisher_kind=entry["publisher_kind"],
-            size_bytes=_size(entry["size_bytes"], f"{where}.size_bytes"),
-            hw_subs=_integer(entry["hw_subs"], f"{where}.hw_subs", 0),
-            sw_subs=_integer(entry.get("sw_subs", 0), f"{where}.sw_subs", 0),
-            measure=entry["measure"],
-            speedup=_number(entry["speedup"], f"{where}.speedup"),
-        )
-    except KeyError as exc:
-        raise TargetError(f"{where}: missing key {exc.args[0]!r}") from None
+    TargetError.known_keys(TargetError.typed(entry, dict, where), SpeedupTarget.__dataclass_fields__, where)
+    return SpeedupTarget(
+        publisher_kind=TargetError.require(entry, "publisher_kind", where),
+        size_bytes=TargetError.size(TargetError.require(entry, "size_bytes", where), f"{where}.size_bytes"),
+        hw_subs=TargetError.integer(TargetError.require(entry, "hw_subs", where), f"{where}.hw_subs", 0),
+        sw_subs=TargetError.integer(entry.get("sw_subs", 0), f"{where}.sw_subs", 0),
+        measure=TargetError.require(entry, "measure", where),
+        speedup=TargetError.number(TargetError.require(entry, "speedup", where), f"{where}.speedup"),
+    )
 
 
 def parse_targets(text: str) -> tuple[list[SpeedupTarget], float]:
     """Targets document: {"threshold": rel_err, "targets": [{...}, ...]}, range-checked."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "targets" not in doc:
-        raise TargetError("targets document must be an object with a 'targets' list")
-    try:
-        _known_keys(doc, ("threshold", "targets"), "targets document")
-        threshold = _number(doc.get("threshold", 0.25), "threshold")
-        entries = _typed(doc["targets"], list, "targets")
-        targets = [_target(entry, f"targets[{i}]") for i, entry in enumerate(entries)]
-    except ScenarioError as exc:
-        raise TargetError(str(exc)) from None
+    doc = TargetError.known_keys(TargetError.decode(text), ("threshold", "targets"), "targets document")
+    threshold = TargetError.number(doc.get("threshold", 0.25), "threshold")
+    entries = TargetError.require(doc, "targets", "targets document", list)
+    targets = [_target(entry, f"targets[{i}]") for i, entry in enumerate(entries)]
     if not targets:
         raise TargetError("targets list is empty")
     return targets, threshold
 
 
 def load_targets(path) -> tuple[list[SpeedupTarget], float]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_targets(fh.read())
+    return TargetError.load(path, parse_targets)
 
 
 # -- simulation of one target ------------------------------------------------
+
+
+# the policies a target's speedup compares: its baseline, then its mapping
+_POLICIES = (MappingPolicy.ALWAYS_SMT, MappingPolicy.ALWAYS_GW_IF_MULTI_HW_SUB)
 
 
 @dataclass(frozen=True)
 class _Cell:
     """What one target simulates and predicts, none of which depends on the platform."""
 
-    baseline: Scenario  # the star with every topic on SMT
-    mapped: Scenario  # the star as ALWAYS_GW_IF_MULTI_HW_SUB maps it
-    topic: str
+    star: Scenario  # one message, jitter off
     measured: frozenset[str]  # the subscribers on the target's measure side
     endpoints: TopicEndpoints  # the star's one topic
     publisher: str
-    impls: tuple[TopicImpl, TopicImpl]  # the topic's transport in baseline and mapped
-
-
-def _resolved(star: Scenario, policy: MappingPolicy) -> Scenario:
-    scenario = replace(star, policy=policy)
-    return replace(scenario, comm_mapping=scenario.resolve_mapping())
+    impls: tuple[TopicImpl, TopicImpl]  # the topic's transport under each of _POLICIES
 
 
 # a fit over more targets than this rebuilds each cell on every evaluation
@@ -152,25 +128,21 @@ def _cell(target: SpeedupTarget) -> _Cell:
     )
     (topic,) = star.graph.topic_ids()  # a star has exactly one topic
     endpoints = topic_endpoints(star.graph, star.node_mapping, topic)
-    baseline = _resolved(star, MappingPolicy.ALWAYS_SMT)
-    mapped = _resolved(star, MappingPolicy.ALWAYS_GW_IF_MULTI_HW_SUB)
     (publisher,) = endpoints.hw_pubs + endpoints.sw_pubs
     return _Cell(
-        baseline=baseline,
-        mapped=mapped,
-        topic=topic,
+        star=star,
         measured=frozenset(endpoints.hw_subs if target.measure == "hw" else endpoints.sw_subs),
         endpoints=endpoints,
         publisher=publisher,
-        impls=(baseline.comm_mapping.impl_of(topic), mapped.comm_mapping.impl_of(topic)),
+        impls=tuple(replace(star, policy=policy).resolve_mapping().impl_of(topic) for policy in _POLICIES),
     )
 
 
 def simulated_speedup(target: SpeedupTarget, platform: PlatformModel) -> float:
-    """Deterministic (jitter-free) speedup for one target cell."""
-    cell = _cell(target)
-    base = fmean(_fanout_latencies(simulate(cell.baseline, platform), cell.topic, cell.measured))
-    mapped = fmean(_fanout_latencies(simulate(cell.mapped, platform), cell.topic, cell.measured))
+    """Jitter-free speedup of one target: its measured side's mean fan-out time under smt over multi-hw-sub."""
+    side = 0 if target.measure == "hw" else 1
+    star = _cell(target).star
+    base, mapped = (cell_times(star, platform, policy)[side] for policy in _POLICIES)
     return base / mapped
 
 

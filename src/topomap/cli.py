@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -20,25 +21,13 @@ import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
-from .calibrate import TargetError, calibrate, load_targets, result_to_json
+from .calibrate import calibrate, load_targets, result_to_json
+from .documents import DocumentError
 from .gateway import transition_table
-from .graph import (
-    BadAnnotationError,
-    DuplicateIdError,
-    GraphSyntaxError,
-    UnknownEndpointError,
-    UnknownTopicError,
-    load_document,
-)
-from .mapping import (
-    MappingError,
-    MappingPolicy,
-    map_communication,
-    mapping_report,
-)
-from .platform_model import PlatformModel, PlatformSyntaxError
+from .graph import UnknownTopicError, load_document
+from .mapping import MappingPolicy, map_communication, mapping_report
+from .platform_model import PlatformModel
 from .simulator import (
-    ScenarioError,
     compare_grid,
     compare_means,
     compare_to_csv,
@@ -48,10 +37,6 @@ from .simulator import (
     stats_to_csv,
     write_trace_csv,
 )
-
-
-class _InputError(Exception):
-    pass
 
 
 @contextmanager
@@ -80,7 +65,7 @@ def _policy(name: str) -> MappingPolicy:
         return MappingPolicy(name)
     except ValueError:
         choices = ", ".join(p.value for p in MappingPolicy)
-        raise _InputError(f"unknown policy {name!r} (choose from: {choices})") from None
+        raise DocumentError(f"unknown policy {name!r} (choose from: {choices})") from None
 
 
 def _seed_override() -> int | None:
@@ -90,7 +75,7 @@ def _seed_override() -> int | None:
     try:
         return int(raw)
     except ValueError:
-        raise _InputError(f"TOPOMAP_SEED must be an integer, got {raw!r}") from None
+        raise DocumentError(f"TOPOMAP_SEED must be an integer, got {raw!r}") from None
 
 
 # -- subcommands -------------------------------------------------------------
@@ -99,7 +84,7 @@ def _seed_override() -> int | None:
 def cmd_map(args) -> int:
     graph, node_mapping = load_document(args.graph)
     if node_mapping is None:
-        raise _InputError(f"graph document {args.graph!r}: missing required field 'node_mapping'")
+        raise DocumentError(f"graph document {args.graph!r}: missing required field 'node_mapping'")
     policy = _policy(args.policy)
     platform = _load_platform(args.platform)
     comm_mapping, rationales = map_communication(graph, node_mapping, policy, platform)
@@ -110,10 +95,10 @@ def cmd_map(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.trace == args.stats == "-":
-        raise _InputError("--trace and --stats cannot both write to stdout: the two CSVs would run together")
+        raise DocumentError("--trace and --stats cannot both write to stdout: the two CSVs would run together")
     if args.trace and args.stats and "-" not in (args.trace, args.stats):
         if Path(args.trace).resolve() == Path(args.stats).resolve():
-            raise _InputError(
+            raise DocumentError(
                 f"--trace and --stats name one file {args.trace!r}: the stats CSV would overwrite the trace"
             )
     scenario = load_scenario(args.scenario)
@@ -135,7 +120,7 @@ def cmd_compare(args) -> int:
     platform = _load_platform(args.platform)
     names = [p.strip() for p in args.policies.split(",")]
     if len(names) != 2:
-        raise _InputError("--policies expects exactly two comma-separated policy names")
+        raise DocumentError("--policies expects exactly two comma-separated policy names")
     policy_a, policy_b = (_policy(n) for n in names)
     compare = compare_grid if scenario.grid is not None else compare_means
     header, rows = compare(scenario, platform, policy_a, policy_b, seed=_seed_override())
@@ -169,25 +154,28 @@ def cmd_fsm_export(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.infile, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    reader = csv.DictReader(io.StringIO(DocumentError.load(args.infile, str, newline=""), newline=""))
+    try:
         rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        # DictReader counts a line once its row is built; its reader, once the line is read
+        raise DocumentError(f"{args.infile!r} line {reader.reader.line_num}: {exc}") from None
     if not rows:
-        raise _InputError(f"{args.infile!r}: empty comparison document")
+        raise DocumentError(f"{args.infile!r}: empty comparison document")
     required = {"publisher_kind", "size_bytes", "hw_subs", "speedup_hw", "speedup_sw"}
     missing = required - set(rows[0][1])
     if missing:
-        raise _InputError(f"{args.infile!r}: not a grid comparison (missing columns {sorted(missing)})")
+        raise DocumentError(f"{args.infile!r}: not a grid comparison (missing columns {sorted(missing)})")
     for line, row in rows:
         # the kind names the output files, so it must not carry a path
         kind = row["publisher_kind"]
         if kind not in ("hw", "sw"):
-            raise _InputError(f"{args.infile!r} line {line}: publisher_kind must be 'hw' or 'sw', got {kind!r}")
+            raise DocumentError(f"{args.infile!r} line {line}: publisher_kind must be 'hw' or 'sw', got {kind!r}")
         for column in ("size_bytes", "hw_subs"):
             try:
                 row[column] = int(row[column])
             except (TypeError, ValueError):
-                raise _InputError(
+                raise DocumentError(
                     f"{args.infile!r} line {line}: column {column!r} must be an integer, got {row[column]!r}"
                 ) from None
     out_dir = Path(args.out_dir)
@@ -282,21 +270,10 @@ def main(argv=None) -> int:
     with _one_line_warnings():
         try:
             return args.func(args)
-        except (_InputError, GraphSyntaxError, PlatformSyntaxError, ScenarioError, TargetError,
-                FileNotFoundError, IsADirectoryError, PermissionError, UnicodeDecodeError) as exc:
+        except (DocumentError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except json.JSONDecodeError as exc:
-            print(f"error: invalid JSON: {exc}", file=sys.stderr)
-            return 2
-        except (
-            DuplicateIdError,
-            UnknownEndpointError,
-            BadAnnotationError,
-            UnknownTopicError,
-            MappingError,
-            ValueError,
-        ) as exc:
+        except (UnknownTopicError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
 

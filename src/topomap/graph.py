@@ -18,22 +18,17 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .platform_model import MAX_SIZE_BYTES
+from .documents import MAX_SIZE_BYTES, DocumentError
 
 
 class GraphError(ValueError):
     """Base class for graph document problems."""
 
 
-class GraphSyntaxError(GraphError):
+class GraphSyntaxError(GraphError, DocumentError):
     """Document is not a valid graph document (bad JSON or wrong shape)."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        self.line = line
-        self.column = column
-        if line is not None:
-            message = f"{message} (line {line}, column {column})"
-        super().__init__(message)
+    what = "graph document"
 
 
 class DuplicateIdError(GraphError):
@@ -231,75 +226,35 @@ class NodeMapping:
 # -- document io ---------------------------------------------------------
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise GraphSyntaxError(f"{where}: missing required key {key!r}")
-    return obj[key]
-
-
-def _id(entry: dict, key: str, where: str) -> str:
-    value = _require(entry, key, where)
-    if not isinstance(value, str):
-        raise GraphSyntaxError(f"{where}.{key}: expected a string id, got {value!r}")
-    return value
-
-
-def _section(doc: dict, key: str) -> list:
-    value = _require(doc, key, "graph document")
-    if not isinstance(value, list):
-        raise GraphSyntaxError(f"{key}: expected a list, got {type(value).__name__}")
-    return value
+def _objects(doc: dict, section: str, ids: tuple[str, ...]):
+    """``(where, entry)`` for each object listed under ``doc[section]``, whose ``ids`` keys must hold strings."""
+    for i, entry in enumerate(GraphSyntaxError.require(doc, section, "graph document", list)):
+        where = f"{section}[{i}]"
+        GraphSyntaxError.typed(entry, dict, where)
+        for key in ids:
+            GraphSyntaxError.require(entry, key, where, str)
+        yield where, entry
 
 
 def parse_document(text: str) -> tuple[ComputationGraph, NodeMapping | None]:
     """Parse a graph document; returns the graph and its optional node mapping."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphSyntaxError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
-    if not isinstance(doc, dict):
-        raise GraphSyntaxError("graph document must be a JSON object")
-
-    raw_nodes = _section(doc, "nodes")
-    raw_topics = _section(doc, "topics")
-    raw_pubs = _section(doc, "publishes")
-    raw_subs = _section(doc, "subscribes")
-
-    nodes = []
-    for i, entry in enumerate(raw_nodes):
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise GraphSyntaxError(f"nodes[{i}]: expected an object with an \"id\" key")
-        nodes.append(_id(entry, "id", f"nodes[{i}]"))
-
-    topics = []
-    for i, entry in enumerate(raw_topics):
-        if not isinstance(entry, dict):
-            raise GraphSyntaxError(f"topics[{i}]: expected an object")
-        tid = _id(entry, "id", f"topics[{i}]")
-        size = _require(entry, "message_size_bytes", f"topics[{i}]")
-        rate = _require(entry, "publish_rate_hz", f"topics[{i}]")
-        topics.append(TopicSpec(tid, size, rate))
-
-    pub_edges = []
-    for i, entry in enumerate(raw_pubs):
-        if not isinstance(entry, dict) or "node" not in entry or "topic" not in entry:
-            raise GraphSyntaxError(f"publishes[{i}]: expected an object with \"node\" and \"topic\"")
-        pub_edges.append((_id(entry, "node", f"publishes[{i}]"), _id(entry, "topic", f"publishes[{i}]")))
-
-    sub_edges = []
-    for i, entry in enumerate(raw_subs):
-        if not isinstance(entry, dict) or "node" not in entry or "topic" not in entry:
-            raise GraphSyntaxError(f"subscribes[{i}]: expected an object with \"topic\" and \"node\"")
-        sub_edges.append((_id(entry, "topic", f"subscribes[{i}]"), _id(entry, "node", f"subscribes[{i}]")))
-
+    doc = GraphSyntaxError.decode(text)
+    nodes = [entry["id"] for _, entry in _objects(doc, "nodes", ("id",))]
+    topics = [
+        TopicSpec(
+            entry["id"],
+            GraphSyntaxError.require(entry, "message_size_bytes", where),
+            GraphSyntaxError.require(entry, "publish_rate_hz", where),
+        )
+        for where, entry in _objects(doc, "topics", ("id",))
+    ]
+    pub_edges = [(e["node"], e["topic"]) for _, e in _objects(doc, "publishes", ("node", "topic"))]
+    sub_edges = [(e["topic"], e["node"]) for _, e in _objects(doc, "subscribes", ("topic", "node"))]
     graph = ComputationGraph(tuple(nodes), tuple(topics), tuple(pub_edges), tuple(sub_edges))
 
     node_mapping = None
     if "node_mapping" in doc:
-        raw = doc["node_mapping"]
-        if not isinstance(raw, dict):
-            raise GraphSyntaxError("node_mapping: expected an object of node -> \"HW\"|\"SW\"")
-        node_mapping = NodeMapping.from_dict(raw)
+        node_mapping = NodeMapping.from_dict(GraphSyntaxError.typed(doc["node_mapping"], dict, "node_mapping"))
         node_mapping.validate_against(graph)
     return graph, node_mapping
 
@@ -326,5 +281,4 @@ def serialize_graph(graph: ComputationGraph, node_mapping: NodeMapping | None = 
 
 
 def load_document(path) -> tuple[ComputationGraph, NodeMapping | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_document(fh.read())
+    return GraphSyntaxError.load(path, parse_document)

@@ -19,20 +19,19 @@ import json
 import math
 from dataclasses import dataclass, asdict
 
+from .documents import DocumentError
+
 # The simulator charges time in integer nanoseconds. A time field, stretched
 # by the largest jitter a run may set (below 100%), must fit a signed 64-bit
 # nanosecond count, as ROS 2 timestamps do; sums of such charges then stay
 # far from float overflow.
 MAX_TIME_US = (2**63 - 1) / 1000 / 2
 
-# Message sizes stay below 2**53, the range in which every integer is an
-# exact float, so that the MEMIF pool, which counts bytes in floats, starts
-# every transfer from its exact size.
-MAX_SIZE_BYTES = 2**53
 
+class PlatformSyntaxError(DocumentError):
+    """A platform document that cannot be read or decoded."""
 
-class PlatformSyntaxError(ValueError):
-    """Document is not a platform document: it is not a JSON object."""
+    what = "platform document"
 
 
 @dataclass(frozen=True)
@@ -71,17 +70,14 @@ class PlatformModel:
 
     @classmethod
     def from_json(cls, text: str) -> "PlatformModel":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise PlatformSyntaxError("platform document must be a JSON object")
-        known = set(cls.__dataclass_fields__)
-        unknown = sorted(set(doc) - known)
+        doc = PlatformSyntaxError.decode(text)
+        # an unknown field is a validation error (exit 3), as a bad value is
+        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown platform fields: {unknown}")
         return cls(**doc)
 
     @classmethod
     def load(cls, path) -> "PlatformModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        return PlatformSyntaxError.load(path, cls.from_json)
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import random
 import statistics
@@ -48,6 +47,7 @@ from pathlib import Path
 from typing import NamedTuple, TextIO
 
 from . import gateway as gw
+from .documents import DocumentError
 from .graph import ComputationGraph, NodeMapping, Placement, TopicSpec, load_document
 from .mapping import (
     CommMapping,
@@ -58,7 +58,7 @@ from .mapping import (
     map_communication,
     topic_endpoints,
 )
-from .platform_model import MAX_SIZE_BYTES, MAX_TIME_US, PlatformModel
+from .platform_model import MAX_TIME_US, PlatformModel
 from .timing import HW_PULL, NS_PER_US, SW_SUB, _bytes_ns, _EventLoop, _us_to_ns, copy_order, gateway_ids
 
 # -- scenario documents ----------------------------------------------------
@@ -106,46 +106,8 @@ class Scenario:
         return mapping
 
 
-class ScenarioError(ValueError):
-    pass
-
-
-def _integer(value, where: str, minimum: int) -> int:
-    # bool is an int subclass and must not pass as a count
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        kind = "a positive" if minimum > 0 else "a non-negative"
-        raise ScenarioError(f"{where} must be {kind} integer, got {value!r}")
-    return value
-
-
-def _size(value, where: str) -> int:
-    """A message size in bytes: a positive integer below ``MAX_SIZE_BYTES``."""
-    if _integer(value, where, 1) >= MAX_SIZE_BYTES:
-        raise ScenarioError(f"{where} must be below {MAX_SIZE_BYTES} bytes, got {value!r}")
-    return value
-
-
-def _number(value, where: str, upper: float = math.inf) -> float:
-    """A finite number in [0, upper)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < upper:
-        kind = "a non-negative number" if upper == math.inf else f"a number in [0, {upper:g})"
-        raise ScenarioError(f"{where} must be {kind}, got {value!r}")
-    return float(value)
-
-
-def _typed(value, kind: type, where: str):
-    if not isinstance(value, kind):
-        name = {dict: "an object", list: "a list", str: "a string"}[kind]
-        raise ScenarioError(f"{where} must be {name}, got {value!r}")
-    return value
-
-
-def _known_keys(doc: dict, known, where: str) -> dict:
-    """``doc`` itself, if it has no key outside ``known``."""
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise ScenarioError(f"{where}: unknown keys {unknown}")
-    return doc
+class ScenarioError(DocumentError):
+    what = "scenario document"
 
 
 # the keys of a scenario document; ``node_mapping`` comes from the graph document
@@ -154,39 +116,31 @@ _SCENARIO_KEYS = ("graph", "workload", "seed", "comm_mapping", "policy", "comput
 
 def scenario_from_json(text: str, base_dir) -> Scenario:
     """Parse and range-check a scenario document; the graph is a path relative to base_dir."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"invalid scenario JSON: {exc.msg} (line {exc.lineno})") from None
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be a JSON object")
-    _known_keys(doc, _SCENARIO_KEYS, "scenario")
-    if "graph" not in doc:
-        raise ScenarioError("scenario: missing required key 'graph'")
-    graph, node_mapping = load_document(Path(base_dir) / _typed(doc["graph"], str, "graph"))
+    doc = ScenarioError.known_keys(ScenarioError.decode(text), _SCENARIO_KEYS, "scenario")
+    graph, node_mapping = load_document(Path(base_dir) / ScenarioError.require(doc, "graph", "scenario", str))
     if node_mapping is None:
         raise ScenarioError(f"graph document {doc['graph']!r} has no node_mapping")
 
     workload = []
-    for i, entry in enumerate(_typed(doc.get("workload", []), list, "workload")):
+    for i, entry in enumerate(ScenarioError.typed(doc.get("workload", []), list, "workload")):
         where = f"workload[{i}]"
-        if not isinstance(entry, dict) or "publisher" not in entry or "topic" not in entry:
-            raise ScenarioError(f"{where}: needs 'publisher' and 'topic'")
-        _known_keys(entry, WorkloadItem.__dataclass_fields__, where)
+        ScenarioError.known_keys(ScenarioError.typed(entry, dict, where), WorkloadItem.__dataclass_fields__, where)
         size = entry.get("size_bytes")
         workload.append(
             WorkloadItem(
-                publisher=_typed(entry["publisher"], str, f"{where}.publisher"),
-                topic=_typed(entry["topic"], str, f"{where}.topic"),
-                count=_integer(entry.get("count", WorkloadItem.count), f"{where}.count", 0),
-                period_us=_number(entry.get("period_us", WorkloadItem.period_us), f"{where}.period_us", MAX_TIME_US),
-                size_bytes=None if size is None else _size(size, f"{where}.size_bytes"),
+                publisher=ScenarioError.require(entry, "publisher", where, str),
+                topic=ScenarioError.require(entry, "topic", where, str),
+                count=ScenarioError.integer(entry.get("count", WorkloadItem.count), f"{where}.count", 0),
+                period_us=ScenarioError.number(
+                    entry.get("period_us", WorkloadItem.period_us), f"{where}.period_us", MAX_TIME_US
+                ),
+                size_bytes=None if size is None else ScenarioError.size(size, f"{where}.size_bytes"),
             )
         )
 
     comm_mapping = None
     if "comm_mapping" in doc:
-        comm_mapping = CommMapping.from_dict(_typed(doc["comm_mapping"], dict, "comm_mapping"))
+        comm_mapping = CommMapping.from_dict(ScenarioError.typed(doc["comm_mapping"], dict, "comm_mapping"))
     policy = None
     if "policy" in doc:
         try:
@@ -196,26 +150,29 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
 
     grid = None
     if "grid" in doc:
-        g = _known_keys(_typed(doc["grid"], dict, "grid"), GridSpec.__dataclass_fields__, "grid")
+        g = ScenarioError.typed(doc["grid"], dict, "grid")
+        ScenarioError.known_keys(g, GridSpec.__dataclass_fields__, "grid")
         if g.get("publisher_kind") not in ("hw", "sw"):
             raise ScenarioError("grid.publisher_kind must be 'hw' or 'sw'")
         grid = GridSpec(
             publisher_kind=g["publisher_kind"],
-            sizes=tuple(_size(v, "grid.sizes[]") for v in _typed(g.get("sizes"), list, "grid.sizes")),
-            hw_sub_counts=tuple(
-                _integer(v, "grid.hw_sub_counts[]", 0)
-                for v in _typed(g.get("hw_sub_counts"), list, "grid.hw_sub_counts")
+            sizes=tuple(
+                ScenarioError.size(v, "grid.sizes[]") for v in ScenarioError.typed(g.get("sizes"), list, "grid.sizes")
             ),
-            sw_sub_count=_integer(g.get("sw_sub_count", GridSpec.sw_sub_count), "grid.sw_sub_count", 0),
-            reps=_integer(g.get("reps", GridSpec.reps), "grid.reps", 1),
-            period_us=_number(g.get("period_us", GridSpec.period_us), "grid.period_us", MAX_TIME_US),
+            hw_sub_counts=tuple(
+                ScenarioError.integer(v, "grid.hw_sub_counts[]", 0)
+                for v in ScenarioError.typed(g.get("hw_sub_counts"), list, "grid.hw_sub_counts")
+            ),
+            sw_sub_count=ScenarioError.integer(g.get("sw_sub_count", GridSpec.sw_sub_count), "grid.sw_sub_count", 0),
+            reps=ScenarioError.integer(g.get("reps", GridSpec.reps), "grid.reps", 1),
+            period_us=ScenarioError.number(g.get("period_us", GridSpec.period_us), "grid.period_us", MAX_TIME_US),
         )
 
     seed = doc.get("seed", Scenario.seed)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ScenarioError(f"seed must be an integer, got {seed!r}")
     jitter = doc.get("jitter_pct")
-    compute = _typed(doc.get("compute_us", {}), dict, "compute_us")
+    compute = ScenarioError.typed(doc.get("compute_us", {}), dict, "compute_us")
     unknown = sorted(set(compute) - set(graph.nodes))
     if unknown:
         raise ScenarioError(f"compute_us: {unknown} name no node of graph {doc['graph']!r}")
@@ -226,16 +183,17 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
         seed=seed,
         comm_mapping=comm_mapping,
         policy=policy,
-        compute_us=tuple(sorted((k, _number(v, f"compute_us.{k}", MAX_TIME_US)) for k, v in compute.items())),
-        jitter_pct=None if jitter is None else _number(jitter, "jitter_pct", upper=1.0),
+        compute_us=tuple(
+            sorted((k, ScenarioError.number(v, f"compute_us.{k}", MAX_TIME_US)) for k, v in compute.items())
+        ),
+        jitter_pct=None if jitter is None else ScenarioError.number(jitter, "jitter_pct", upper=1.0),
         grid=grid,
     )
 
 
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_json(fh.read(), path.parent)
+    return ScenarioError.load(path, lambda text: scenario_from_json(text, path.parent))
 
 
 # -- star topologies for sweeps --------------------------------------------

@@ -14,6 +14,7 @@ import hashlib
 import pytest
 
 import topomap.calibrate
+import topomap.simulator
 from topomap.calibrate import calibrate, load_targets, result_to_json
 
 
@@ -60,20 +61,19 @@ def probed(packaged):
 
 def test_one_fit_simulates_only_the_fitted_platform(packaged, monkeypatch):
     targets, threshold = packaged
-    simulate = topomap.calibrate.simulate
+    simulate = topomap.simulator.simulate
     runs = []
 
     def recording(scenario, platform, *args, **kwargs):
         runs.append((scenario, platform))
         return simulate(scenario, platform, *args, **kwargs)
 
-    monkeypatch.setattr(topomap.calibrate, "simulate", recording)
+    monkeypatch.setattr(topomap.simulator, "simulate", recording)
     result = calibrate(targets, threshold)
-    # the residuals: both prebuilt scenarios of each target, mappings resolved
+    # the residuals: each target's star once under smt and once under multi-hw-sub
     assert len(runs) == 2 * len(targets)
     assert all(platform == result.platform for _, platform in runs)
-    assert len({id(scenario) for scenario, _ in runs}) == 2 * len(targets)
-    assert all(scenario.comm_mapping is not None for scenario, _ in runs)
+    assert sorted(scenario.policy.value for scenario, _ in runs) == ["multi-hw-sub"] * len(targets) + ["smt"] * len(targets)
 
 
 def test_predicted_speedups_equal_simulated_on_every_probed_platform(packaged, probed):

@@ -394,6 +394,7 @@ def _one_line_error(capsys, field):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and field in lines[0]
+    return lines[0]
 
 
 class TestPlatformValidation:
@@ -514,7 +515,7 @@ class TestGraphValidation:
 
 
 class TestUndecodableDocument:
-    """A document that is not valid UTF-8 is an input error (exit 2, one line)."""
+    """A document that cannot be read or decoded is an input error: exit 2, one line naming the file."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -531,7 +532,39 @@ class TestUndecodableDocument:
         monkeypatch.chdir(workdir)
         (workdir / "bad.json").write_bytes(b"\xff\xfe{}")
         assert run_cli(*(arg.replace("{bad}", "bad.json") for arg in argv)) == 2
-        _one_line_error(capsys, "codec can't decode")
+        assert "'bad.json'" in _one_line_error(capsys, "codec can't decode")
+
+    @pytest.mark.parametrize("content", ["deep", "digits", "not-utf8"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "--graph", "{bad}", "--policy", "cost"],
+            ["map", "--graph", "graph.json", "--policy", "cost", "--platform", "{bad}"],
+            ["simulate", "--scenario", "{bad}"],
+            ["simulate", "--scenario", "scenario.json"],
+            ["calibrate", "--targets", "{bad}"],
+        ],
+        ids=["map-graph", "map-platform", "simulate-scenario", "scenario-graph", "calibrate-targets"],
+    )
+    def test_named_in_one_line(self, workdir, capsys, monkeypatch, argv, content):
+        if content == "digits" and not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this interpreter converts integer literals of any length")
+        data, message = {
+            "deep": (b"[" * 10**6, "invalid JSON"),
+            "digits": (b'{"x": ' + b"1" * 5000 + b"}", "invalid JSON"),
+            "not-utf8": (b"\xff\xfe{}", "codec can't decode"),
+        }[content]
+        monkeypatch.chdir(workdir)
+        (workdir / "bad.json").write_bytes(data)
+        (workdir / "scenario.json").write_text('{"graph": "bad.json"}', encoding="utf-8")
+        assert run_cli(*(arg.replace("{bad}", "bad.json") for arg in argv)) == 2
+        assert _one_line_error(capsys, message).endswith(" in 'bad.json'")
+
+    def test_oversized_csv_cell_names_file_and_line(self, workdir, capsys, monkeypatch):
+        monkeypatch.chdir(workdir)
+        (workdir / "big.csv").write_text("publisher_kind,size_bytes\nhw," + "x" * 200_000 + "\n", encoding="utf-8")
+        assert run_cli("report", "--in", "big.csv", "--out-dir", "out") == 2
+        _one_line_error(capsys, "'big.csv' line 2: field larger than field limit")
 
 
 class TestCostPolicyOnePlatform:
