@@ -14,7 +14,8 @@ Conventions baked into the paths:
   it computes, so the publish itself costs one OSIF round trip plus one
   delegate publish and moves no payload.
 * A software publisher hands the first local reader a loan for free and
-  copies serially for every further reader, in lexicographic reader order.
+  copies serially for every further reader: hardware-side readers first,
+  then software subscribers, each group in lexicographic order.
 * A hardware subscriber on a software-transport topic pulls its own copy
   through MEMIF after one OSIF round trip; the pull shares the MEMIF pool.
 * Hardware-transport subscribers each take delivery with one OSIF round

@@ -31,7 +31,6 @@ import functools
 import gc
 import math
 from heapq import heappop, heappush
-from operator import itemgetter
 
 from .topics import TopicEndpoints, TopicImpl
 from .platform_model import PlatformModel
@@ -62,16 +61,17 @@ def copy_order(endpoints: TopicEndpoints, impl: TopicImpl) -> list[tuple[str, st
     """A topic's software-side readers in copy-slot order, as (reader id, role).
 
     The readers are the software subscribers, plus each hardware
-    subscriber's delegate on SMT or the gateway's reader on GW, sorted by
-    reader id. A software publisher copies serially in this order, the
-    first reader free.
+    subscriber's delegate on SMT or the gateway's reader on GW. A software
+    publisher copies serially in this order, the first reader free: the
+    hardware-side readers first, then the software subscribers, each group
+    sorted by reader id, so a reader's slot follows its role, not its name.
     """
     readers = [(sub, SW_SUB) for sub in endpoints.sw_subs]
     if impl is TopicImpl.SMT:
         readers += [(sub, HW_PULL) for sub in endpoints.hw_subs]
     elif impl is TopicImpl.GW:
         readers.append((gateway_ids(endpoints.topic_id)[0], GW_READ))
-    readers.sort(key=itemgetter(0))
+    readers.sort(key=lambda reader: (reader[1] == SW_SUB, reader[0]))
     return readers
 
 

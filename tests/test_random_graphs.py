@@ -1,4 +1,5 @@
-"""Engine invariants, and the latency model's exactness, on small random pub-sub graphs.
+"""Engine invariants, the latency model's exactness, and answers that do not
+depend on node names, on small random pub-sub graphs.
 
 Graphs have up to six nodes and four topics; nodes may publish several
 topics and subscribe to their own.  Each topic gets a random transport
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topomap.graph import ComputationGraph, DanglingTopicWarning, NodeMapping, Placement, TopicSpec
-from topomap.mapping import CommMapping, TopicImpl, topic_endpoints
+from topomap.mapping import CommMapping, MappingPolicy, TopicImpl, map_communication, topic_endpoints
 from topomap.platform_model import PlatformModel
 from topomap.simulator import Scenario, WorkloadItem, simulate, trace_to_csv
 from topomap.timing import predict_latency_ns
@@ -103,3 +104,48 @@ def test_model_equals_engine_on_random_graphs(scenario, data):
     predicted = predict_latency_ns(endpoints, item.publisher, impl, size, PLATFORM)
     result = simulate(scenario, PLATFORM)
     assert {d.subscriber: d.t_deliver_ns - d.t_pub_ns for d in result.deliveries} == predicted
+
+
+def _renamed(scenario: Scenario, names: dict[str, str]) -> Scenario:
+    """``scenario`` with every node id replaced through ``names``."""
+    g = scenario.graph
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DanglingTopicWarning)
+        graph = ComputationGraph(
+            tuple(names[n] for n in g.nodes),
+            g.topics,
+            tuple((names[n], t) for n, t in g.pub_edges),
+            tuple((t, names[n]) for t, n in g.sub_edges),
+        )
+    return dataclasses.replace(
+        scenario,
+        graph=graph,
+        node_mapping=NodeMapping(tuple((names[n], p) for n, p in scenario.node_mapping.placements)),
+        workload=tuple(dataclasses.replace(item, publisher=names[item.publisher]) for item in scenario.workload),
+    )
+
+
+def _latencies(scenario: Scenario) -> dict:
+    """Each (topic, subscriber placement)'s latencies in a run, sorted."""
+    placement = dict(scenario.node_mapping.placements)
+    out: dict[tuple, list[int]] = {}
+    for d in simulate(scenario, PLATFORM).deliveries:
+        out.setdefault((d.topic, placement[d.subscriber]), []).append(d.t_deliver_ns - d.t_pub_ns)
+    return {key: sorted(latencies) for key, latencies in out.items()}
+
+
+@given(scenarios(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_renaming_nodes_within_their_side_changes_no_answer(scenario, data):
+    # a bijection within the HW nodes and within the SW nodes keeps every placement
+    names = {}
+    for side in Placement:
+        nodes = [n for n, p in scenario.node_mapping.placements if p is side]
+        names.update(zip(nodes, data.draw(st.permutations(nodes))))
+    scenario = dataclasses.replace(scenario, jitter_pct=0.0)
+    renamed = _renamed(scenario, names)
+
+    for policy in MappingPolicy:
+        picks = [map_communication(s.graph, s.node_mapping, policy, PLATFORM)[0] for s in (scenario, renamed)]
+        assert picks[0] == picks[1], policy
+    assert _latencies(renamed) == _latencies(scenario)
