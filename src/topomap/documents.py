@@ -40,9 +40,11 @@ class DocumentError(ValueError):
         """``parse`` of the UTF-8 text of the file ``path``; a failure to read or decode it names the file."""
         try:
             with open(path, "r", encoding="utf-8", newline=newline) as fh:
-                return parse(fh.read())
+                text = fh.read()
         except UnicodeDecodeError as exc:
             raise cls(f"{exc} in {str(path)!r}") from None
+        try:
+            return parse(text)
         except DocumentError as exc:
             if exc._unnamed_file:
                 exc._unnamed_file = False

@@ -517,48 +517,36 @@ class TestGraphValidation:
 class TestUndecodableDocument:
     """A document that cannot be read or decoded is an input error: exit 2, one line naming the file."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["map", "--graph", "{bad}", "--policy", "cost"],
-            ["map", "--graph", "graph.json", "--policy", "cost", "--platform", "{bad}"],
-            ["simulate", "--scenario", "{bad}"],
-            ["calibrate", "--targets", "{bad}"],
-            ["report", "--in", "{bad}", "--out-dir", "out"],
-        ],
-        ids=["map-graph", "map-platform", "simulate-scenario", "calibrate-targets", "report-in"],
-    )
-    def test_rejected_with_one_line_error(self, workdir, capsys, monkeypatch, argv):
-        monkeypatch.chdir(workdir)
-        (workdir / "bad.json").write_bytes(b"\xff\xfe{}")
-        assert run_cli(*(arg.replace("{bad}", "bad.json") for arg in argv)) == 2
-        assert "'bad.json'" in _one_line_error(capsys, "codec can't decode")
+    # every JSON document a command reads, with bad.json in its place; scenario.json names bad.json as its graph
+    JSON_READERS = {
+        "map-graph": ["map", "--graph", "bad.json", "--policy", "cost"],
+        "map-platform": ["map", "--graph", "graph.json", "--policy", "cost", "--platform", "bad.json"],
+        "simulate-scenario": ["simulate", "--scenario", "bad.json"],
+        "scenario-graph": ["simulate", "--scenario", "scenario.json"],
+        "calibrate-targets": ["calibrate", "--targets", "bad.json"],
+    }
+    READERS = {**JSON_READERS, "report-in": ["report", "--in", "bad.json", "--out-dir", "out"]}
 
-    @pytest.mark.parametrize("content", ["deep", "digits", "not-utf8"])
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["map", "--graph", "{bad}", "--policy", "cost"],
-            ["map", "--graph", "graph.json", "--policy", "cost", "--platform", "{bad}"],
-            ["simulate", "--scenario", "{bad}"],
-            ["simulate", "--scenario", "scenario.json"],
-            ["calibrate", "--targets", "{bad}"],
-        ],
-        ids=["map-graph", "map-platform", "simulate-scenario", "scenario-graph", "calibrate-targets"],
-    )
-    def test_named_in_one_line(self, workdir, capsys, monkeypatch, argv, content):
-        if content == "digits" and not hasattr(sys, "get_int_max_str_digits"):
-            pytest.skip("this interpreter converts integer literals of any length")
-        data, message = {
-            "deep": (b"[" * 10**6, "invalid JSON"),
-            "digits": (b'{"x": ' + b"1" * 5000 + b"}", "invalid JSON"),
-            "not-utf8": (b"\xff\xfe{}", "codec can't decode"),
-        }[content]
+    @staticmethod
+    def run_on(workdir, monkeypatch, argv, data: bytes) -> int:
         monkeypatch.chdir(workdir)
         (workdir / "bad.json").write_bytes(data)
         (workdir / "scenario.json").write_text('{"graph": "bad.json"}', encoding="utf-8")
-        assert run_cli(*(arg.replace("{bad}", "bad.json") for arg in argv)) == 2
-        assert _one_line_error(capsys, message).endswith(" in 'bad.json'")
+        return run_cli(*argv)
+
+    @pytest.mark.parametrize("argv", READERS.values(), ids=READERS)
+    def test_rejected_with_one_line_error(self, workdir, capsys, monkeypatch, argv):
+        assert self.run_on(workdir, monkeypatch, argv, b"\xff\xfe{}") == 2
+        assert _one_line_error(capsys, "codec can't decode").endswith(" in 'bad.json'")
+
+    @pytest.mark.parametrize("content", ["deep", "digits"])
+    @pytest.mark.parametrize("argv", JSON_READERS.values(), ids=JSON_READERS)
+    def test_json_the_interpreter_cannot_parse(self, workdir, capsys, monkeypatch, argv, content):
+        if content == "digits" and not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this interpreter converts integer literals of any length")
+        data = {"deep": b"[" * 10**6, "digits": b'{"x": ' + b"1" * 5000 + b"}"}[content]
+        assert self.run_on(workdir, monkeypatch, argv, data) == 2
+        assert _one_line_error(capsys, "invalid JSON").endswith(" in 'bad.json'")
 
     def test_oversized_csv_cell_names_file_and_line(self, workdir, capsys, monkeypatch):
         monkeypatch.chdir(workdir)
