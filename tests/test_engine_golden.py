@@ -125,6 +125,34 @@ def test_two_items_publish_on_the_same_nanosecond():
     assert result_digest(simulate(scenario, PLATFORM)) == digest
 
 
+def test_software_copies_tie_with_a_hardware_fanout():
+    """A software fan-out's first reader is ready while another publication is still due.
+
+    ``ctl`` is listed first, so each period it publishes first, and its
+    slot-0 pull is ready on the nanosecond ``cam``'s publication is still
+    waiting on the heap under an earlier seq. The pull must wait its turn:
+    run at once, it would take its jitter draw before ``cam``'s.
+    """
+    hw, sw = Placement.HW, Placement.SW
+    placements = {"cam": hw, "ctl": sw, "hw_a": hw, "hw_b": hw, "sw_a": sw}
+    graph = ComputationGraph(
+        nodes=tuple(placements),
+        topics=(TopicSpec("cmd", 30_000, 10.0), TopicSpec("img", 60_000, 10.0)),
+        pub_edges=(("ctl", "cmd"), ("cam", "img")),
+        sub_edges=(("cmd", "hw_a"), ("cmd", "hw_b"), ("cmd", "sw_a"), ("img", "hw_a"), ("img", "sw_a")),
+    )
+    scenario = Scenario(
+        graph=graph,
+        node_mapping=NodeMapping(tuple(placements.items())),
+        workload=(WorkloadItem("ctl", "cmd", 30, 500.0), WorkloadItem("cam", "img", 30, 500.0)),
+        seed=3,
+        comm_mapping=CommMapping((("cmd", TopicImpl.SMT), ("img", TopicImpl.SMT))),
+        jitter_pct=0.05,
+    )
+    digest = "1175ee962366ba0d9219a70350b4a55640dff75a99cd2c9681c78fa0dc5aaaf0"
+    assert result_digest(simulate(scenario, PLATFORM)) == digest
+
+
 def test_zero_period_publishes_everything_at_once():
     scenario = star_scenario("sw", 6, 3, 50_000, 25, 0.0, 6, policy=SMT)
     digest = "3f0bf0270f9ff0f853898b8863010c3e5681991b77f1c16eab19b3a7c810b449"
