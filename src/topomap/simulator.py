@@ -397,9 +397,7 @@ class _GwActor:
         self._next()
 
     def _published(self, m: gw.Message):
-        sim = self._sim
-        for sub in self.endpoints.sw_subs:
-            sim.sw_take(sub, m, sim.now_ns)
+        self._sim.sw_take(m, self.endpoints.sw_subs)
         # own publication loops back through the reader
         self.offer(gw.Message(self.state.own_smt_id, m.seq, m.topic, m.size_bytes))
         self._next()
@@ -494,7 +492,20 @@ class _Sim(_EventLoop):
     # The per-hop methods below push onto the heap with the ``seq`` counter
     # and append trace rows themselves, and draw jitter inline with
     # ``jit_ns``'s float operations in its order; ``at``, ``trace`` and
-    # ``jit_ns`` serve the cold paths and the gateway actor.
+    # ``jit_ns`` serve the cold paths and the gateway actor. A hop for the
+    # running nanosecond skips the heap where ``_nothing_else_now`` allows.
+
+    def _nothing_else_now(self) -> bool:
+        """Whether an event pushed for ``now_ns`` now would be the next to run.
+
+        Everything on the heap, and the pool's ``due``, took its seq before
+        the counter's next one, so such an event runs next exactly when
+        neither is due at ``now_ns``. A handler may then run the hop inline
+        as its last work: it still takes its seq, so its ``(time, seq)``
+        place, its jitter draws and its trace rows stay where they were.
+        """
+        heap, due, now = self._heap, self.pool.due, self.now_ns
+        return (not heap or heap[0][0] > now) and (due is None or due[0] > now)
 
     def jit_ns(self, us: float) -> int:
         """``_us_to_ns`` of ``us`` scaled by one jitter draw; draws only when jitter is on."""
@@ -514,19 +525,23 @@ class _Sim(_EventLoop):
             factor += self._jitter_lo + self._jitter_span * self._random()
         return nbytes * factor
 
-    def sw_take(self, subscriber: str, message: gw.Message, t_ready: int):
-        """A software subscriber's copy is ready; software-side delivery follows."""
+    def sw_take(self, message: gw.Message, subscribers: tuple[str, ...]):
+        """The subscribers' copies are ready now; software-side delivery follows, in order."""
+        topic, mseq = message.topic, message.seq
+        t_pub, delivery_id = self._pub_times[topic, mseq]
+        t_deliver = self.now_ns + self._dds_ns[message.size_bytes]
         seq = self._seq
-        self._seq = seq + 1
-        t_deliver = t_ready + self._dds_ns[message.size_bytes]
-        heappush(self._heap, (t_deliver, seq, self._deliver, (message.topic, subscriber, message.seq)))
+        for sub in subscribers:
+            heappush(self._heap, (t_deliver, seq, self._deliver, (topic, sub, mseq, t_pub, delivery_id)))
+            seq += 1
+        self._seq = seq
 
     def trace(self, kind: str, message_id: str, endpoint: str):
         self._trace.append(_tuple_new(TraceEvent, (self.now_ns, kind, message_id, endpoint)))
 
-    def _deliver(self, topic: str, subscriber: str, seq: int):
+    def _deliver(self, topic: str, subscriber: str, seq: int, t_pub: int, delivery_id: str):
+        """``t_pub`` and ``delivery_id`` are the message's ``_pub_times`` entry, looked up once per message."""
         now = self.now_ns
-        t_pub, delivery_id = self._pub_times[(topic, seq)]
         self._trace.append(_tuple_new(TraceEvent, (now, "DELIVER", delivery_id, subscriber)))
         self._deliveries.append(_tuple_new(Delivery, (topic, subscriber, seq, t_pub, now)))
         if self._relays:  # only chains relay
@@ -577,53 +592,98 @@ class _Sim(_EventLoop):
 
         ``loaned`` fan-out (hardware publications, already in main memory)
         reaches all readers at once; a software publisher copies serially,
-        first reader free.
+        first reader free. The readers ready now, every reader of a loaned
+        fan-out and slot 0 of a serial one, are hardware-side (a software
+        subscriber's delivery trails its copy by the positive software
+        latency). When ``_nothing_else_now`` holds as the fan-out starts,
+        their hops run after the loop, in slot order, instead of from the
+        heap: each would have been the next event, since the loop pushes
+        only later seqs and draws no jitter.
+
+        A hardware pull in a later serial slot is one event: its copy's
+        ``SW_COPY`` row and its pull sat at adjacent keys, so nothing ran
+        between them. A software subscriber's ``SW_COPY`` row is known in
+        full now; its heap entry appends the built row.
         """
-        heap, now, size = self._heap, self.now_ns, message.size_bytes
+        heap, now, size, mid = self._heap, self.now_ns, message.size_bytes, message.message_id
+        topic, mseq = message.topic, message.seq
         copy_ns = 0 if loaned else self._copy_ns[size]
+        dds_ns = self._dds_ns[size]
+        t_pub, delivery_id = self._pub_times[topic, mseq]
+        ready_now = [] if self._nothing_else_now() else None
         seq = self._seq
         for slot, (reader, role) in enumerate(route.readers):
+            deliver = (topic, reader, mseq, t_pub, delivery_id)
+            copied = slot and not loaned
             t_ready = now + slot * copy_ns
-            if slot and not loaned:
-                heappush(heap, (t_ready, seq, self.trace, ("SW_COPY", message.message_id, reader)))
-                seq += 1
             if role == SW_SUB:
-                args = (message.topic, reader, message.seq)
-                heappush(heap, (t_ready + self._dds_ns[size], seq, self._deliver, args))
-            elif role == HW_PULL:
-                heappush(heap, (t_ready, seq, self._delegate_pull, (reader, message)))
-            else:  # the gateway's read
-                heappush(heap, (t_ready, seq, route.actor.offer, (message,)))
+                if copied:
+                    row = _tuple_new(TraceEvent, (t_ready, "SW_COPY", mid, reader))
+                    heappush(heap, (t_ready, seq, self._trace.append, (row,)))
+                    seq += 1
+                heappush(heap, (t_ready + dds_ns, seq, self._deliver, deliver))
+            elif copied:  # a hardware pull; the gateway's read is always slot 0
+                heappush(heap, (t_ready, seq, self._copied_pull, (message, deliver)))
+                seq += 1
+            else:
+                hop = (self._delegate_pull, (message, deliver)) if role == HW_PULL else (route.actor.offer, (message,))
+                if ready_now is None:
+                    heappush(heap, (now, seq) + hop)
+                else:
+                    ready_now.append(hop)
             seq += 1
         self._seq = seq
+        if ready_now:
+            for fn, args in ready_now:
+                fn(*args)
 
-    def _delegate_pull(self, subscriber: str, message: gw.Message):
-        """A hardware subscriber's delegate fetches its copy over MEMIF after one OSIF round trip."""
+    def _copied_pull(self, message: gw.Message, deliver: tuple):
+        """A hardware subscriber's serial copy is done: its ``SW_COPY`` row, then its pull."""
+        self._trace.append(_tuple_new(TraceEvent, (self.now_ns, "SW_COPY", message.message_id, deliver[1])))
+        self._delegate_pull(message, deliver)
+
+    def _delegate_pull(self, message: gw.Message, deliver: tuple):
+        """A hardware subscriber's delegate fetches its copy over MEMIF after one OSIF round trip.
+
+        ``deliver`` is ``_deliver``'s arguments for that subscriber.
+        """
         factor = 1.0
         if self._jitter_span > 0:
             factor += self._jitter_lo + self._jitter_span * self._random()
         seq = self._seq
         self._seq = seq + 1
         t = self.now_ns + int(round(self.platform.osif_roundtrip_us * factor * NS_PER_US))
-        heappush(self._heap, (t, seq, self._start_pull, (subscriber, message)))
+        heappush(self._heap, (t, seq, self._start_pull, (message, deliver)))
 
-    def _start_pull(self, subscriber: str, message: gw.Message):
+    def _start_pull(self, message: gw.Message, deliver: tuple):
         factor = 1.0  # ``jit_bytes``
         if self._jitter_span > 0:
             factor += self._jitter_lo + self._jitter_span * self._random()
-        self.pool.start(message.size_bytes * factor, self._pulled, subscriber, message)
+        self.pool.start(message.size_bytes * factor, self._pulled, message, deliver)
 
-    def _pulled(self, subscriber: str, message: gw.Message):
+    def _pulled(self, message: gw.Message, deliver: tuple):
+        """The pull is done; delivery follows on the same nanosecond.
+
+        The delivery runs inline when the pool finished this flow alone and
+        ``_nothing_else_now`` holds: it would have been the next event. When
+        several flows finish together, each one's row precedes every
+        delivery, so the deliveries wait on the heap.
+        """
         now = self.now_ns
-        self._trace.append(_tuple_new(TraceEvent, (now, "MEMIF_TRANSFER", message.message_id, subscriber)))
+        self._trace.append(_tuple_new(TraceEvent, (now, "MEMIF_TRANSFER", message.message_id, deliver[1])))
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._heap, (now, seq, self._deliver, (message.topic, subscriber, message.seq)))
+        if self.pool.finished_alone and self._nothing_else_now():
+            self._deliver(*deliver)
+        else:
+            heappush(self._heap, (now, seq, self._deliver, deliver))
 
     def hmt_arrival(self, message: gw.Message, subscribers: tuple[str, ...]):
         """A stream reached each hardware subscriber, in order; each takes delivery after one OSIF round trip."""
         heap, trace, now, mid = self._heap, self._trace, self.now_ns, message.message_id
         osif_us, lo, span = self.platform.osif_roundtrip_us, self._jitter_lo, self._jitter_span
+        topic, mseq = message.topic, message.seq
+        t_pub, delivery_id = self._pub_times[topic, mseq]
         seq = self._seq
         for sub in subscribers:
             trace.append(_tuple_new(TraceEvent, (now, "HMT_TRANSFER", mid, sub)))
@@ -631,7 +691,7 @@ class _Sim(_EventLoop):
             if span > 0:
                 factor += lo + span * self._random()
             t = now + int(round(osif_us * factor * NS_PER_US))
-            heappush(heap, (t, seq, self._deliver, (message.topic, sub, message.seq)))
+            heappush(heap, (t, seq, self._deliver, (topic, sub, mseq, t_pub, delivery_id)))
             seq += 1
         self._seq = seq
 

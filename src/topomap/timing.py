@@ -106,6 +106,7 @@ class _MemifPool:
         self._started = 0
         self._last_t = 0
         self.due: tuple[int, int] | None = None
+        self.finished_alone = False
         self.segments: list[tuple[int, int, int, float]] = []
 
     # ``start`` and ``complete`` settle (advance ``V`` to now, recording the
@@ -125,12 +126,18 @@ class _MemifPool:
         v = self._v
         heappush(tags, (v + nbytes, self._started, fn, args))
         self._started += 1
-        seq = sim._seq
-        self.due = (now + math.ceil(max(tags[0][0] - v, 0.0) * (n + 1) * 1e9 / self._bps), seq)
+        seq, left = sim._seq, tags[0][0] - v
+        self.due = (now + math.ceil((0.0 if left < 0.0 else left) * (n + 1) * 1e9 / self._bps), seq)
         sim._seq = seq + 1
 
     def complete(self):
-        """Fire ``due``: finish every flow that has drained, in start order."""
+        """Fire ``due``: finish every flow that has drained, in start order.
+
+        ``finished_alone`` records whether exactly one flow finished. Only
+        then may its callback run its next hop inline, and only when nothing
+        else is due now: with several, the first callback's hop would run
+        before the later callbacks, which come first in ``(time, seq)`` order.
+        """
         sim, tags = self._sim, self._tags
         now, n = sim.now_ns, len(tags)  # ``due`` is set, so a flow is active
         dt = now - self._last_t
@@ -148,9 +155,10 @@ class _MemifPool:
             while tags and tags[0][0] <= done:
                 finished.append(heappop(tags)[1:])
             finished.sort()
+        self.finished_alone = len(finished) == 1
         if tags:
-            seq = sim._seq
-            self.due = (now + math.ceil(max(tags[0][0] - self._v, 0.0) * len(tags) * 1e9 / self._bps), seq)
+            seq, left = sim._seq, tags[0][0] - self._v
+            self.due = (now + math.ceil((0.0 if left < 0.0 else left) * len(tags) * 1e9 / self._bps), seq)
             sim._seq = seq + 1
         else:  # drained: ``V`` rebases
             self.due, self._v = None, 0.0

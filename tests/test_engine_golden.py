@@ -153,6 +153,33 @@ def test_software_copies_tie_with_a_hardware_fanout():
     assert result_digest(simulate(scenario, PLATFORM)) == digest
 
 
+def test_pull_finishes_alone_while_a_hop_is_due():
+    """No jitter: a pull finishes alone on the nanosecond another reader's copy row is due.
+
+    ``hw_b``'s pull of ``b`` finishes alone when ``sw_a``'s ``SW_COPY`` row
+    of the same message is due, pushed after the pool last rescheduled. The
+    row runs after the completion and before the delivery it schedules.
+    """
+    hw, sw = Placement.HW, Placement.SW
+    placements = {"p1": sw, "p2": sw, "hw_a": hw, "hw_b": hw, "sw_a": sw}
+    graph = ComputationGraph(
+        nodes=tuple(placements),
+        topics=(TopicSpec("a", 30_000, 10.0), TopicSpec("b", 12_000, 10.0)),
+        pub_edges=(("p1", "a"), ("p2", "b")),
+        sub_edges=(("a", "hw_a"), ("b", "hw_b"), ("b", "sw_a")),
+    )
+    scenario = Scenario(
+        graph=graph,
+        node_mapping=NodeMapping(tuple(placements.items())),
+        workload=(WorkloadItem("p1", "a", 20, 40.0), WorkloadItem("p2", "b", 20, 40.0)),
+        seed=27,
+        comm_mapping=CommMapping((("a", TopicImpl.SMT), ("b", TopicImpl.SMT))),
+        jitter_pct=0.0,
+    )
+    digest = "60a1a4e399d1f839c8ca528d9cc5efa512d3ae6364c0ef4ae0891661886a0936"
+    assert result_digest(simulate(scenario, PLATFORM)) == digest
+
+
 def test_zero_period_publishes_everything_at_once():
     scenario = star_scenario("sw", 6, 3, 50_000, 25, 0.0, 6, policy=SMT)
     digest = "3f0bf0270f9ff0f853898b8863010c3e5681991b77f1c16eab19b3a7c810b449"

@@ -270,6 +270,39 @@ class TestEngineCosts:
         assert len(result.deliveries) == len(heap_sizes) == 2000
         assert max(heap_sizes) < 10
 
+    def test_same_instant_hops_skip_the_heap(self, monkeypatch):
+        """A hop for the running nanosecond is pushed only behind another event due then.
+
+        Otherwise it would be the next event popped, so it runs inline. On a
+        jittered 32-HW, 4-SW star under SMT a message then costs at most one
+        pop per pull start and per delivery, plus the publication and its
+        announcement: 2 * 32 + 4 + 2 = 70. It makes 38; pushing every hop made 102.
+        """
+        hw_subs, sw_subs, reps = 32, 4, 40
+        scn = star_scenario("hw", hw_subs, sw_subs, S_100US, reps, 5000.0, seed=3, policy=SMT, jitter_pct=0.05)
+        sim = _Sim(scn.graph, scn.node_mapping, scn.resolve_mapping(PLATFORM), PLATFORM, scn.seed, scn.jitter_pct)
+        pushed_for_now, pops = [], 0
+
+        def push(heap, item, real=timing.heappush):
+            if pops and heap is sim._heap and item[0] == sim.now_ns:  # pushed by a running event
+                due = sim.pool.due
+                if (not heap or heap[0][0] > sim.now_ns) and (due is None or due[0] > sim.now_ns):
+                    pushed_for_now.append(item)
+            real(heap, item)
+
+        def pop(heap, real=timing.heappop):
+            nonlocal pops
+            pops += heap is sim._heap
+            return real(heap)
+
+        monkeypatch.setattr("topomap.simulator.heappush", push)
+        monkeypatch.setattr(timing, "heappush", push)
+        monkeypatch.setattr(timing, "heappop", pop)
+        result = sim.run(scn.workload)
+        assert len(result.deliveries) == reps * (hw_subs + sw_subs)
+        assert pushed_for_now == []
+        assert pops <= reps * (2 * hw_subs + sw_subs + 2)
+
     @pytest.mark.parametrize("impl", [TopicImpl.SMT, TopicImpl.GW])
     @pytest.mark.parametrize("publisher_kind", ["hw", "sw"])
     def test_charges_follow_the_workload_size(self, publisher_kind, impl):
