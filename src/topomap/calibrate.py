@@ -167,7 +167,7 @@ def predicted_speedup(target: SpeedupTarget, platform: PlatformModel) -> float:
 def coordinate_descent(
     objective,
     x0: dict[str, float],
-    sweeps: int = 4,
+    sweeps: int = 3,
     floor: float = 1.02,
 ) -> tuple[dict[str, float], float]:
     """Minimize ``objective(x)`` by multiplicative coordinate probes.
@@ -235,7 +235,6 @@ class CalibrationResult:
 def calibrate(
     targets: list[SpeedupTarget],
     threshold: float,
-    sweeps: int = 3,
 ) -> CalibrationResult:
     """Fit the tunable platform parameters to the targets, starting from the default platform."""
 
@@ -258,7 +257,7 @@ def calibrate(
             total += math.log(sim / t.speedup) ** 2
         return total
 
-    best_vec, best_value = coordinate_descent(objective, _vector_from_platform(PlatformModel()), sweeps=sweeps)
+    best_vec, best_value = coordinate_descent(objective, _vector_from_platform(PlatformModel()))
     fitted = _platform_from_vector(best_vec)
 
     residuals = []

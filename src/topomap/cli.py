@@ -19,6 +19,7 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from .calibrate import calibrate, load_targets, result_to_json
@@ -28,6 +29,7 @@ from .graph import UnknownTopicError, load_document
 from .mapping import MappingPolicy, map_communication, mapping_report
 from .platform_model import PlatformModel
 from .simulator import (
+    Scenario,
     compare_grid,
     compare_means,
     compare_to_csv,
@@ -68,12 +70,10 @@ def _policy(name: str) -> MappingPolicy:
         raise DocumentError(f"unknown policy {name!r} (choose from: {choices})") from None
 
 
-def _seed_override() -> int | None:
+def _seeded(scenario: Scenario) -> Scenario:
     raw = os.environ.get("TOPOMAP_SEED")
-    if raw is None:
-        return None
     try:
-        return int(raw)
+        return scenario if raw is None else replace(scenario, seed=int(raw))
     except ValueError:
         raise DocumentError(f"TOPOMAP_SEED must be an integer, got {raw!r}") from None
 
@@ -103,7 +103,7 @@ def cmd_simulate(args) -> int:
             )
     scenario = load_scenario(args.scenario)
     platform = _load_platform(args.platform)
-    result = simulate(scenario, platform, seed=_seed_override())
+    result = simulate(_seeded(scenario), platform)
     if args.trace:
         with _text_out(args.trace) as out:
             write_trace_csv(result, out)
@@ -123,7 +123,7 @@ def cmd_compare(args) -> int:
         raise DocumentError("--policies expects exactly two comma-separated policy names")
     policy_a, policy_b = (_policy(n) for n in names)
     compare = compare_grid if scenario.grid is not None else compare_means
-    header, rows = compare(scenario, platform, policy_a, policy_b, seed=_seed_override())
+    header, rows = compare(_seeded(scenario), platform, policy_a, policy_b)
     _write_text(args.out, compare_to_csv(header, rows))
     return 0
 

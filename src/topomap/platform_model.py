@@ -8,9 +8,8 @@ delegate's publish cost, the affine software-side delivery latency, and
 the copy bandwidth of a software publisher fanning a message out to local
 readers.
 
-Control-path charges (OSIF round trips and delegate publishes) carry
-multiplicative jitter of ``jitter_pct`` when a simulation enables it;
-bandwidth terms do not jitter.
+A simulation scales some of these charges by a random factor within
+``jitter_pct`` of 1; ``timing.Charges`` states which.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Discrete-event simulation of mapped computation graphs.
 
 The simulator charges time for four things: control-path calls across the
-hardware/software interface (OSIF round trips and delegate publishes, the
-only quantities that jitter), payload movement across the shared-memory
-interface (MEMIF, a single bandwidth pool shared by all concurrent
-transfers), payload streaming on the hardware transport (dedicated
-bandwidth per stream), and software-side delivery with an affine latency
-in message size.
+hardware/software interface (OSIF round trips and delegate publishes),
+payload movement across the shared-memory interface (MEMIF, a single
+bandwidth pool shared by all concurrent transfers), payload streaming on
+the hardware transport (dedicated bandwidth per stream), and software-side
+delivery with an affine latency in message size. Each run prices these
+with one ``timing.Charges``, which also states which of them jitter.
 
 Conventions baked into the paths:
 
@@ -39,7 +39,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import random
 import statistics
 from collections import Counter, deque
 from dataclasses import dataclass, replace
@@ -60,7 +59,7 @@ from .mapping import (
     topic_endpoints,
 )
 from .platform_model import MAX_TIME_US, PlatformModel
-from .timing import HW_PULL, NS_PER_US, SW_SUB, _bytes_ns, _EventLoop, _us_to_ns, copy_order, gateway_ids
+from .timing import HW_PULL, NS_PER_US, SW_SUB, Charges, _EventLoop, _us_to_ns, copy_order, gateway_ids
 
 # -- scenario documents ----------------------------------------------------
 
@@ -329,8 +328,7 @@ class _GwActor:
         if self._open and self._inflight is None and self._pending:
             message = self._inflight = self._pending.popleft()
             sim = self._sim
-            dt = sim.jit_ns(sim.platform.osif_roundtrip_us) + sim.jit_ns(sim.platform.osif_roundtrip_us)
-            sim.at(sim.now_ns + dt, self._responded, message)
+            sim.at(sim.now_ns + sim._osif_ns() + sim._osif_ns(), self._responded, message)
 
     def _responded(self, message: gw.Message):
         if message is self._inflight:  # else a cancel took this read back
@@ -367,17 +365,17 @@ class _GwActor:
             elif isinstance(action, gw.CancelSmtRequest):
                 # the acknowledgement returns the read the cancel raced, if any
                 raced, self._inflight, self._open = self._inflight, None, False
-                sim.at(sim.now_ns + sim.jit_ns(sim.platform.osif_roundtrip_us), self._cancelled, raced)
+                sim.at(sim.now_ns + sim._osif_ns(), self._cancelled, raced)
             elif not isinstance(action, gw.Discard):
                 break
         # the action takes simulated time; its completion moves the cursor on
         self._busy = True
         if isinstance(action, gw.TransferToHmt):
-            sim.pool.start(sim.jit_bytes(message.size_bytes), self._read_to_hmt, message)
+            sim.pool.start(sim._memif_bytes(message.size_bytes), self._read_to_hmt, message)
         elif isinstance(action, gw.TransferToMain):
-            sim.pool.start(sim.jit_bytes(message.size_bytes), self._written_to_main, message)
+            sim.pool.start(sim._memif_bytes(message.size_bytes), self._written_to_main, message)
         elif isinstance(action, gw.PublishSmt):
-            sim.at(sim.now_ns + sim.jit_ns(sim.platform.delegate_publish_us), self._published, message)
+            sim.at(sim.now_ns + sim._delegate_ns(), self._published, message)
         else:  # pragma: no cover - action set is closed
             raise AssertionError(f"unknown action {action!r}")
 
@@ -415,22 +413,6 @@ class RelaySpec:
     compute_us: float
 
 
-class _PerSize(dict):
-    """One charge per message size, computed on first use.
-
-    Keyed by size, not by topic: a workload item's ``size_bytes`` overrides
-    its topic's declared size.
-    """
-
-    def __init__(self, charge):
-        super().__init__()
-        self._charge = charge
-
-    def __missing__(self, size: int) -> int:
-        ns = self[size] = self._charge(size)
-        return ns
-
-
 @dataclass(frozen=True)
 class _Route:
     """How one topic's messages travel, fixed when the engine starts.
@@ -460,20 +442,15 @@ class _Sim(_EventLoop):
     ):
         super().__init__(platform.memif_bandwidth_bytes_per_s)
         self.graph = graph
-        self.platform = platform
-        jitter = platform.jitter_pct if jitter_pct is None else jitter_pct
-        # Random.uniform(a, b)'s own formula, a + (b - a) * random(), for a = -jitter, b = jitter
-        self._jitter_lo, self._jitter_span = -jitter, jitter - -jitter
-        self._random = random.Random(seed).random
+        charges = Charges(platform, platform.jitter_pct if jitter_pct is None else jitter_pct, seed)
+        self._osif_ns, self._delegate_ns, self._memif_bytes = charges.osif_ns, charges.delegate_ns, charges.memif_bytes
+        self._dds_ns, self._copy_ns, self._hmt_ns = charges.dds_ns, charges.copy_ns, charges.hmt_ns
         self._trace: list[TraceEvent] = []
         self._deliveries: list[Delivery] = []
         # (topic, seq) -> (publish time, the id every DELIVER row of that message shares)
         self._pub_times: dict[tuple[str, int], tuple[int, str]] = {}
         self._next_msg_seq: dict[str, int] = {}
         self._relays = relays or {}
-        self._dds_ns = _PerSize(lambda size: _us_to_ns(platform.sw_dds_latency_us(size)))
-        self._copy_ns = _PerSize(lambda size: _bytes_ns(size, platform.sw_copy_bandwidth_bytes_per_s))
-        self._hmt_ns = _PerSize(lambda size: _bytes_ns(size, platform.hmt_bandwidth_bytes_per_s))
         check_topic_set(graph, comm_mapping)
         self._routes = {
             topic_id: self._route(topic_endpoints(graph, node_mapping, topic_id), comm_mapping.impl_of(topic_id))
@@ -490,10 +467,9 @@ class _Sim(_EventLoop):
     # -- primitives --
     #
     # The per-hop methods below push onto the heap with the ``seq`` counter
-    # and append trace rows themselves, and draw jitter inline with
-    # ``jit_ns``'s float operations in its order; ``at``, ``trace`` and
-    # ``jit_ns`` serve the cold paths and the gateway actor. A hop for the
-    # running nanosecond skips the heap where ``_nothing_else_now`` allows.
+    # and append trace rows themselves; ``at`` and ``trace`` serve the cold
+    # paths and the gateway actor. A hop for the running nanosecond skips
+    # the heap where ``_nothing_else_now`` allows.
 
     def _nothing_else_now(self) -> bool:
         """Whether an event pushed for ``now_ns`` now would be the next to run.
@@ -506,24 +482,6 @@ class _Sim(_EventLoop):
         """
         heap, due, now = self._heap, self.pool.due, self.now_ns
         return (not heap or heap[0][0] > now) and (due is None or due[0] > now)
-
-    def jit_ns(self, us: float) -> int:
-        """``_us_to_ns`` of ``us`` scaled by one jitter draw; draws only when jitter is on."""
-        factor = 1.0
-        if self._jitter_span > 0:
-            factor += self._jitter_lo + self._jitter_span * self._random()
-        return int(round(us * factor * NS_PER_US))
-
-    def jit_bytes(self, nbytes: int) -> float:
-        """MEMIF arbitration jitter, charged as effective bytes moved.
-
-        Keeps the pool's aggregate throughput exactly at the configured
-        bandwidth; dedicated HMT streams carry no such noise.
-        """
-        factor = 1.0
-        if self._jitter_span > 0:
-            factor += self._jitter_lo + self._jitter_span * self._random()
-        return nbytes * factor
 
     def sw_take(self, message: gw.Message, subscribers: tuple[str, ...]):
         """The subscribers' copies are ready now; software-side delivery follows, in order."""
@@ -562,17 +520,11 @@ class _Sim(_EventLoop):
         message = gw.Message(publisher, seq, topic_id, size)
         self._trace.append(_tuple_new(TraceEvent, (now, "PUBLISH", message.message_id, publisher)))
         if publisher in route.endpoints.hw_pubs:
-            # one OSIF round trip, then one delegate publish: two draws, in that order
-            platform, lo, span = self.platform, self._jitter_lo, self._jitter_span
-            osif = delegate = 1.0
-            if span > 0:
-                osif += lo + span * self._random()
-                delegate += lo + span * self._random()
-            dt = int(round(platform.osif_roundtrip_us * osif * NS_PER_US))
-            dt += int(round(platform.delegate_publish_us * delegate * NS_PER_US))
+            # one OSIF round trip, then one delegate publish
+            t = now + self._osif_ns() + self._delegate_ns()
             heap_seq = self._seq
             self._seq = heap_seq + 1
-            heappush(self._heap, (now + dt, heap_seq, self._from_hw, (route, message)))
+            heappush(self._heap, (t, heap_seq, self._from_hw, (route, message)))
         else:
             self._smt_fanout(route, message, loaned=False)
 
@@ -647,19 +599,12 @@ class _Sim(_EventLoop):
 
         ``deliver`` is ``_deliver``'s arguments for that subscriber.
         """
-        factor = 1.0
-        if self._jitter_span > 0:
-            factor += self._jitter_lo + self._jitter_span * self._random()
         seq = self._seq
         self._seq = seq + 1
-        t = self.now_ns + int(round(self.platform.osif_roundtrip_us * factor * NS_PER_US))
-        heappush(self._heap, (t, seq, self._start_pull, (message, deliver)))
+        heappush(self._heap, (self.now_ns + self._osif_ns(), seq, self._start_pull, (message, deliver)))
 
     def _start_pull(self, message: gw.Message, deliver: tuple):
-        factor = 1.0  # ``jit_bytes``
-        if self._jitter_span > 0:
-            factor += self._jitter_lo + self._jitter_span * self._random()
-        self.pool.start(message.size_bytes * factor, self._pulled, message, deliver)
+        self.pool.start(self._memif_bytes(message.size_bytes), self._pulled, message, deliver)
 
     def _pulled(self, message: gw.Message, deliver: tuple):
         """The pull is done; delivery follows on the same nanosecond.
@@ -680,18 +625,13 @@ class _Sim(_EventLoop):
 
     def hmt_arrival(self, message: gw.Message, subscribers: tuple[str, ...]):
         """A stream reached each hardware subscriber, in order; each takes delivery after one OSIF round trip."""
-        heap, trace, now, mid = self._heap, self._trace, self.now_ns, message.message_id
-        osif_us, lo, span = self.platform.osif_roundtrip_us, self._jitter_lo, self._jitter_span
+        heap, trace, now, mid, osif_ns = self._heap, self._trace, self.now_ns, message.message_id, self._osif_ns
         topic, mseq = message.topic, message.seq
         t_pub, delivery_id = self._pub_times[topic, mseq]
         seq = self._seq
         for sub in subscribers:
             trace.append(_tuple_new(TraceEvent, (now, "HMT_TRANSFER", mid, sub)))
-            factor = 1.0
-            if span > 0:
-                factor += lo + span * self._random()
-            t = now + int(round(osif_us * factor * NS_PER_US))
-            heappush(heap, (t, seq, self._deliver, (topic, sub, mseq, t_pub, delivery_id)))
+            heappush(heap, (now + osif_ns(), seq, self._deliver, (topic, sub, mseq, t_pub, delivery_id)))
             seq += 1
         self._seq = seq
 
@@ -877,13 +817,11 @@ def compare_grid(
     platform: PlatformModel,
     policy_a: MappingPolicy,
     policy_b: MappingPolicy,
-    seed: int | None = None,
 ) -> tuple[list[str], list[list]]:
     """Sweep the grid; both policies see identical seeds per cell."""
     grid = scenario.grid
     if grid is None:
         raise ScenarioError("scenario has no grid descriptor")
-    base_seed = scenario.seed if seed is None else seed
     header = [
         "publisher_kind",
         "size_bytes",
@@ -907,7 +845,7 @@ def compare_grid(
                 size,
                 reps=grid.reps,
                 period_us=grid.period_us,
-                seed=base_seed + cell,
+                seed=scenario.seed + cell,
                 jitter_pct=scenario.jitter_pct,
             )
             a_hw, a_sw = cell_times(cell_scn, platform, policy_a)
@@ -933,12 +871,11 @@ def compare_means(
     platform: PlatformModel,
     policy_a: MappingPolicy,
     policy_b: MappingPolicy,
-    seed: int | None = None,
 ) -> tuple[list[str], list[list]]:
     """Mean delivery latency per (topic, subscriber) under each policy; for scenarios without a grid."""
     means = []
     for policy in (policy_a, policy_b):
-        result = simulate(replace(scenario, comm_mapping=None, policy=policy), platform, seed=seed)
+        result = simulate(replace(scenario, comm_mapping=None, policy=policy), platform)
         means.append({(r["topic"], r["subscriber"]): r["mean_us"] for r in compute_stats(result)})
     header = ["topic", "subscriber", f"mean_us_{policy_a.value}", f"mean_us_{policy_b.value}", "speedup"]
     rows = []

@@ -2,9 +2,9 @@
 
 The engine in ``topomap.simulator`` charges time with the rules kept
 here: microseconds round to whole nanoseconds, a transfer at a given
-bandwidth takes the integer ceiling of its nanoseconds, software readers
-take their copies in copy-slot order, and concurrent MEMIF transfers
-share one bandwidth pool.
+bandwidth takes the integer ceiling of its nanoseconds, ``Charges``
+prices each cost and its jitter, readers take their copies in copy-slot
+order, and concurrent MEMIF transfers share one bandwidth pool.
 
 ``predict_latency_ns`` prices one isolated, jitter-free message from the
 same charges the engine schedules, without running the engine. Engine
@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import functools
 import gc
+import itertools
 import math
+import random
 from heapq import heappop, heappush
 
 from .topics import TopicEndpoints, TopicImpl
@@ -46,6 +48,68 @@ def _bytes_ns(nbytes: int, bytes_per_s: float) -> int:
     # exact integer ceiling so repeated runs cannot drift
     bps = int(round(bytes_per_s))
     return (nbytes * 1_000_000_000 + bps - 1) // bps
+
+
+# -- the charges -------------------------------------------------------------
+
+
+def _dds_ns(platform: PlatformModel, size_bytes: int) -> int:
+    return _us_to_ns(platform.sw_dds_latency_us(size_bytes))
+
+
+def _copy_ns(platform: PlatformModel, size_bytes: int) -> int:
+    return _bytes_ns(size_bytes, platform.sw_copy_bandwidth_bytes_per_s)
+
+
+def _hmt_ns(platform: PlatformModel, size_bytes: int) -> int:
+    return _bytes_ns(size_bytes, platform.hmt_bandwidth_bytes_per_s)
+
+
+class _PerSize(dict):
+    """One charge per message size, computed on first use.
+
+    Keyed by size, not by topic: a workload item's ``size_bytes`` overrides
+    its topic's declared size.
+    """
+
+    def __init__(self, charge):
+        super().__init__()
+        self._charge = charge
+
+    def __missing__(self, size: int) -> int:
+        ns = self[size] = self._charge(size)
+        return ns
+
+
+class Charges:
+    """Every charge of one run, each priced in one place.
+
+    ``osif_ns()`` and ``delegate_ns()`` price one control call each, in ns;
+    ``memif_bytes(n)`` is the effective bytes a MEMIF transfer of ``n``
+    bytes moves; ``dds_ns``, ``copy_ns`` and ``hmt_ns`` map a message size
+    to its software-side delivery, one serial copy and its HMT stream.
+    Only control calls and MEMIF transfers jitter: with jitter ``j`` each
+    call scales its nominal value by ``1 + uniform(-j, j)``, the run's next
+    draw, so draws follow call order; as bytes, MEMIF jitter keeps the
+    pool's throughput at its bandwidth. At jitter 0 nothing is drawn and
+    each charge is exactly its nominal value (sizes are below 2**53).
+    """
+
+    def __init__(self, platform: PlatformModel, jitter: float, seed: int):
+        if jitter > 0:
+            # Random.uniform(a, b)'s own formula, a + (b - a) * random(), for a = -jitter, b = jitter
+            lo, span, draw = -jitter, jitter - -jitter, random.Random(seed).random
+
+            def control(us):
+                return lambda: int(round(us * (1.0 + (lo + span * draw())) * NS_PER_US))
+
+            self.memif_bytes = lambda nbytes: nbytes * (1.0 + (lo + span * draw()))
+        else:
+            control, self.memif_bytes = (lambda us: itertools.repeat(_us_to_ns(us)).__next__), float
+        self.osif_ns, self.delegate_ns = control(platform.osif_roundtrip_us), control(platform.delegate_publish_us)
+        self.dds_ns, self.copy_ns, self.hmt_ns = (
+            _PerSize(functools.partial(charge, platform)) for charge in (_dds_ns, _copy_ns, _hmt_ns)
+        )
 
 
 def gateway_ids(topic_id: str) -> tuple[str, str]:
@@ -296,8 +360,8 @@ def predict_latency_ns(
     """
     endpoints.check(impl)
     osif_ns = _us_to_ns(platform.osif_roundtrip_us)
-    dds_ns = _us_to_ns(platform.sw_dds_latency_us(size_bytes))
-    hmt_ns = _bytes_ns(size_bytes, platform.hmt_bandwidth_bytes_per_s)
+    dds_ns = _dds_ns(platform, size_bytes)
+    hmt_ns = _hmt_ns(platform, size_bytes)
     memif_bps = platform.memif_bandwidth_bytes_per_s
     latency: dict[str, int] = {}
     if publisher in endpoints.hw_pubs:
@@ -315,7 +379,7 @@ def predict_latency_ns(
             return latency
     else:
         t0 = 0
-        copy_ns = _bytes_ns(size_bytes, platform.sw_copy_bandwidth_bytes_per_s)
+        copy_ns = _copy_ns(platform, size_bytes)
 
     pulls, ready = [], []
     for slot, (reader, role) in enumerate(copy_order(endpoints, impl)):

@@ -146,7 +146,7 @@ class TestCalibrate:
         # baseline, so simulated speedup stays >= 1 and a slowdown target
         # of 0.25 cannot be fit at any parameter setting
         target = SpeedupTarget("hw", 1000, 1, 0, "hw", 0.25)
-        result = calibrate([target], threshold=0.01, sweeps=2)
+        result = calibrate([target], threshold=0.01)
         assert not result.ok
         assert result.residuals[0]["ok"] is False
         assert result.residuals[0]["simulated_speedup"] >= 1.0
@@ -157,7 +157,7 @@ class TestCalibrate:
         descriptor = SpeedupTarget("hw", 120_000, 4, 0, "hw", 1.0)
         achieved = simulated_speedup(descriptor, PlatformModel())
         target = SpeedupTarget("hw", 120_000, 4, 0, "hw", achieved)
-        result = calibrate([target], threshold=0.05, sweeps=2)
+        result = calibrate([target], threshold=0.05)
         assert result.ok
         assert result.objective_value == 0.0
         assert result.platform == PlatformModel()
@@ -180,7 +180,7 @@ class TestCalibrate:
         cell = dict(publisher_kind="hw", size_bytes=120_000, hw_subs=2, sw_subs=0, measure="hw")
         lo, hi = 1.5, 2.16
         targets = [SpeedupTarget(speedup=lo, **cell), SpeedupTarget(speedup=hi, **cell)]
-        result = calibrate(targets, threshold=1.0, sweeps=4)
+        result = calibrate(targets, threshold=1.0)
         fitted = [r["simulated_speedup"] for r in result.residuals]
         assert fitted[0] == fitted[1]
         assert fitted[0] == pytest.approx(math.sqrt(lo * hi), rel=0.05)
@@ -206,7 +206,7 @@ class TestCalibrate:
 
     def test_result_json_shape(self):
         target = SpeedupTarget("hw", 120_000, 2, 0, "hw", 1.2)
-        result = calibrate([target], threshold=0.5, sweeps=1)
+        result = calibrate([target], threshold=0.5)
         assert isinstance(result, CalibrationResult)
         doc = json.loads(result_to_json(result))
         assert set(doc) == {"platform", "residuals", "objective_value", "threshold", "ok"}

@@ -9,6 +9,7 @@ so on the regret grid its pick must be the faster simulated transport.
 
 import gc
 import heapq
+import random
 import weakref
 from dataclasses import replace
 
@@ -373,3 +374,33 @@ def test_drain_pauses_the_collector_and_restores_its_state(enabled, raises):
     finally:
         (gc.enable if collecting else gc.disable)()
     assert seen == [False]
+
+
+# -- the charges ---------------------------------------------------------------
+
+CHARGED = PlatformModel(osif_roundtrip_us=27.3, delegate_publish_us=8.1)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_charges_without_jitter_are_the_nominal_values(seed):
+    charges = timing.Charges(CHARGED, 0.0, seed)
+    for _ in range(3):
+        assert charges.osif_ns() == _us_to_ns(CHARGED.osif_roundtrip_us)
+        assert charges.delegate_ns() == _us_to_ns(CHARGED.delegate_publish_us)
+        moved = charges.memif_bytes(100_003)
+        assert moved == float(100_003) and type(moved) is float
+
+
+@pytest.mark.parametrize("jitter, seed", [(0.05, 1), (0.3, 7)])
+def test_jittered_charges_take_the_runs_uniform_draws_in_call_order(jitter, seed):
+    charges = timing.Charges(CHARGED, jitter, seed)
+    size = 100_003
+    got = [charges.osif_ns(), charges.memif_bytes(size), charges.delegate_ns(), charges.osif_ns()]
+    draws = random.Random(seed)
+    f = [1.0 + draws.uniform(-jitter, jitter) for _ in got]
+    assert got == [
+        _us_to_ns(CHARGED.osif_roundtrip_us * f[0]),
+        size * f[1],
+        _us_to_ns(CHARGED.delegate_publish_us * f[2]),
+        _us_to_ns(CHARGED.osif_roundtrip_us * f[3]),
+    ]
