@@ -62,14 +62,6 @@ def _load_platform(path: str | None) -> PlatformModel:
     return PlatformModel.load(path)
 
 
-def _policy(name: str) -> MappingPolicy:
-    try:
-        return MappingPolicy(name)
-    except ValueError:
-        choices = ", ".join(p.value for p in MappingPolicy)
-        raise DocumentError(f"unknown policy {name!r} (choose from: {choices})") from None
-
-
 def _seeded(scenario: Scenario) -> Scenario:
     raw = os.environ.get("TOPOMAP_SEED")
     try:
@@ -85,7 +77,7 @@ def cmd_map(args) -> int:
     graph, node_mapping = load_document(args.graph)
     if node_mapping is None:
         raise DocumentError(f"graph document {args.graph!r}: missing required field 'node_mapping'")
-    policy = _policy(args.policy)
+    policy = DocumentError.member(args.policy, "policy", MappingPolicy)
     platform = _load_platform(args.platform)
     comm_mapping, rationales = map_communication(graph, node_mapping, policy, platform)
     report = mapping_report(graph, node_mapping, comm_mapping, rationales)
@@ -121,7 +113,7 @@ def cmd_compare(args) -> int:
     names = [p.strip() for p in args.policies.split(",")]
     if len(names) != 2:
         raise DocumentError("--policies expects exactly two comma-separated policy names")
-    policy_a, policy_b = (_policy(n) for n in names)
+    policy_a, policy_b = (DocumentError.member(n, "policy", MappingPolicy) for n in names)
     compare = compare_grid if scenario.grid is not None else compare_means
     header, rows = compare(_seeded(scenario), platform, policy_a, policy_b)
     _write_text(args.out, compare_to_csv(header, rows))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from enum import Enum
 
 # Message sizes stay below 2**53, the range in which every integer is an
 # exact float, so that the MEMIF pool, which counts bytes in floats, starts
@@ -107,6 +108,15 @@ class DocumentError(ValueError):
         if cls.integer(value, where, 1) >= MAX_SIZE_BYTES:
             raise cls(f"{where} must be below {MAX_SIZE_BYTES} bytes, got {value!r}")
         return value
+
+    @classmethod
+    def member(cls, value, what: str, enum: type[Enum]):
+        """The member of ``enum`` whose value is ``value``; an error lists the choices."""
+        try:
+            return enum(value)
+        except ValueError:
+            choices = ", ".join(m.value for m in enum)
+            raise cls(f"unknown {what} {value!r} (choose from: {choices})") from None
 
     @classmethod
     def number(cls, value, where: str, upper: float = math.inf) -> float:

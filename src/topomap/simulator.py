@@ -31,7 +31,9 @@ a fan-out serves each role in one branch, as the latency model prices it.
 Internally time is integer nanoseconds; all randomness flows from one
 seeded generator, so runs are reproducible event for event. The timing
 rules (nanosecond rounding, copy-slot order, the MEMIF pool) and the
-``(time, seq)`` event loop the engine runs on live in ``topomap.timing``.
+``(time, seq)`` event loop the engine runs on live in ``topomap.timing``;
+the loop also decides when an event for the running nanosecond may skip
+its heap.
 """
 
 from __future__ import annotations
@@ -143,10 +145,7 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
         comm_mapping = CommMapping.from_dict(ScenarioError.typed(doc["comm_mapping"], dict, "comm_mapping"))
     policy = None
     if "policy" in doc:
-        try:
-            policy = MappingPolicy(doc["policy"])
-        except ValueError:
-            raise ScenarioError(f"unknown policy {doc['policy']!r}") from None
+        policy = ScenarioError.member(doc["policy"], "policy", MappingPolicy)
 
     grid = None
     if "grid" in doc:
@@ -206,6 +205,8 @@ def star_graph(
     size_bytes: int,
 ) -> tuple[ComputationGraph, NodeMapping]:
     """One publisher, one topic, a row of subscribers."""
+    if publisher_kind not in ("hw", "sw"):
+        raise ScenarioError(f"publisher_kind must be 'hw' or 'sw', got {publisher_kind!r}")
     nodes = ["pub0"]
     placements = {"pub0": Placement.HW if publisher_kind == "hw" else Placement.SW}
     for i in range(hw_subs):
@@ -468,20 +469,8 @@ class _Sim(_EventLoop):
     #
     # The per-hop methods below push onto the heap with the ``seq`` counter
     # and append trace rows themselves; ``at`` and ``trace`` serve the cold
-    # paths and the gateway actor. A hop for the running nanosecond skips
-    # the heap where ``_nothing_else_now`` allows.
-
-    def _nothing_else_now(self) -> bool:
-        """Whether an event pushed for ``now_ns`` now would be the next to run.
-
-        Everything on the heap, and the pool's ``due``, took its seq before
-        the counter's next one, so such an event runs next exactly when
-        neither is due at ``now_ns``. A handler may then run the hop inline
-        as its last work: it still takes its seq, so its ``(time, seq)``
-        place, its jitter draws and its trace rows stay where they were.
-        """
-        heap, due, now = self._heap, self.pool.due, self.now_ns
-        return (not heap or heap[0][0] > now) and (due is None or due[0] > now)
+    # paths and the gateway actor. A hop for the running nanosecond goes
+    # through ``at`` or ``_now`` by ``_EventLoop``'s rule.
 
     def sw_take(self, message: gw.Message, subscribers: tuple[str, ...]):
         """The subscribers' copies are ready now; software-side delivery follows, in order."""
@@ -547,10 +536,9 @@ class _Sim(_EventLoop):
         first reader free. The readers ready now, every reader of a loaned
         fan-out and slot 0 of a serial one, are hardware-side (a software
         subscriber's delivery trails its copy by the positive software
-        latency). When ``_nothing_else_now`` holds as the fan-out starts,
-        their hops run after the loop, in slot order, instead of from the
-        heap: each would have been the next event, since the loop pushes
-        only later seqs and draws no jitter.
+        latency), so they come first in slot order: when ``_next_now``
+        holds as the fan-out starts, it holds for each of them, and they
+        join ``_now`` instead of the heap.
 
         A hardware pull in a later serial slot is one event: its copy's
         ``SW_COPY`` row and its pull sat at adjacent keys, so nothing ran
@@ -562,7 +550,7 @@ class _Sim(_EventLoop):
         copy_ns = 0 if loaned else self._copy_ns[size]
         dds_ns = self._dds_ns[size]
         t_pub, delivery_id = self._pub_times[topic, mseq]
-        ready_now = [] if self._nothing_else_now() else None
+        ready_now = self._now if self._next_now() else None
         seq = self._seq
         for slot, (reader, role) in enumerate(route.readers):
             deliver = (topic, reader, mseq, t_pub, delivery_id)
@@ -585,9 +573,6 @@ class _Sim(_EventLoop):
                     ready_now.append(hop)
             seq += 1
         self._seq = seq
-        if ready_now:
-            for fn, args in ready_now:
-                fn(*args)
 
     def _copied_pull(self, message: gw.Message, deliver: tuple):
         """A hardware subscriber's serial copy is done: its ``SW_COPY`` row, then its pull."""
@@ -607,19 +592,13 @@ class _Sim(_EventLoop):
         self.pool.start(self._memif_bytes(message.size_bytes), self._pulled, message, deliver)
 
     def _pulled(self, message: gw.Message, deliver: tuple):
-        """The pull is done; delivery follows on the same nanosecond.
-
-        The delivery runs inline when the pool finished this flow alone and
-        ``_nothing_else_now`` holds: it would have been the next event. When
-        several flows finish together, each one's row precedes every
-        delivery, so the deliveries wait on the heap.
-        """
+        """The pull is done; delivery follows on the same nanosecond."""
         now = self.now_ns
         self._trace.append(_tuple_new(TraceEvent, (now, "MEMIF_TRANSFER", message.message_id, deliver[1])))
         seq = self._seq
         self._seq = seq + 1
-        if self.pool.finished_alone and self._nothing_else_now():
-            self._deliver(*deliver)
+        if self._next_now():
+            self._now.append((self._deliver, deliver))
         else:
             heappush(self._heap, (now, seq, self._deliver, deliver))
 

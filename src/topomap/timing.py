@@ -32,6 +32,7 @@ import gc
 import itertools
 import math
 import random
+from collections import deque
 from heapq import heappop, heappush
 
 from .topics import TopicEndpoints, TopicImpl
@@ -156,9 +157,9 @@ class _MemifPool:
     The pool holds its one pending completion as ``due = (t_ns, seq)``
     rather than as a heap event, so a reschedule replaces it instead of
     leaving a stale event behind. An ``_EventLoop`` drives it: ``seq``
-    comes from the loop's counter and ``drain`` fires ``due`` when it
-    precedes the heap head, keeping the completion in ``(time, seq)``
-    order. ``sim`` is the loop, or any object with ``now_ns`` and ``_seq``.
+    comes from the loop's counter and ``drain`` fires ``due`` in its
+    ``(time, seq)`` place among the loop's events. ``sim`` is the loop,
+    or any object with ``now_ns`` and ``_seq``.
     Every settled interval is recorded for throughput audits.
     """
 
@@ -170,7 +171,6 @@ class _MemifPool:
         self._started = 0
         self._last_t = 0
         self.due: tuple[int, int] | None = None
-        self.finished_alone = False
         self.segments: list[tuple[int, int, int, float]] = []
 
     # ``start`` and ``complete`` settle (advance ``V`` to now, recording the
@@ -197,10 +197,8 @@ class _MemifPool:
     def complete(self):
         """Fire ``due``: finish every flow that has drained, in start order.
 
-        ``finished_alone`` records whether exactly one flow finished. Only
-        then may its callback run its next hop inline, and only when nothing
-        else is due now: with several, the first callback's hop would run
-        before the later callbacks, which come first in ``(time, seq)`` order.
+        ``due`` moves on before the callbacks run, one after another, so an
+        event a callback schedules for now runs after all of them.
         """
         sim, tags = self._sim, self._tags
         now, n = sim.now_ns, len(tags)  # ``due`` is set, so a flow is active
@@ -219,7 +217,6 @@ class _MemifPool:
             while tags and tags[0][0] <= done:
                 finished.append(heappop(tags)[1:])
             finished.sort()
-        self.finished_alone = len(finished) == 1
         if tags:
             seq, left = sim._seq, tags[0][0] - self._v
             self.due = (now + math.ceil((0.0 if left < 0.0 else left) * len(tags) * 1e9 / self._bps), seq)
@@ -236,6 +233,11 @@ class _EventLoop:
     ``seq`` counts every scheduling, so events at the same nanosecond run in
     the order they were scheduled. The pool's pending completion takes its
     ``seq`` from the same counter and runs when it precedes the heap head.
+
+    An event for the running nanosecond joins ``_now``, a FIFO that ``drain``
+    empties before it looks at the heap or the pool, when ``_next_now``
+    holds; it still takes its ``seq``, and runs where the heap would run it.
+
     The engine is an event loop; the latency model replays its MEMIF
     schedules on one. ``drain`` pauses the cyclic garbage collector: a run
     makes no reference cycles, but its trace rows outlive it as tracked
@@ -246,25 +248,41 @@ class _EventLoop:
         self.now_ns = 0
         self._seq = 0
         self._heap: list = []
+        self._now: deque[tuple] = deque()  # (fn, args) at ``now_ns``, in seq order
         self.pool = _MemifPool(self, bytes_per_s)
+
+    def _next_now(self) -> bool:
+        """Whether an event scheduled now for ``now_ns`` runs before every waiting event.
+
+        Each took its ``seq`` earlier, so it does unless the heap's head or the
+        pool's ``due`` is at ``now_ns``; ``_now`` holds earlier seqs only.
+        """
+        heap, due, now = self._heap, self.pool.due, self.now_ns
+        return (not heap or heap[0][0] > now) and (due is None or due[0] > now)
 
     def at(self, t_ns: int, fn, *args):
         """Schedule ``fn(*args)`` at ``t_ns``; ties run in scheduling order."""
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._heap, (t_ns, seq, fn, args))
+        if t_ns == self.now_ns and self._next_now():
+            self._now.append((fn, args))
+        else:
+            heappush(self._heap, (t_ns, seq, fn, args))
 
     def drain(self):
-        """Run events until neither the heap nor the pool holds one.
+        """Run events until ``_now``, the heap and the pool hold none.
 
         The cyclic collector is off while the loop runs and is switched
         back on afterwards, even if a handler raises, only if it was on.
         """
-        heap, pool, pop = self._heap, self.pool, heappop
+        heap, now_q, pool, pop, pop_now = self._heap, self._now, self.pool, heappop, self._now.popleft
         collecting = gc.isenabled()
         gc.disable()
         try:
             while True:
+                while now_q:
+                    fn, args = pop_now()
+                    fn(*args)
                 due = pool.due
                 if heap and (due is None or heap[0] < due):
                     t, _, fn, args = pop(heap)

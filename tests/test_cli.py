@@ -324,6 +324,7 @@ class TestScenarioValidation:
             ({"jiter_pct": 0.3}, "scenario: unknown keys ['jiter_pct']"),
             (_workload(cont=5), "workload[0]: unknown keys ['cont']"),
             (_grid(rep=2, size=[1]), "grid: unknown keys ['rep', 'size']"),
+            (_grid(publisher_kind="HW"), "grid.publisher_kind must be 'hw' or 'sw'"),
         ],
     )
     def test_rejected_with_one_line_error(self, workdir, capsys, extra, field):
@@ -334,6 +335,15 @@ class TestScenarioValidation:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and field in lines[0]
+
+    def test_unknown_policy_lists_the_choices(self, workdir, capsys):
+        # the same message as map's --policy
+        scenario = write_scenario(workdir, policy="fast")
+        assert run_cli("simulate", "--scenario", str(scenario)) == 2
+        line = _one_line_error(capsys, "policy")
+        assert line == "error: unknown policy 'fast' (choose from: cost, multi-hw-sub, smt)"
+        assert run_cli("map", "--graph", str(workdir / "graph.json"), "--policy", "fast") == 2
+        assert _one_line_error(capsys, "policy") == line
 
     def test_packaged_chain_with_misspelled_keys_is_input_error(self, tmp_path, data_dir, capsys):
         shutil.copy(data_dir / "chain_graph.json", tmp_path / "chain_graph.json")
@@ -857,6 +867,18 @@ class TestReport:
             "speedup_sw_to_hw.csv",
             "speedup_sw_to_sw.csv",
         ]
+
+    def test_grid_without_sw_subscribers_pivots_only_the_hw_side(self, tmp_path, data_dir, capsys):
+        # the packaged grid has no SW subscriber, so every speedup_sw cell is empty
+        comparison = tmp_path / "compare.csv"
+        assert run_cli(
+            "compare", "--scenario", str(data_dir / "grid_hw_publisher.json"),
+            "--policies", "smt,multi-hw-sub", "--out", str(comparison),
+        ) == 0
+        out_dir = tmp_path / "series"
+        assert run_cli("report", "--in", str(comparison), "--out-dir", str(out_dir)) == 0
+        assert [p.name for p in out_dir.iterdir()] == ["speedup_hw_to_hw.csv"]
+        assert capsys.readouterr().out.splitlines() == [str(out_dir / "speedup_hw_to_hw.csv")]
 
     def test_non_grid_document_rejected(self, tmp_path, capsys):
         path = tmp_path / "other.csv"

@@ -273,7 +273,8 @@ class TestEngineCosts:
     def test_same_instant_hops_skip_the_heap(self, monkeypatch):
         """A hop for the running nanosecond is pushed only behind another event due then.
 
-        Otherwise it would be the next event popped, so it runs inline. On a
+        Otherwise it would be the next event popped, so it joins the loop's
+        same-instant queue instead of the heap. On a
         jittered 32-HW, 4-SW star under SMT a message then costs at most one
         pop per pull start and per delivery, plus the publication and its
         announcement: 2 * 32 + 4 + 2 = 70. It makes 38; pushing every hop made 102.
@@ -535,6 +536,12 @@ class TestScenarioDocuments:
         assert scn.workload[0].count == 500
         assert dict(scn.compute_us)["image_compensation"] == 400.0
 
+    @pytest.mark.parametrize("kind", ["HW", "gw", ""])
+    def test_star_rejects_an_unknown_publisher_kind(self, kind):
+        # a kind other than "hw" used to build a software publisher
+        with pytest.raises(ScenarioError, match=f"publisher_kind must be 'hw' or 'sw', got {kind!r}"):
+            star_scenario(kind, 2, 0, 1000, reps=1, period_us=1.0, seed=0)
+
     def test_packaged_grid_scenario_loads(self, data_dir):
         scn = load_scenario(data_dir / "grid_hw_publisher.json")
         grid = scn.grid
@@ -722,6 +729,13 @@ class TestChains:
         mean, stddev = a
         assert mean > 0
         assert stddev >= 0
+
+    def test_chain_without_deliveries_is_rejected(self, data_dir):
+        scn = load_scenario(data_dir / "chain_scenario.json")
+        scn = dataclasses.replace(scn, workload=tuple(dataclasses.replace(w, count=0) for w in scn.workload))
+        chain = ["camera", "image_compensation", "gaussian_blur", "lane_planner", "polyfit", "lane_control"]
+        with pytest.raises(ScenarioError, match="chain produced no end-to-end deliveries"):
+            run_chain_scenario(scn, PLATFORM, chain)
 
     def test_single_node_chain_costs_nothing(self):
         scn = quiet("sw", 0, 1, S_10US)

@@ -310,6 +310,67 @@ def test_event_loop_runs_a_tied_pool_completion_by_seq(start_first):
     assert ran == order
 
 
+def test_event_for_the_running_nanosecond_skips_the_heap_when_nothing_else_is_due():
+    loop, ran, heap_sizes = timing._EventLoop(1e9), [], []
+
+    def first():
+        ran.append(("first", loop.now_ns))
+        loop.at(loop.now_ns, second)
+        loop.at(loop.now_ns, third)
+        heap_sizes.append(len(loop._heap))
+
+    def second():
+        ran.append(("second", loop.now_ns))
+        loop.at(loop.now_ns, fourth)  # scheduled after third, so it runs after third
+
+    def third():
+        ran.append(("third", loop.now_ns))
+
+    def fourth():
+        ran.append(("fourth", loop.now_ns))
+
+    loop.at(100, first)
+    loop.at(200, lambda: ran.append(("later", loop.now_ns)))
+    loop.drain()
+    assert heap_sizes == [1]  # only the event at 200 waits on the heap
+    assert ran == [("first", 100), ("second", 100), ("third", 100), ("fourth", 100), ("later", 200)]
+
+
+@pytest.mark.parametrize("behind", ["heap", "pool"])
+def test_event_for_the_running_nanosecond_keeps_seq_order_behind_one_due_then(behind):
+    # 100 bytes at 1e9 B/s drain at 100 ns; ``tied`` is due at 100 ns under an earlier seq than ``now``'s
+    loop, ran = timing._EventLoop(1e9), []
+
+    def mark(name):
+        ran.append((name, loop.now_ns))
+
+    def first():
+        mark("first")
+        loop.at(loop.now_ns, mark, "now")
+        assert len(loop._heap) == (2 if behind == "heap" else 1)
+
+    loop.at(100, first)
+    if behind == "heap":
+        loop.at(100, mark, "tied")
+    else:
+        loop.at(0, loop.pool.start, 100.0, mark, "tied")
+    loop.drain()
+    assert ran == [("first", 100), ("tied", 100), ("now", 100)]
+
+
+def test_flows_finishing_together_run_every_callback_before_any_follow_up():
+    loop, ran = timing._EventLoop(1e9), []
+
+    def finished(j):
+        ran.append(("finished", j, loop.now_ns))
+        loop.at(loop.now_ns, lambda: ran.append(("follow-up", j, loop.now_ns)))
+
+    for j in range(2):
+        loop.at(0, loop.pool.start, 1000.0, finished, j)
+    loop.drain()
+    assert ran == [("finished", 0, 2000), ("finished", 1, 2000), ("follow-up", 0, 2000), ("follow-up", 1, 2000)]
+
+
 def test_pool_finishes_every_drained_flow_when_one_sits_behind_a_later_tag():
     # At 1000 B/s one nanosecond moves 1e-6 bytes, so flows b and c, started a
     # nanosecond apart, drain within the pool's 1e-6-byte tolerance of each
