@@ -61,8 +61,10 @@ def star(kind, hw_subs, sw_subs, policy, reps, period_us, seed, jitter_pct=None)
         (("sw", 16, 8, GW, 40, 5000.0, 4), "370d016257290f80cd33d9e0de5a8dd63552730edccc4d3008981867ec6b7e4f"),
         # saturated pool: messages arrive faster than 64 pulls drain, flows pile up
         (("sw", 64, 64, SMT, 6, 100.0, 5), "7c546289c07931a2f1c7b7a8763a9aa553dbbd31a016e349b69c73809b62f19d"),
+        # the gateway publishes each HMT message on SMT to four software subscribers at once
+        (("hw", 8, 4, GW, 40, 5000.0, 11, 0.05), "5573be9fd8beb7ce0cd44bf1b7340188e5eea664476cd69fe7bfe65c93245303"),
     ],
-    ids=["hw32_sw4_smt_jitter", "sw16_sw8_gw", "sw64_sw64_smt_saturated"],
+    ids=["hw32_sw4_smt_jitter", "sw16_sw8_gw", "sw64_sw64_smt_saturated", "hw8_sw4_gw_jitter"],
 )
 def test_star(args, digest):
     assert result_digest(star(*args)) == digest
