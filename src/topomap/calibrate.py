@@ -56,10 +56,8 @@ class SpeedupTarget:
     speedup: float
 
     def __post_init__(self):
-        if self.publisher_kind not in ("hw", "sw"):
-            raise TargetError(f"publisher_kind must be 'hw' or 'sw', got {self.publisher_kind!r}")
-        if self.measure not in ("hw", "sw"):
-            raise TargetError(f"measure must be 'hw' or 'sw', got {self.measure!r}")
+        TargetError.side(self.publisher_kind, "publisher_kind")
+        TargetError.side(self.measure, "measure")
         if not self.speedup > 0:
             raise TargetError(f"speedup must be positive, got {self.speedup!r}")
         if self.measure == "hw" and self.hw_subs < 1:

@@ -160,9 +160,7 @@ def cmd_report(args) -> int:
         raise DocumentError(f"{args.infile!r}: not a grid comparison (missing columns {sorted(missing)})")
     for line, row in rows:
         # the kind names the output files, so it must not carry a path
-        kind = row["publisher_kind"]
-        if kind not in ("hw", "sw"):
-            raise DocumentError(f"{args.infile!r} line {line}: publisher_kind must be 'hw' or 'sw', got {kind!r}")
+        DocumentError.side(row["publisher_kind"], f"{args.infile!r} line {line}: publisher_kind")
         for column in ("size_bytes", "hw_subs"):
             try:
                 row[column] = int(row[column])

@@ -110,6 +110,13 @@ class DocumentError(ValueError):
         return value
 
     @classmethod
+    def side(cls, value, where: str) -> str:
+        """``"hw"`` or ``"sw"``: the side of the hardware/software split a publisher or a measure is on."""
+        if value not in ("hw", "sw"):
+            raise cls(f"{where} must be 'hw' or 'sw', got {value!r}")
+        return value
+
+    @classmethod
     def member(cls, value, what: str, enum: type[Enum]):
         """The member of ``enum`` whose value is ``value``; an error lists the choices."""
         try:

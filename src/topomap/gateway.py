@@ -5,8 +5,9 @@ hardware transport (HMT).  It keeps exactly one cancellable read request
 open against its SMT delegate at all times, forwards whatever that request
 returns onto the HMT, and forwards HMT arrivals into main memory followed
 by a publication on the SMT side.  Because its own publications loop back
-to it on both sides, every inbound message is filtered against the
-gateway's own endpoint identity first.
+to it on both sides, every inbound message is checked first: it is the
+gateway's own, and is discarded, exactly when its publisher id is the
+gateway's id on the side it arrived on.
 
 The machine is deliberately small: three resting phases, four transient
 phases that a single step passes through, four event kinds.  ``step`` is a
@@ -127,11 +128,6 @@ class GatewayProtocolError(RuntimeError):
         super().__init__(f"event {type(event).__name__} is illegal in phase {phase.value}")
 
 
-class FilterDecision(enum.Enum):
-    ACCEPT = "ACCEPT"
-    REJECT = "REJECT"
-
-
 @dataclass(frozen=True)
 class GatewayState:
     """Immutable snapshot between steps.
@@ -159,19 +155,6 @@ def init(own_smt_id: str, own_hmt_id: str) -> tuple[GatewayState, list[Action]]:
     return GatewayState(own_smt_id=own_smt_id, own_hmt_id=own_hmt_id), []
 
 
-def filter_message(message: Message, side: str, state: GatewayState) -> FilterDecision:
-    """Reject the gateway's own publications looping back on either side."""
-    if side == "SMT":
-        own = state.own_smt_id
-    elif side == "HMT":
-        own = state.own_hmt_id
-    else:
-        raise ValueError(f"side must be 'SMT' or 'HMT', got {side!r}")
-    if message.publisher_id == own:
-        return FilterDecision.REJECT
-    return FilterDecision.ACCEPT
-
-
 def step(state: GatewayState, event: Event) -> tuple[GatewayState, list[Action]]:
     """Apply one event; returns the next resting state and the emitted actions.
 
@@ -184,14 +167,14 @@ def step(state: GatewayState, event: Event) -> tuple[GatewayState, list[Action]]
 
     if phase is Phase.POLLING and isinstance(event, DelegateResponse):
         m = event.message
-        if filter_message(m, "SMT", state) is FilterDecision.ACCEPT:
+        if m.publisher_id != state.own_smt_id:
             # passes through FWD_SMT_TO_HMT and back to POLLING
             return state, [TransferToHmt(m), _REQUEST]
         return state, [Discard(m), _REQUEST]
 
     if phase is Phase.POLLING and isinstance(event, HmtArrival):
         m = event.message
-        if filter_message(m, "HMT", state) is FilterDecision.ACCEPT:
+        if m.publisher_id != state.own_hmt_id:
             # passes through FWD_HMT_TO_MAIN, then parks m until the cancel resolves
             new = GatewayState(state.own_smt_id, state.own_hmt_id, Phase.CANCELLING, m)
             return new, [TransferToMain(m), _CANCEL]
@@ -206,7 +189,7 @@ def step(state: GatewayState, event: Event) -> tuple[GatewayState, list[Action]]
             # clean cancel: publish the parked message, reopen the read
             return new, [PublishSmt(held), _REQUEST]
         m2 = event.message
-        if filter_message(m2, "SMT", state) is FilterDecision.ACCEPT:
+        if m2.publisher_id != state.own_smt_id:
             # the read raced the cancel; flush its response first
             return new, [TransferToHmt(m2), PublishSmt(held), _REQUEST]
         return new, [Discard(m2), PublishSmt(held), _REQUEST]
@@ -239,8 +222,9 @@ def transition_table() -> dict:
     Action arguments: ``"EVENT_MESSAGE"`` is the message carried by the
     triggering event, ``"HELD"`` the parked message, ``null`` no argument.
     ``via`` lists the transient phases a step passes through, in order.
-    Guards on message-bearing events name the side filter outcome that
-    selects the rule.  The state columns ``holds``, ``outstanding`` and
+    Guards on message-bearing events name the side's loop-back check that
+    selects the rule: ``REJECT`` when the publisher id is the gateway's own
+    id on that side.  The state columns ``holds``, ``outstanding`` and
     ``clears_held`` follow from the rule: a message is held exactly while
     ``CANCELLING``, and a read is outstanding from ``POLLING`` on.
     """

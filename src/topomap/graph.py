@@ -80,13 +80,20 @@ class TopicSpec:
         object.__setattr__(self, "publish_rate_hz", float(rate))
 
 
+def gateway_ids(topic_id: str) -> tuple[str, str]:
+    """A topic's gateway endpoint ids on the SMT side and on the HMT side."""
+    return f"gw.{topic_id}", f"gw.{topic_id}.hmt"
+
+
 @dataclass(frozen=True)
 class ComputationGraph:
     """Immutable bipartite pub-sub graph.
 
     ``pub_edges`` holds (node, topic) pairs, ``sub_edges`` holds
     (topic, node) pairs.  Construction validates endpoint existence,
-    duplicate ids/edges and namespace disjointness, and warns once per
+    duplicate ids/edges and namespace disjointness (no node holds a topic
+    id or a topic's gateway id, which would pass the node's messages off
+    as the gateway's own loop-back), and warns once per
     dangling topic (a topic with no publishers or no subscribers).
     """
 
@@ -120,6 +127,9 @@ class ComputationGraph:
             raise DuplicateIdError(
                 f"node and topic namespaces must be disjoint, shared ids: {sorted(overlap)}"
             )
+        overlap = node_set.intersection(gw_id for t in topic_set for gw_id in gateway_ids(t))
+        if overlap:
+            raise DuplicateIdError(f"node ids must not be a topic's gateway ids, shared ids: {sorted(overlap)}")
         endpoint_topics = []
         for kind, edges in (("publish", self.pub_edges), ("subscribe", self.sub_edges)):
             seen, topics = set(), set()

@@ -50,7 +50,7 @@ from typing import NamedTuple, TextIO
 
 from . import gateway as gw
 from .documents import DocumentError
-from .graph import ComputationGraph, NodeMapping, Placement, TopicSpec, load_document
+from .graph import ComputationGraph, NodeMapping, Placement, TopicSpec, gateway_ids, load_document
 from .mapping import (
     CommMapping,
     MappingPolicy,
@@ -61,7 +61,7 @@ from .mapping import (
     topic_endpoints,
 )
 from .platform_model import MAX_TIME_US, PlatformModel
-from .timing import HW_PULL, NS_PER_US, SW_SUB, Charges, _EventLoop, _us_to_ns, copy_order, gateway_ids
+from .timing import HW_PULL, NS_PER_US, SW_SUB, Charges, _EventLoop, _us_to_ns, copy_order
 
 # -- scenario documents ----------------------------------------------------
 
@@ -151,10 +151,8 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
     if "grid" in doc:
         g = ScenarioError.typed(doc["grid"], dict, "grid")
         ScenarioError.known_keys(g, GridSpec.__dataclass_fields__, "grid")
-        if g.get("publisher_kind") not in ("hw", "sw"):
-            raise ScenarioError("grid.publisher_kind must be 'hw' or 'sw'")
         grid = GridSpec(
-            publisher_kind=g["publisher_kind"],
+            publisher_kind=ScenarioError.side(g.get("publisher_kind"), "grid.publisher_kind"),
             sizes=tuple(
                 ScenarioError.size(v, "grid.sizes[]") for v in ScenarioError.typed(g.get("sizes"), list, "grid.sizes")
             ),
@@ -205,8 +203,7 @@ def star_graph(
     size_bytes: int,
 ) -> tuple[ComputationGraph, NodeMapping]:
     """One publisher, one topic, a row of subscribers."""
-    if publisher_kind not in ("hw", "sw"):
-        raise ScenarioError(f"publisher_kind must be 'hw' or 'sw', got {publisher_kind!r}")
+    ScenarioError.side(publisher_kind, "publisher_kind")
     nodes = ["pub0"]
     placements = {"pub0": Placement.HW if publisher_kind == "hw" else Placement.SW}
     for i in range(hw_subs):
@@ -312,6 +309,9 @@ class _GwActor:
     def __init__(self, sim: "_Sim", endpoints: TopicEndpoints):
         self._sim = sim
         self.endpoints = endpoints
+        # its publications on SMT: a loan to each software subscriber, in copy order
+        readers = tuple(reader for reader in copy_order(endpoints, TopicImpl.GW) if reader[1] == SW_SUB)
+        self._smt_route = _Route(TopicImpl.GW, readers, endpoints, None)
         self.state, actions = gw.init(*gateway_ids(endpoints.topic_id))
         self._actions: deque[gw.Action] = deque(actions)
         self._queue: deque[gw.Event] = deque()
@@ -396,7 +396,7 @@ class _GwActor:
         self._next()
 
     def _published(self, m: gw.Message):
-        self._sim.sw_take(m, self.endpoints.sw_subs)
+        self._sim._smt_fanout(self._smt_route, m, loaned=True)
         # own publication loops back through the reader
         self.offer(gw.Message(self.state.own_smt_id, m.seq, m.topic, m.size_bytes))
         self._next()
@@ -421,7 +421,9 @@ class _Route:
     ``readers`` are ``copy_order``'s (reader id, role) pairs: the
     software-side readers in copy-slot order.  ``endpoints.hw_subs`` are
     served on the hardware side when the topic has one (HMT or GW);
-    ``actor`` is the topic's gateway on GW, else None.
+    ``actor`` is the topic's gateway on GW, else None.  A gateway's own
+    route, for its publications on SMT, holds only the software
+    subscribers and no actor.
     """
 
     impl: TopicImpl
@@ -472,17 +474,6 @@ class _Sim(_EventLoop):
     # paths and the gateway actor. A hop for the running nanosecond goes
     # through ``at`` or ``_now`` by ``_EventLoop``'s rule.
 
-    def sw_take(self, message: gw.Message, subscribers: tuple[str, ...]):
-        """The subscribers' copies are ready now; software-side delivery follows, in order."""
-        topic, mseq = message.topic, message.seq
-        t_pub, delivery_id = self._pub_times[topic, mseq]
-        t_deliver = self.now_ns + self._dds_ns[message.size_bytes]
-        seq = self._seq
-        for sub in subscribers:
-            heappush(self._heap, (t_deliver, seq, self._deliver, (topic, sub, mseq, t_pub, delivery_id)))
-            seq += 1
-        self._seq = seq
-
     def trace(self, kind: str, message_id: str, endpoint: str):
         self._trace.append(_tuple_new(TraceEvent, (self.now_ns, kind, message_id, endpoint)))
 
@@ -531,7 +522,7 @@ class _Sim(_EventLoop):
     def _smt_fanout(self, route: _Route, message: gw.Message, loaned: bool):
         """Hand the message to every software-side reader, by its ``copy_order`` role.
 
-        ``loaned`` fan-out (hardware publications, already in main memory)
+        ``loaned`` fan-out (hardware and gateway publications, already in main memory)
         reaches all readers at once; a software publisher copies serially,
         first reader free. The readers ready now, every reader of a loaned
         fan-out and slot 0 of a serial one, are hardware-side (a software

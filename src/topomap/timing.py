@@ -35,6 +35,7 @@ import random
 from collections import deque
 from heapq import heappop, heappush
 
+from .graph import gateway_ids
 from .topics import TopicEndpoints, TopicImpl
 from .platform_model import PlatformModel
 
@@ -111,11 +112,6 @@ class Charges:
         self.dds_ns, self.copy_ns, self.hmt_ns = (
             _PerSize(functools.partial(charge, platform)) for charge in (_dds_ns, _copy_ns, _hmt_ns)
         )
-
-
-def gateway_ids(topic_id: str) -> tuple[str, str]:
-    """A topic's gateway endpoint ids on the SMT side and on the HMT side."""
-    return f"gw.{topic_id}", f"gw.{topic_id}.hmt"
 
 
 # the roles a software-side reader can have, see ``copy_order``

@@ -336,6 +336,11 @@ class TestScenarioValidation:
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and field in lines[0]
 
+    def test_grid_publisher_kind_names_the_value(self, workdir, capsys):
+        scenario = write_scenario(workdir, **_grid(publisher_kind="HW"))
+        assert run_cli("simulate", "--scenario", str(scenario)) == 2
+        _one_line_error(capsys, "grid.publisher_kind must be 'hw' or 'sw', got 'HW'")
+
     def test_unknown_policy_lists_the_choices(self, workdir, capsys):
         # the same message as map's --policy
         scenario = write_scenario(workdir, policy="fast")
@@ -522,6 +527,28 @@ class TestGraphValidation:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert run_cli("map", "--graph", str(path), "--policy", "cost") == code
         _one_line_error(capsys, field)
+
+    @pytest.mark.parametrize("command", ["map", "simulate", "compare"])
+    @pytest.mark.parametrize("node, placement", [("gw.t", "SW"), ("gw.t.hmt", "HW")])
+    def test_node_holding_a_gateway_id_is_validation_error(self, tmp_path, capsys, command, node, placement):
+        # the gateway of t would discard the node's messages as its own loop-back
+        subscribers = {"h1": "HW", "h2": "HW", "s1": "SW"}
+        doc = {
+            "nodes": [{"id": n} for n in (node, *subscribers)],
+            "topics": [{"id": "t", "message_size_bytes": 4096, "publish_rate_hz": 10.0}],
+            "publishes": [{"node": node, "topic": "t"}],
+            "subscribes": [{"topic": "t", "node": n} for n in subscribers],
+            "node_mapping": {node: placement, **subscribers},
+        }
+        (tmp_path / "graph.json").write_text(json.dumps(doc), encoding="utf-8")
+        scenario = str(write_scenario(tmp_path, workload=[{"publisher": node, "topic": "t", "count": 3}]))
+        argv = {
+            "map": ("map", "--graph", str(tmp_path / "graph.json"), "--policy", "multi-hw-sub"),
+            "simulate": ("simulate", "--scenario", scenario),
+            "compare": ("compare", "--scenario", scenario, "--policies", "smt,multi-hw-sub"),
+        }[command]
+        assert run_cli(*argv) == 3
+        _one_line_error(capsys, f"node ids must not be a topic's gateway ids, shared ids: [{node!r}]")
 
 
 class TestUndecodableDocument:

@@ -35,6 +35,8 @@ def all_events():
         gw.CancelResult(msg("peer-smt", 5)),
         gw.CancelResult(msg(SMT, 6)),
         gw.CancelResult(msg(HMT, 7)),
+        gw.DelegateResponse(msg(HMT, 8)),
+        gw.HmtArrival(msg(SMT, 9)),
     ]
 
 
@@ -75,29 +77,6 @@ class TestMessageValue:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(m, name, "b/2")
         assert m.message_id == "a/1"
-
-
-class TestFilter:
-    def test_foreign_accepted_both_sides(self):
-        state = fresh()
-        m = msg("someone-else")
-        assert gw.filter_message(m, "SMT", state) is gw.FilterDecision.ACCEPT
-        assert gw.filter_message(m, "HMT", state) is gw.FilterDecision.ACCEPT
-
-    def test_own_loopback_rejected(self):
-        state = fresh()
-        assert gw.filter_message(msg(SMT), "SMT", state) is gw.FilterDecision.REJECT
-        assert gw.filter_message(msg(HMT), "HMT", state) is gw.FilterDecision.REJECT
-
-    def test_filter_is_per_side(self):
-        # the SMT id is not rejected on the HMT side and vice versa
-        state = fresh()
-        assert gw.filter_message(msg(SMT), "HMT", state) is gw.FilterDecision.ACCEPT
-        assert gw.filter_message(msg(HMT), "SMT", state) is gw.FilterDecision.ACCEPT
-
-    def test_bad_side_rejected(self):
-        with pytest.raises(ValueError):
-            gw.filter_message(msg("x"), "MAIN", fresh())
 
 
 class TestLegalSteps:

@@ -100,6 +100,12 @@ class TestValidation:
         with pytest.raises(DuplicateIdError, match="disjoint"):
             ComputationGraph(("x",), (TopicSpec("x", 1, 1.0),), (), ())
 
+    @pytest.mark.parametrize("node", ["gw.t", "gw.t.hmt"])
+    def test_node_holding_a_gateway_id(self, node):
+        # the gateway of t would discard the node's messages as its own loop-back
+        with pytest.raises(DuplicateIdError, match=rf"gateway ids, shared ids: \['{node}'\]"):
+            ComputationGraph((node, "s"), (TopicSpec("t", 1, 1.0),), ((node, "t"),), (("t", "s"),))
+
     def test_duplicate_publish_edge(self):
         with pytest.raises(DuplicateIdError):
             ComputationGraph(
