@@ -2,8 +2,9 @@
 
 Subcommands: map, simulate, compare, calibrate, fsm-export, report.
 
-Exit codes: 0 success, 2 input error (unreadable or malformed documents,
-unknown policy names, missing node_mapping), 3 validation error (documents
+Exit codes: 0 success, 1 the reader closed the output pipe, 2 input error
+(unreadable or malformed documents, unknown policy names, the same policy
+twice in compare, missing node_mapping), 3 validation error (documents
 parse but are semantically inconsistent), 4 calibration residual above
 threshold.  The environment variable TOPOMAP_SEED, when set, overrides the
 scenario seed for simulate and compare.
@@ -114,6 +115,8 @@ def cmd_compare(args) -> int:
     if len(names) != 2:
         raise DocumentError("--policies expects exactly two comma-separated policy names")
     policy_a, policy_b = (DocumentError.member(n, "policy", MappingPolicy) for n in names)
+    if policy_a is policy_b:
+        raise DocumentError(f"--policies names {policy_a.value!r} twice: compare needs two different policies")
     compare = compare_grid if scenario.grid is not None else compare_means
     header, rows = compare(_seeded(scenario), platform, policy_a, policy_b)
     _write_text(args.out, compare_to_csv(header, rows))
@@ -259,13 +262,26 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with _one_line_warnings():
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's final flush
+            return code
         except (DocumentError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except (UnknownTopicError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
+        except BrokenPipeError:
+            # the reader closed the output pipe: point stdout at devnull, so that the
+            # interpreter's final flush of what stays buffered cannot fail again
+            try:
+                fd = sys.stdout.fileno()
+            except (AttributeError, OSError, ValueError):  # no descriptor, e.g. an in-memory stream
+                return 1
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+            return 1
 
 
 if __name__ == "__main__":

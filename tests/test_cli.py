@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -18,6 +19,11 @@ from topomap.simulator import STATS_HEADER, TRACE_HEADER, load_scenario, simulat
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def buffered_env():
+    """The environment with stdout block-buffered, as it is by default when it is a pipe."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
 
 @pytest.fixture()
@@ -288,6 +294,64 @@ def _workload(**entry):
 def _grid(**fields):
     base = {"publisher_kind": "hw", "sizes": [12000], "hw_sub_counts": [2], "reps": 2}
     return {"grid": {**base, **fields}, "workload": []}
+
+
+class TestClosedOutputPipe:
+    """A reader that closes the output pipe ends the command with exit 1, not a traceback."""
+
+    def test_trace_reader_closes_after_one_line(self, tmp_path):
+        # about 10k trace rows, far more than a pipe buffers, so the writer meets the closed pipe
+        graph, node_mapping = star_graph("sw", 32, 0, 4096)
+        (tmp_path / "star.json").write_text(serialize_graph(graph, node_mapping), encoding="utf-8")
+        doc = {
+            "graph": "star.json",
+            "policy": "smt",
+            "workload": [{"publisher": "pub0", "topic": "t0", "count": 100, "period_us": 1000.0}],
+        }
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "topomap.cli", "simulate", "--scenario", str(scenario), "--trace", "-"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=buffered_env(),
+        )
+        assert proc.stdout.readline() == (",".join(TRACE_HEADER) + "\n").encode()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+
+    @pytest.mark.parametrize("command", ["fsm-export", "map"])
+    def test_pipe_closed_before_any_output(self, data_dir, command):
+        # a short output is still in the stdout buffer when the command returns
+        argv = [command]
+        if command == "map":
+            argv += ["--graph", str(data_dir / "reference_graph.json"), "--policy", "smt"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "topomap.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=buffered_env(),
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+    def test_in_memory_stdout(self, workdir, capsys, monkeypatch):
+        def closed(result, out):
+            raise BrokenPipeError
+
+        monkeypatch.setattr("topomap.cli.write_trace_csv", closed)
+        scenario = write_scenario(workdir)
+        assert run_cli("simulate", "--scenario", str(scenario), "--trace", "-") == 1
+        assert capsys.readouterr().err == ""
 
 
 class TestScenarioValidation:
@@ -691,6 +755,16 @@ class TestCompare:
     def test_unknown_policy(self, workdir, capsys):
         scenario = write_scenario(workdir)
         assert run_cli("compare", "--scenario", str(scenario), "--policies", "smt,best") == 2
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["means", "grid"])
+    @pytest.mark.parametrize("policies", ["smt,smt", "multi-hw-sub, multi-hw-sub"])
+    def test_same_policy_twice_is_input_error(self, workdir, capsys, grid, policies):
+        # the header would name each of the policy's columns twice
+        scenario = write_scenario(workdir, **(self.grid_doc() if grid else {}))
+        out = workdir / "compare.csv"
+        assert run_cli("compare", "--scenario", str(scenario), "--policies", policies, "--out", str(out)) == 2
+        _one_line_error(capsys, "twice")
+        assert not out.exists()
 
 
 def _targets(**entry):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from test_engine_golden import CHAIN, GW, PLATFORM, SMT, star
 
 from topomap.simulator import (
+    _TRACE_CHUNK,
     TRACE_HEADER,
     SimResult,
     TraceEvent,
@@ -61,6 +62,36 @@ def traces(draw):
 @settings(max_examples=300, deadline=None)
 def test_trace_matches_row_by_row_writer(trace):
     result = SimResult(trace, [], [])
+    assert trace_to_csv(result) == reference_trace_csv(result)
+
+
+# below 2**42 us the writer prints a timestamp from its integer quotient and remainder,
+# at or above it the float; a negative time (never simulated) also takes the float
+BOUND_NS = 2**42 * 1000
+EDGE_TIMES_NS = [0, 999, 1000, BOUND_NS - 1, BOUND_NS, 2**53, 2**63 - 1, -1]
+
+
+def timed_trace(times) -> SimResult:
+    return SimResult([TraceEvent(t, "DELIVER", "t0#0", "sub_1") for t in times], [], [])
+
+
+@pytest.mark.parametrize("t_ns", EDGE_TIMES_NS)
+def test_timestamp_either_side_of_the_integer_bound(t_ns):
+    result = timed_trace([t_ns])
+    assert trace_to_csv(result) == reference_trace_csv(result)
+
+
+def test_edge_timestamps_in_one_chunk():
+    result = timed_trace(EDGE_TIMES_NS)
+    assert trace_to_csv(result) == reference_trace_csv(result)
+
+
+def test_chunk_straddling_the_integer_bound():
+    # a whole chunk below the bound, then a whole chunk across it
+    below = range(BOUND_NS - 3 * _TRACE_CHUNK, BOUND_NS - 2 * _TRACE_CHUNK)
+    across = range(BOUND_NS - _TRACE_CHUNK // 2, BOUND_NS + _TRACE_CHUNK // 2)
+    result = timed_trace([*below, *across])
+    assert len(result.trace) == 2 * _TRACE_CHUNK
     assert trace_to_csv(result) == reference_trace_csv(result)
 
 
