@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -236,6 +238,27 @@ class TestTransitionTable:
 
         text = json.dumps(gw.transition_table())
         assert json.loads(text) == gw.transition_table()
+
+
+class TestProtocolPinned:
+    """The exported table, byte for byte, and the events each resting phase accepts.
+
+    The digest covers every column of every rule, ``via`` and the three state
+    columns included; a change here is a protocol change.
+    """
+
+    SHA256 = "9f76aef44a38370e4849b78b3e1fbdc7c4959998ca1984c4f8d96ed50507fd1a"
+
+    def test_exported_bytes(self):
+        text = json.dumps(gw.transition_table(), indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256
+
+    def test_accepted_events(self):
+        assert gw.ACCEPTED_EVENTS == {
+            gw.Phase.AWAIT_BUFFER: (gw.BufferLocation,),
+            gw.Phase.POLLING: (gw.DelegateResponse, gw.HmtArrival),
+            gw.Phase.CANCELLING: (gw.CancelResult,),
+        }
 
 
 class TestTableEquivalence:
