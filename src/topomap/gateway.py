@@ -10,15 +10,19 @@ gateway's own, and is discarded, exactly when its publisher id is the
 gateway's id on the side it arrived on.
 
 The machine is deliberately small: three resting phases, four transient
-phases that a single step passes through, four event kinds.  ``step`` is a
-pure function from (state, event) to (state, actions); anything not in the
-transition table raises ``GatewayProtocolError``.
+phases that a single step passes through, four event kinds.  Its eight
+rules are stated once, as data in ``_RULES``.  ``step``, a pure function
+from (state, event) to (state, actions), runs them; ``transition_table``
+exports them for ``topomap fsm-export``; ``ACCEPTED_EVENTS`` lists the
+events each resting phase has a rule for.  An event no rule takes raises
+``GatewayProtocolError``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class Phase(enum.Enum):
@@ -115,9 +119,6 @@ class Discard:
 
 Action = RequestSmtMessage | CancelSmtRequest | TransferToHmt | TransferToMain | PublishSmt | Discard
 
-# the argument-less actions are values, so every step shares one of each
-_REQUEST, _CANCEL = RequestSmtMessage(), CancelSmtRequest()
-
 
 class GatewayProtocolError(RuntimeError):
     """Event not legal in the current phase."""
@@ -155,46 +156,99 @@ def init(own_smt_id: str, own_hmt_id: str) -> tuple[GatewayState, list[Action]]:
     return GatewayState(own_smt_id=own_smt_id, own_hmt_id=own_hmt_id), []
 
 
+# -- the protocol ---------------------------------------------------------
+
+
+class _Rule(NamedTuple):
+    """One transition, with the columns ``transition_table`` exports."""
+
+    phase: Phase
+    event: type
+    guard: str
+    actions: tuple[tuple[type, str | None], ...]  # (action class, argument)
+    next: Phase
+    via: tuple[Phase, ...] = ()
+
+
+_MSG, _HELD, _REQ = "EVENT_MESSAGE", "HELD", (RequestSmtMessage, None)
+_FLUSH = (Phase.FLUSH_PENDING, Phase.PUBLISH_SMT)
+
+# The whole machine: ``step`` runs these rules, ``transition_table`` exports
+# them and ``ACCEPTED_EVENTS`` lists their events.
+_RULES = (
+    _Rule(Phase.AWAIT_BUFFER, BufferLocation, "NONE", (_REQ,), Phase.POLLING),
+    _Rule(
+        Phase.POLLING, DelegateResponse, "SMT_ACCEPT",
+        ((TransferToHmt, _MSG), _REQ), Phase.POLLING, (Phase.FWD_SMT_TO_HMT,),
+    ),
+    _Rule(Phase.POLLING, DelegateResponse, "SMT_REJECT", ((Discard, _MSG), _REQ), Phase.POLLING),
+    # park the message until the cancel resolves
+    _Rule(
+        Phase.POLLING, HmtArrival, "HMT_ACCEPT",
+        ((TransferToMain, _MSG), (CancelSmtRequest, None)), Phase.CANCELLING, (Phase.FWD_HMT_TO_MAIN,),
+    ),
+    _Rule(Phase.POLLING, HmtArrival, "HMT_REJECT", ((Discard, _MSG),), Phase.POLLING),
+    # clean cancel: publish the parked message, reopen the read
+    _Rule(Phase.CANCELLING, CancelResult, "EMPTY", ((PublishSmt, _HELD), _REQ), Phase.POLLING, (Phase.PUBLISH_SMT,)),
+    # the read raced the cancel: its response goes first
+    _Rule(
+        Phase.CANCELLING, CancelResult, "MESSAGE_SMT_ACCEPT",
+        ((TransferToHmt, _MSG), (PublishSmt, _HELD), _REQ), Phase.POLLING, _FLUSH,
+    ),
+    _Rule(
+        Phase.CANCELLING, CancelResult, "MESSAGE_SMT_REJECT",
+        ((Discard, _MSG), (PublishSmt, _HELD), _REQ), Phase.POLLING, _FLUSH,
+    ),
+)
+
+# Each guard tests the event's message against the state; REJECT means the
+# message is the gateway's own loop-back on that side.
+_GUARDS = {
+    "NONE": lambda state, m: True,
+    "SMT_ACCEPT": lambda state, m: m.publisher_id != state.own_smt_id,
+    "SMT_REJECT": lambda state, m: m.publisher_id == state.own_smt_id,
+    "HMT_ACCEPT": lambda state, m: m.publisher_id != state.own_hmt_id,
+    "HMT_REJECT": lambda state, m: m.publisher_id == state.own_hmt_id,
+    "EMPTY": lambda state, m: m is None,
+    "MESSAGE_SMT_ACCEPT": lambda state, m: m is not None and m.publisher_id != state.own_smt_id,
+    "MESSAGE_SMT_REJECT": lambda state, m: m is not None and m.publisher_id == state.own_smt_id,
+}
+
+# (phase, event class) -> its rules in table order, each with its guard
+_BY_TRIGGER = {
+    key: [(_GUARDS[r.guard], r) for r in _RULES if (r.phase, r.event) == key]
+    for key in dict.fromkeys((r.phase, r.event) for r in _RULES)
+}
+
+# Event classes each resting phase has a rule for; a driver holds any other
+# event back until the phase changes.
+ACCEPTED_EVENTS = {p: tuple(dict.fromkeys(r.event for r in _RULES if r.phase is p)) for p in RESTING_PHASES}
+
+# the argument-less actions are values, so every step shares one of each
+_SHARED = {RequestSmtMessage: RequestSmtMessage(), CancelSmtRequest: CancelSmtRequest()}
+
+
 def step(state: GatewayState, event: Event) -> tuple[GatewayState, list[Action]]:
     """Apply one event; returns the next resting state and the emitted actions.
 
-    Actions are ordered exactly as the gateway performs them.
+    Actions are ordered exactly as the gateway performs them.  The first rule
+    for the phase and event whose guard holds applies; a message is held
+    exactly while ``CANCELLING``.
     """
-    phase = state.phase
-
-    if phase is Phase.AWAIT_BUFFER and isinstance(event, BufferLocation):
-        return GatewayState(state.own_smt_id, state.own_hmt_id, Phase.POLLING), [_REQUEST]
-
-    if phase is Phase.POLLING and isinstance(event, DelegateResponse):
-        m = event.message
-        if m.publisher_id != state.own_smt_id:
-            # passes through FWD_SMT_TO_HMT and back to POLLING
-            return state, [TransferToHmt(m), _REQUEST]
-        return state, [Discard(m), _REQUEST]
-
-    if phase is Phase.POLLING and isinstance(event, HmtArrival):
-        m = event.message
-        if m.publisher_id != state.own_hmt_id:
-            # passes through FWD_HMT_TO_MAIN, then parks m until the cancel resolves
-            new = GatewayState(state.own_smt_id, state.own_hmt_id, Phase.CANCELLING, m)
-            return new, [TransferToMain(m), _CANCEL]
-        return state, [Discard(m)]
-
-    if phase is Phase.CANCELLING and isinstance(event, CancelResult):
-        held = state.held
-        if held is None:  # pragma: no cover - unreachable via legal steps
-            raise GatewayProtocolError(phase, event)
-        new = GatewayState(state.own_smt_id, state.own_hmt_id, Phase.POLLING)
-        if event.message is None:
-            # clean cancel: publish the parked message, reopen the read
-            return new, [PublishSmt(held), _REQUEST]
-        m2 = event.message
-        if m2.publisher_id != state.own_smt_id:
-            # the read raced the cancel; flush its response first
-            return new, [TransferToHmt(m2), PublishSmt(held), _REQUEST]
-        return new, [Discard(m2), PublishSmt(held), _REQUEST]
-
-    raise GatewayProtocolError(phase, event)
+    message = getattr(event, "message", None)
+    for guard, rule in _BY_TRIGGER.get((state.phase, type(event)), ()):
+        if guard(state, message):
+            break
+    else:
+        raise GatewayProtocolError(state.phase, event)
+    actions = [
+        _SHARED[kind] if arg is None else kind(message if arg == _MSG else state.held)
+        for kind, arg in rule.actions
+    ]
+    held = message if rule.next is Phase.CANCELLING else None
+    if rule.next is not state.phase or held is not state.held:
+        state = GatewayState(state.own_smt_id, state.own_hmt_id, rule.next, held)
+    return state, actions
 
 
 # -- machine-readable transition table ------------------------------------
@@ -217,7 +271,7 @@ _ACTION_KIND = {
 
 
 def transition_table() -> dict:
-    """The full protocol as data.
+    """The full protocol as data: ``_RULES`` with names for its classes and phases.
 
     Action arguments: ``"EVENT_MESSAGE"`` is the message carried by the
     triggering event, ``"HELD"`` the parked message, ``null`` no argument.
@@ -228,7 +282,7 @@ def transition_table() -> dict:
     ``clears_held`` follow from the rule: a message is held exactly while
     ``CANCELLING``, and a read is outstanding from ``POLLING`` on.
     """
-    table = {
+    return {
         "initial_phase": Phase.AWAIT_BUFFER.value,
         "phases": [p.value for p in Phase],
         "resting_phases": [p.value for p in RESTING_PHASES],
@@ -236,91 +290,16 @@ def transition_table() -> dict:
         "action_kinds": sorted(_ACTION_KIND.values()),
         "rules": [
             {
-                "phase": "AWAIT_BUFFER",
-                "event": "BUFFER_LOCATION",
-                "guard": "NONE",
-                "actions": [["REQUEST_SMT_MESSAGE", None]],
-                "next": "POLLING",
-                "via": [],
-            },
-            {
-                "phase": "POLLING",
-                "event": "DELEGATE_RESPONSE",
-                "guard": "SMT_ACCEPT",
-                "actions": [["TRANSFER_TO_HMT", "EVENT_MESSAGE"], ["REQUEST_SMT_MESSAGE", None]],
-                "next": "POLLING",
-                "via": ["FWD_SMT_TO_HMT"],
-            },
-            {
-                "phase": "POLLING",
-                "event": "DELEGATE_RESPONSE",
-                "guard": "SMT_REJECT",
-                "actions": [["DISCARD", "EVENT_MESSAGE"], ["REQUEST_SMT_MESSAGE", None]],
-                "next": "POLLING",
-                "via": [],
-            },
-            {
-                "phase": "POLLING",
-                "event": "HMT_ARRIVAL",
-                "guard": "HMT_ACCEPT",
-                "actions": [["TRANSFER_TO_MAIN", "EVENT_MESSAGE"], ["CANCEL_SMT_REQUEST", None]],
-                "next": "CANCELLING",
-                "via": ["FWD_HMT_TO_MAIN"],
-            },
-            {
-                "phase": "POLLING",
-                "event": "HMT_ARRIVAL",
-                "guard": "HMT_REJECT",
-                "actions": [["DISCARD", "EVENT_MESSAGE"]],
-                "next": "POLLING",
-                "via": [],
-            },
-            {
-                "phase": "CANCELLING",
-                "event": "CANCEL_RESULT",
-                "guard": "EMPTY",
-                "actions": [["PUBLISH_SMT", "HELD"], ["REQUEST_SMT_MESSAGE", None]],
-                "next": "POLLING",
-                "via": ["PUBLISH_SMT"],
-            },
-            {
-                "phase": "CANCELLING",
-                "event": "CANCEL_RESULT",
-                "guard": "MESSAGE_SMT_ACCEPT",
-                "actions": [
-                    ["TRANSFER_TO_HMT", "EVENT_MESSAGE"],
-                    ["PUBLISH_SMT", "HELD"],
-                    ["REQUEST_SMT_MESSAGE", None],
-                ],
-                "next": "POLLING",
-                "via": ["FLUSH_PENDING", "PUBLISH_SMT"],
-            },
-            {
-                "phase": "CANCELLING",
-                "event": "CANCEL_RESULT",
-                "guard": "MESSAGE_SMT_REJECT",
-                "actions": [
-                    ["DISCARD", "EVENT_MESSAGE"],
-                    ["PUBLISH_SMT", "HELD"],
-                    ["REQUEST_SMT_MESSAGE", None],
-                ],
-                "next": "POLLING",
-                "via": ["FLUSH_PENDING", "PUBLISH_SMT"],
-            },
+                "phase": rule.phase.value,
+                "event": _EVENT_KIND[rule.event],
+                "guard": rule.guard,
+                "actions": [[_ACTION_KIND[kind], arg] for kind, arg in rule.actions],
+                "next": rule.next.value,
+                "via": [p.value for p in rule.via],
+                "holds": rule.next is Phase.CANCELLING,
+                "outstanding": _outstanding(rule.next),
+                "clears_held": rule.phase is Phase.CANCELLING,
+            }
+            for rule in _RULES
         ],
     }
-    for rule in table["rules"]:
-        rule["holds"] = rule["next"] == Phase.CANCELLING.value
-        rule["outstanding"] = _outstanding(Phase(rule["next"]))
-        rule["clears_held"] = rule["phase"] == Phase.CANCELLING.value
-    return table
-
-
-def _accepted_events() -> dict[Phase, tuple[type, ...]]:
-    ruled = {(rule["phase"], rule["event"]) for rule in transition_table()["rules"]}
-    return {p: tuple(c for c, kind in _EVENT_KIND.items() if (p.value, kind) in ruled) for p in RESTING_PHASES}
-
-
-# Event classes each resting phase has a rule for; a driver holds any other
-# event back until the phase changes.
-ACCEPTED_EVENTS = _accepted_events()

@@ -262,7 +262,8 @@ class TestProtocolPinned:
 
 
 class TestTableEquivalence:
-    """The hand-written step and the table interpreter are the same machine."""
+    """``step``, which runs the rules as data, and the oracle, which interprets
+    the exported table with guard logic of its own, are the same machine."""
 
     def test_exhaustive_to_depth_seven(self):
         table = gw.transition_table()
