@@ -3,8 +3,9 @@
 Subcommands: map, simulate, compare, calibrate, fsm-export, report.
 
 Exit codes: 0 success, 1 the reader closed the output pipe, 2 input error
-(unreadable or malformed documents, unknown policy names, the same policy
-twice in compare, missing node_mapping), 3 validation error (documents
+(unreadable or malformed documents, an input or output path that cannot
+be opened, unknown policy names, the same policy twice in compare,
+missing node_mapping), 3 validation error (documents
 parse but are semantically inconsistent), 4 calibration residual above
 threshold.  The environment variable TOPOMAP_SEED, when set, overrides the
 scenario seed for simulate and compare.
@@ -265,12 +266,6 @@ def main(argv=None) -> int:
             code = args.func(args)
             sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's final flush
             return code
-        except (DocumentError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except (UnknownTopicError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
         except BrokenPipeError:
             # the reader closed the output pipe: point stdout at devnull, so that the
             # interpreter's final flush of what stays buffered cannot fail again
@@ -282,6 +277,12 @@ def main(argv=None) -> int:
             os.dup2(devnull, fd)
             os.close(devnull)
             return 1
+        except (DocumentError, OSError) as exc:  # OSError: a path that cannot be read or written
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (UnknownTopicError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

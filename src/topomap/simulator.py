@@ -144,7 +144,10 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
 
     comm_mapping = None
     if "comm_mapping" in doc:
-        comm_mapping = CommMapping.from_dict(ScenarioError.typed(doc["comm_mapping"], dict, "comm_mapping"))
+        entries = ScenarioError.typed(doc["comm_mapping"], dict, "comm_mapping").items()
+        comm_mapping = CommMapping(
+            tuple((t, ScenarioError.member(v, f"comm_mapping.{t} transport", TopicImpl)) for t, v in entries)
+        )
     policy = None
     if "policy" in doc:
         policy = ScenarioError.member(doc["policy"], "policy", MappingPolicy)

@@ -389,6 +389,12 @@ class TestScenarioValidation:
             (_workload(cont=5), "workload[0]: unknown keys ['cont']"),
             (_grid(rep=2, size=[1]), "grid: unknown keys ['rep', 'size']"),
             (_grid(publisher_kind="HW"), "grid.publisher_kind must be 'hw' or 'sw'"),
+            # a mistyped transport is named with its topic, and the choices listed
+            (
+                {"comm_mapping": {"t_cam": "XYZ"}},
+                "unknown comm_mapping.t_cam transport 'XYZ' (choose from: SMT, HMT, GW)",
+            ),
+            ({"comm_mapping": {"t_cam": 5}}, "unknown comm_mapping.t_cam transport 5 (choose from: SMT, HMT, GW)"),
         ],
     )
     def test_rejected_with_one_line_error(self, workdir, capsys, extra, field):
@@ -474,6 +480,24 @@ def _one_line_error(capsys, field):
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and field in lines[0]
     return lines[0]
+
+
+class TestUnusablePath:
+    """A path through a regular file, or a file where a directory should be, is an input error (exit 2)."""
+
+    @pytest.mark.parametrize("command", ["map", "fsm-export", "report"])
+    def test_rejected_with_one_line_error(self, workdir, capsys, command):
+        blocker = workdir / "graph.json"
+        comparison = workdir / "cmp.csv"
+        header = "publisher_kind,size_bytes,hw_subs,speedup_hw,speedup_sw\n"
+        comparison.write_text(header + "hw,100,2,1.5,\n", encoding="utf-8")
+        argv = {
+            "map": ["map", "--graph", str(blocker / "g.json"), "--policy", "cost"],
+            "fsm-export": ["fsm-export", "--out", str(blocker / "x.json")],
+            "report": ["report", "--in", str(comparison), "--out-dir", str(blocker)],
+        }[command]
+        assert run_cli(*argv) == 2
+        _one_line_error(capsys, str(blocker))
 
 
 class TestPlatformValidation:
