@@ -214,10 +214,11 @@ _GUARDS = {
     "MESSAGE_SMT_REJECT": lambda state, m: m is not None and m.publisher_id == state.own_smt_id,
 }
 
-# (phase, event class) -> its rules in table order, each with its guard
-_BY_TRIGGER = {
-    key: [(_GUARDS[r.guard], r) for r in _RULES if (r.phase, r.event) == key]
-    for key in dict.fromkeys((r.phase, r.event) for r in _RULES)
+# event class -> (phase, guard, rule) for its rules in table order; keyed by
+# class alone, since hashing an enum member costs a Python-level call
+_BY_EVENT = {
+    event: [(r.phase, _GUARDS[r.guard], r) for r in _RULES if r.event is event]
+    for event in dict.fromkeys(r.event for r in _RULES)
 }
 
 # Event classes each resting phase has a rule for; a driver holds any other
@@ -235,18 +236,17 @@ def step(state: GatewayState, event: Event) -> tuple[GatewayState, list[Action]]
     for the phase and event whose guard holds applies; a message is held
     exactly while ``CANCELLING``.
     """
-    message = getattr(event, "message", None)
-    for guard, rule in _BY_TRIGGER.get((state.phase, type(event)), ()):
-        if guard(state, message):
+    phase, message = state.phase, getattr(event, "message", None)
+    for rule_phase, guard, rule in _BY_EVENT.get(type(event), ()):
+        if rule_phase is phase and guard(state, message):
             break
     else:
-        raise GatewayProtocolError(state.phase, event)
-    actions = [
-        _SHARED[kind] if arg is None else kind(message if arg == _MSG else state.held)
-        for kind, arg in rule.actions
-    ]
+        raise GatewayProtocolError(phase, event)
+    actions = []
+    for kind, arg in rule.actions:
+        actions.append(_SHARED[kind] if arg is None else kind(message if arg == _MSG else state.held))
     held = message if rule.next is Phase.CANCELLING else None
-    if rule.next is not state.phase or held is not state.held:
+    if rule.next is not phase or held is not state.held:
         state = GatewayState(state.own_smt_id, state.own_hmt_id, rule.next, held)
     return state, actions
 
