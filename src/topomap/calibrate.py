@@ -58,8 +58,7 @@ class SpeedupTarget:
     def __post_init__(self):
         TargetError.side(self.publisher_kind, "publisher_kind")
         TargetError.side(self.measure, "measure")
-        if not self.speedup > 0:
-            raise TargetError(f"speedup must be positive, got {self.speedup!r}")
+        TargetError.number(self.speedup, "speedup", positive=True)
         if self.measure == "hw" and self.hw_subs < 1:
             raise TargetError("hw-side target needs at least one hardware subscriber")
         if self.measure == "sw" and self.sw_subs < 1:

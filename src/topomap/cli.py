@@ -3,12 +3,14 @@
 Subcommands: map, simulate, compare, calibrate, fsm-export, report.
 
 Exit codes: 0 success, 1 the reader closed the output pipe, 2 input error
-(unreadable or malformed documents, an input or output path that cannot
-be opened, unknown policy names, the same policy twice in compare,
-missing node_mapping), 3 validation error (documents
-parse but are semantically inconsistent), 4 calibration residual above
-threshold.  The environment variable TOPOMAP_SEED, when set, overrides the
-scenario seed for simulate and compare.
+(a ``DocumentError``: a document that cannot be read or decoded, a bad
+scenario or target field, an unknown policy name, the same policy twice
+in compare, missing node_mapping; or an ``OSError``: a path that cannot
+be opened), 3 validation error (any other ``ValueError``: a bad graph,
+node_mapping or platform field, or documents that parse but are
+inconsistent), 4 calibration residual above threshold.  The
+environment variable TOPOMAP_SEED, when set, overrides the scenario seed
+for simulate and compare.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from pathlib import Path
 from .calibrate import calibrate, load_targets, result_to_json
 from .documents import DocumentError
 from .gateway import transition_table
-from .graph import UnknownTopicError, load_document
+from .graph import load_document
 from .mapping import MappingPolicy, map_communication, mapping_report
 from .platform_model import PlatformModel
 from .simulator import (
@@ -280,7 +282,7 @@ def main(argv=None) -> int:
         except (DocumentError, OSError) as exc:  # OSError: a path that cannot be read or written
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except (UnknownTopicError, ValueError) as exc:
+        except ValueError as exc:  # a field out of range or an inconsistent document
             print(f"error: {exc}", file=sys.stderr)
             return 3
 

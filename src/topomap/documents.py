@@ -1,9 +1,14 @@
 """Reading input documents: the file, its JSON, and the field checks.
 
-Every document kind (graph, platform, scenario, targets) has an error
-class derived from ``DocumentError``, and every check here is a
-classmethod that raises the class it is called on, so
-``ScenarioError.integer(...)`` raises a ``ScenarioError``.  A document
+Every field check is a classmethod of ``FieldError`` that raises the
+class it is called on, so ``ScenarioError.integer(...)`` raises a
+``ScenarioError`` and ``PlatformError.number(...)`` a ``PlatformError``.
+The class alone decides the exit code.  ``DocumentError`` derives from
+``FieldError`` and adds reading and decoding; its subclasses (the
+scenario, targets, graph-syntax and platform-syntax errors) are input
+errors, exit 2.  ``GraphError`` (the graph and its ``node_mapping``),
+``MappingError`` and ``PlatformError`` derive from ``FieldError`` alone
+and are validation errors, exit 3.  A document
 that cannot be read or decoded (not UTF-8, not JSON, nested deeper than
 the parser recurses, an integer literal longer than the interpreter
 converts, not an object) fails with one line, and when it came from a
@@ -22,7 +27,81 @@ from enum import Enum
 MAX_SIZE_BYTES = 2**53
 
 
-class DocumentError(ValueError):
+class FieldError(ValueError):
+    """A field of the wrong type or out of range; each check returns the value it accepts."""
+
+    @classmethod
+    def require(cls, doc: dict, key: str, where: str, kind: type | None = None):
+        """``doc[key]``, which must be present and, if ``kind`` is given, of that type."""
+        if key not in doc:
+            raise cls(f"{where}: missing required key {key!r}")
+        return doc[key] if kind is None else cls.typed(doc[key], kind, f"{where}.{key}")
+
+    @classmethod
+    def typed(cls, value, kind: type, where: str):
+        if not isinstance(value, kind):
+            name = {dict: "an object", list: "a list", str: "a string"}[kind]
+            raise cls(f"{where}: expected {name}, got {value!r}")
+        return value
+
+    @classmethod
+    def known_keys(cls, doc: dict, known, where: str) -> dict:
+        """``doc`` itself, if it has no key outside ``known``."""
+        unknown = sorted(set(doc) - set(known))
+        if unknown:
+            raise cls(f"{where}: unknown keys {unknown}")
+        return doc
+
+    @classmethod
+    def integer(cls, value, where: str, minimum: int | None) -> int:
+        """An integer of at least ``minimum``, or of any sign if ``minimum`` is None."""
+        # bool is an int subclass and must not pass as a count
+        if isinstance(value, bool) or not isinstance(value, int) or minimum is not None and value < minimum:
+            kind = "an" if minimum is None else "a positive" if minimum > 0 else "a non-negative"
+            raise cls(f"{where} must be {kind} integer, got {value!r}")
+        return value
+
+    @classmethod
+    def size(cls, value, where: str) -> int:
+        """A message size in bytes: a positive integer below ``MAX_SIZE_BYTES``."""
+        if cls.integer(value, where, 1) >= MAX_SIZE_BYTES:
+            raise cls(f"{where} must be below {MAX_SIZE_BYTES} bytes, got {value!r}")
+        return value
+
+    @classmethod
+    def side(cls, value, where: str) -> str:
+        """``"hw"`` or ``"sw"``: the side of the hardware/software split a publisher or a measure is on."""
+        if value not in ("hw", "sw"):
+            raise cls(f"{where} must be 'hw' or 'sw', got {value!r}")
+        return value
+
+    @classmethod
+    def member(cls, value, what: str, enum: type[Enum]):
+        """The member of ``enum`` whose value is ``value``; an error lists the choices."""
+        try:
+            return enum(value)
+        except ValueError:
+            choices = ", ".join(m.value for m in enum)
+            raise cls(f"unknown {what} {value!r} (choose from: {choices})") from None
+
+    @classmethod
+    def number(cls, value, where: str, upper: float = math.inf, positive: bool = False) -> float:
+        """A finite number in [0, upper), or in (0, upper) if ``positive``."""
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not 0 <= value < upper
+            or positive and not value
+        ):
+            if upper == math.inf:
+                kind = "a positive number" if positive else "a non-negative number"
+            else:
+                kind = f"a number in {'(' if positive else '['}0, {upper:g})"
+            raise cls(f"{where} must be {kind}, got {value!r}")
+        return float(value)
+
+
+class DocumentError(FieldError):
     """Input the user must fix (exit 2): a document that cannot be read, decoded or typed, or a bad option."""
 
     what = "document"  # the kind named in the not-an-object message
@@ -69,66 +148,3 @@ class DocumentError(ValueError):
             error = cls(f"{cls.what} must be a JSON object")
         error._unnamed_file = True
         raise error
-
-    # -- field checks; each returns the value it accepts -------------------
-
-    @classmethod
-    def require(cls, doc: dict, key: str, where: str, kind: type | None = None):
-        """``doc[key]``, which must be present and, if ``kind`` is given, of that type."""
-        if key not in doc:
-            raise cls(f"{where}: missing required key {key!r}")
-        return doc[key] if kind is None else cls.typed(doc[key], kind, f"{where}.{key}")
-
-    @classmethod
-    def typed(cls, value, kind: type, where: str):
-        if not isinstance(value, kind):
-            name = {dict: "an object", list: "a list", str: "a string"}[kind]
-            raise cls(f"{where}: expected {name}, got {value!r}")
-        return value
-
-    @classmethod
-    def known_keys(cls, doc: dict, known, where: str) -> dict:
-        """``doc`` itself, if it has no key outside ``known``."""
-        unknown = sorted(set(doc) - set(known))
-        if unknown:
-            raise cls(f"{where}: unknown keys {unknown}")
-        return doc
-
-    @classmethod
-    def integer(cls, value, where: str, minimum: int) -> int:
-        # bool is an int subclass and must not pass as a count
-        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-            kind = "a positive" if minimum > 0 else "a non-negative"
-            raise cls(f"{where} must be {kind} integer, got {value!r}")
-        return value
-
-    @classmethod
-    def size(cls, value, where: str) -> int:
-        """A message size in bytes: a positive integer below ``MAX_SIZE_BYTES``."""
-        if cls.integer(value, where, 1) >= MAX_SIZE_BYTES:
-            raise cls(f"{where} must be below {MAX_SIZE_BYTES} bytes, got {value!r}")
-        return value
-
-    @classmethod
-    def side(cls, value, where: str) -> str:
-        """``"hw"`` or ``"sw"``: the side of the hardware/software split a publisher or a measure is on."""
-        if value not in ("hw", "sw"):
-            raise cls(f"{where} must be 'hw' or 'sw', got {value!r}")
-        return value
-
-    @classmethod
-    def member(cls, value, what: str, enum: type[Enum]):
-        """The member of ``enum`` whose value is ``value``; an error lists the choices."""
-        try:
-            return enum(value)
-        except ValueError:
-            choices = ", ".join(m.value for m in enum)
-            raise cls(f"unknown {what} {value!r} (choose from: {choices})") from None
-
-    @classmethod
-    def number(cls, value, where: str, upper: float = math.inf) -> float:
-        """A finite number in [0, upper)."""
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < upper:
-            kind = "a non-negative number" if upper == math.inf else f"a number in [0, {upper:g})"
-            raise cls(f"{where} must be {kind}, got {value!r}")
-        return float(value)

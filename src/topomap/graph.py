@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 
-from .documents import MAX_SIZE_BYTES, DocumentError
+from .documents import DocumentError, FieldError
 
 
-class GraphError(ValueError):
+class GraphError(FieldError):
     """Base class for graph document problems."""
 
 
@@ -40,14 +39,11 @@ class UnknownEndpointError(GraphError):
 
 
 class BadAnnotationError(GraphError):
-    """Topic size/rate annotation out of range."""
+    """A topic's size or rate, or a node's placement, out of range."""
 
 
-class UnknownTopicError(KeyError):
+class UnknownTopicError(GraphError):
     """Lookup of a topic id that is not in the graph."""
-
-    def __str__(self):
-        return f"unknown topic {self.args[0]!r}"
 
 
 class DanglingTopicWarning(UserWarning):
@@ -66,18 +62,9 @@ class TopicSpec:
     publish_rate_hz: float
 
     def __post_init__(self):
-        size, rate = self.message_size_bytes, self.publish_rate_hz
-        # bool is an int subclass and passes as neither a size nor a rate
-        if isinstance(size, bool) or not isinstance(size, int) or not 0 < size < MAX_SIZE_BYTES:
-            raise BadAnnotationError(
-                f"topic {self.id!r}: message_size_bytes must be a positive integer "
-                f"below {MAX_SIZE_BYTES}, got {size!r}"
-            )
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 < rate < math.inf:
-            raise BadAnnotationError(
-                f"topic {self.id!r}: publish_rate_hz must be a positive finite number, got {rate!r}"
-            )
-        object.__setattr__(self, "publish_rate_hz", float(rate))
+        BadAnnotationError.size(self.message_size_bytes, f"topic {self.id!r}: message_size_bytes")
+        rate = BadAnnotationError.number(self.publish_rate_hz, f"topic {self.id!r}: publish_rate_hz", positive=True)
+        object.__setattr__(self, "publish_rate_hz", rate)
 
 
 def gateway_ids(topic_id: str) -> tuple[str, str]:
@@ -156,7 +143,7 @@ class ComputationGraph:
         try:
             return self._topic_index[topic_id]
         except KeyError:
-            raise UnknownTopicError(topic_id) from None
+            raise UnknownTopicError(f"unknown topic {topic_id!r}") from None
 
     def topic_ids(self) -> tuple[str, ...]:
         return tuple(t.id for t in self.topics)
@@ -185,30 +172,24 @@ class NodeMapping:
     placements: tuple[tuple[str, Placement], ...]
 
     def __post_init__(self):
-        # sort on the node id alone; Placement members do not order
-        object.__setattr__(
-            self, "placements", tuple(sorted(self.placements, key=lambda item: item[0]))
+        # sort on the node id alone, as Placement members do not order; a member
+        # skips the check, which costs an enum call and a formatted name per node
+        check = BadAnnotationError.member
+        placements = tuple(
+            (n, p if p.__class__ is Placement else check(p, f"node_mapping.{n} placement", Placement))
+            for n, p in sorted(self.placements, key=lambda item: item[0])
         )
+        object.__setattr__(self, "placements", placements)
         seen = set()
-        for node, placement in self.placements:
+        for node, _ in self.placements:
             if node in seen:
                 raise DuplicateIdError(f"node {node!r} mapped twice")
             seen.add(node)
-            if not isinstance(placement, Placement):
-                raise BadAnnotationError(f"node {node!r}: placement must be HW or SW")
 
     @classmethod
     def from_dict(cls, d: dict) -> "NodeMapping":
-        items = []
-        for node, value in d.items():
-            try:
-                placement = Placement(value)
-            except ValueError:
-                raise BadAnnotationError(
-                    f"node_mapping[{node!r}]: expected \"HW\" or \"SW\", got {value!r}"
-                ) from None
-            items.append((node, placement))
-        return cls(tuple(items))
+        """A mapping from ``{node: "HW" | "SW"}``."""
+        return cls(tuple(d.items()))
 
     def to_dict(self) -> dict:
         return {n: p.value for n, p in self.placements}

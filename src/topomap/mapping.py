@@ -59,10 +59,7 @@ class CommMapping:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CommMapping":
-        try:
-            return cls(tuple((t, TopicImpl(v)) for t, v in d.items()))
-        except ValueError as exc:
-            raise MappingError(f"bad comm_mapping entry: {exc}") from None
+        return cls(tuple((t, MappingError.member(v, f"comm_mapping.{t} transport", TopicImpl)) for t, v in d.items()))
 
 
 def cost_params_from_platform(platform: PlatformModel) -> PlatformModel:

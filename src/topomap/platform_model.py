@@ -15,10 +15,9 @@ A simulation scales some of these charges by a random factor within
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, asdict
 
-from .documents import DocumentError
+from .documents import DocumentError, FieldError
 
 # The simulator charges time in integer nanoseconds. A time field, stretched
 # by the largest jitter a run may set (below 100%), must fit a signed 64-bit
@@ -31,6 +30,10 @@ class PlatformSyntaxError(DocumentError):
     """A platform document that cannot be read or decoded."""
 
     what = "platform document"
+
+
+class PlatformError(FieldError):
+    """A platform field out of range, or one the model does not have."""
 
 
 @dataclass(frozen=True)
@@ -46,19 +49,16 @@ class PlatformModel:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            # bool is an int subclass and must not pass as a number
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
             if name.endswith("_bytes_per_s"):
                 # the simulator charges transfers in whole bytes per second
-                if value < 1:
-                    raise ValueError(f"{name} must be at least 1 B/s, got {value!r}")
-            elif name != "jitter_pct" and not 0 < value < MAX_TIME_US:
-                raise ValueError(f"{name} must be in (0, {MAX_TIME_US:g}), got {value!r}")
-        if not 0 <= self.jitter_pct < 1:
-            raise ValueError(f"jitter_pct must be in [0, 1), got {self.jitter_pct!r}")
+                if PlatformError.number(value, name) < 1:
+                    raise PlatformError(f"{name} must be at least 1 B/s, got {value!r}")
+            elif name == "jitter_pct":
+                PlatformError.number(value, name, 1.0)
+            else:
+                PlatformError.number(value, name, MAX_TIME_US, positive=True)
         if self.hmt_bandwidth_bytes_per_s < self.memif_bandwidth_bytes_per_s:
-            raise ValueError("hmt bandwidth must be at least memif bandwidth")
+            raise PlatformError("hmt bandwidth must be at least memif bandwidth")
 
     def sw_dds_latency_us(self, size_bytes: int) -> float:
         """Software-side delivery latency for one message of this size."""
@@ -71,10 +71,7 @@ class PlatformModel:
     def from_json(cls, text: str) -> "PlatformModel":
         doc = PlatformSyntaxError.decode(text)
         # an unknown field is a validation error (exit 3), as a bad value is
-        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown platform fields: {unknown}")
-        return cls(**doc)
+        return cls(**PlatformError.known_keys(doc, cls.__dataclass_fields__, "platform document"))
 
     @classmethod
     def load(cls, path) -> "PlatformModel":

@@ -170,9 +170,6 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
             period_us=ScenarioError.number(g.get("period_us", GridSpec.period_us), "grid.period_us", MAX_TIME_US),
         )
 
-    seed = doc.get("seed", Scenario.seed)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ScenarioError(f"seed must be an integer, got {seed!r}")
     jitter = doc.get("jitter_pct")
     compute = ScenarioError.typed(doc.get("compute_us", {}), dict, "compute_us")
     unknown = sorted(set(compute) - set(graph.nodes))
@@ -182,7 +179,7 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
         graph=graph,
         node_mapping=node_mapping,
         workload=tuple(workload),
-        seed=seed,
+        seed=ScenarioError.integer(doc.get("seed", Scenario.seed), "seed", None),
         comm_mapping=comm_mapping,
         policy=policy,
         compute_us=tuple(
@@ -691,7 +688,6 @@ _TRACE_CHUNK = 2048
 # a timestamp's three decimals by its remainder in ns, "000" to "999"; joining digit
 # triples takes a tenth of the import time that formatting each number does
 _MILLIS = tuple(map("".join, product("0123456789", repeat=3)))
-_EXACT_US_BELOW_NS = 2**42 * NS_PER_US
 _t_ns = itemgetter(0)
 
 
@@ -714,19 +710,22 @@ class _CsvFields(dict):
 def write_trace_csv(result: SimResult, out: TextIO) -> None:
     """Write the trace CSV to the text stream ``out``, one chunk of rows per write.
 
-    A chunk whose timestamps all lie in [0, 2**42) us prints each one from its integer
-    quotient and remainder: there ``t / NS_PER_US`` is within 2**-12 us of the exact
-    quotient, so its ``.3f`` has the same digits. Any other chunk formats that float.
+    A timestamp is the exact decimal of ``t / NS_PER_US``, printed from the integer
+    quotient and remainder. A chunk that holds a negative time (the engine never
+    makes one) prints its sign, then the quotient and remainder of ``abs(t)``.
     """
     q = _CsvFields()
     trace = result.trace
     out.write(",".join(q[h] for h in TRACE_HEADER) + "\n")
     for i in range(0, len(trace), _TRACE_CHUNK):
         chunk = trace[i : i + _TRACE_CHUNK]
-        if 0 <= min(map(_t_ns, chunk)) and max(map(_t_ns, chunk)) < _EXACT_US_BELOW_NS:
+        if 0 <= min(map(_t_ns, chunk)):
             rows = [f"{t // NS_PER_US}.{_MILLIS[t % NS_PER_US]},{q[k]},{q[m]},{q[e]}\n" for t, k, m, e in chunk]
         else:
-            rows = [f"{t / NS_PER_US:.3f},{q[k]},{q[m]},{q[e]}\n" for t, k, m, e in chunk]
+            rows = [
+                f"{'-' * (t < 0)}{abs(t) // NS_PER_US}.{_MILLIS[abs(t) % NS_PER_US]},{q[k]},{q[m]},{q[e]}\n"
+                for t, k, m, e in chunk
+            ]
         out.write("".join(rows))
 
 

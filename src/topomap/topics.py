@@ -7,10 +7,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .documents import FieldError
 from .graph import ComputationGraph, NodeMapping
 
 
-class MappingError(ValueError):
+class MappingError(FieldError):
     """Inconsistent communication mapping for a given graph and placement."""
 
 

@@ -1,7 +1,8 @@
 """Independent interpreter of the exported gateway transition table.
 
-Used as an oracle: it executes the machine purely from the table data,
-sharing no code with the hand-written step function.
+Used as an oracle: it executes the machine purely from the exported
+JSON, with its own guard logic, and shares no code with
+``gateway._RULES`` or ``gateway.step``.
 """
 
 from topomap import gateway as gw
@@ -77,5 +78,5 @@ def table_step(table, state, event, own_smt, own_hmt):
 
 
 def normalize_actions(actions):
-    """Hand-written step actions -> (kind, message|None) pairs."""
+    """Actions returned by ``gateway.step`` -> (kind, message|None) pairs, the oracle's own form."""
     return [(ACTION_KIND[type(a)], getattr(a, "message", None)) for a in actions]

@@ -395,6 +395,8 @@ class TestScenarioValidation:
                 "unknown comm_mapping.t_cam transport 'XYZ' (choose from: SMT, HMT, GW)",
             ),
             ({"comm_mapping": {"t_cam": 5}}, "unknown comm_mapping.t_cam transport 5 (choose from: SMT, HMT, GW)"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ],
     )
     def test_rejected_with_one_line_error(self, workdir, capsys, extra, field):
@@ -405,6 +407,9 @@ class TestScenarioValidation:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and field in lines[0]
+
+    def test_negative_seed_loads(self, workdir):
+        assert load_scenario(write_scenario(workdir, seed=-3)).seed == -3
 
     def test_grid_publisher_kind_names_the_value(self, workdir, capsys):
         scenario = write_scenario(workdir, **_grid(publisher_kind="HW"))

@@ -12,6 +12,7 @@ from topomap.graph import (
     ComputationGraph,
     DanglingTopicWarning,
     DuplicateIdError,
+    GraphError,
     GraphSyntaxError,
     NodeMapping,
     Placement,
@@ -83,6 +84,11 @@ class TestParsing:
         }
         with pytest.raises(BadAnnotationError, match="HW"):
             parse_document(json.dumps(doc))
+
+    def test_node_mapping_error_lists_the_choices(self):
+        with pytest.raises(BadAnnotationError) as err:
+            NodeMapping.from_dict({"n": "FPGA"})
+        assert str(err.value) == "unknown node_mapping.n placement 'FPGA' (choose from: HW, SW)"
 
 
 class TestValidation:
@@ -163,6 +169,12 @@ class TestQueries:
             small_graph().topic("nope")
         with pytest.raises(UnknownTopicError):
             small_graph().pub_edges_of("nope")
+
+    def test_unknown_topic_is_a_graph_error(self):
+        with pytest.raises(GraphError) as err:
+            small_graph().topic("nope")
+        assert isinstance(err.value, UnknownTopicError)
+        assert str(err.value) == "unknown topic 'nope'"
 
     def test_topic_without_publishers_yields_empty_edges(self):
         with pytest.warns(DanglingTopicWarning):

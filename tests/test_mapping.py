@@ -270,6 +270,11 @@ class TestCommMapping:
         with pytest.raises(MappingError):
             CommMapping.from_dict({"t": "CARRIER_PIGEON"})
 
+    def test_bad_impl_name_reads_as_the_scenario_error(self):
+        with pytest.raises(MappingError) as err:
+            CommMapping.from_dict({"t": "CARRIER_PIGEON"})
+        assert str(err.value) == "unknown comm_mapping.t transport 'CARRIER_PIGEON' (choose from: SMT, HMT, GW)"
+
     def test_unknown_topic_lookup(self):
         with pytest.raises(KeyError):
             CommMapping(()).impl_of("t")

@@ -13,6 +13,7 @@ import io
 import random
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from topomap.simulator import (
     TraceEvent,
     chain_relays,
     compute_stats,
+    WorkloadItem,
     load_scenario,
     simulate,
     stats_to_csv,
@@ -41,7 +43,8 @@ def reference_trace_csv(result) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TRACE_HEADER)
     for ev in result.trace:
-        writer.writerow([f"{ev.t_ns / 1000:.3f}", ev.kind, ev.message_id, ev.endpoint])
+        # the exact decimal of t_ns / 1000, which a float quotient rounds from 2**42 us on
+        writer.writerow([f"{Decimal(ev.t_ns).scaleb(-3):.3f}", ev.kind, ev.message_id, ev.endpoint])
     return buf.getvalue()
 
 
@@ -65,8 +68,8 @@ def test_trace_matches_row_by_row_writer(trace):
     assert trace_to_csv(result) == reference_trace_csv(result)
 
 
-# below 2**42 us the writer prints a timestamp from its integer quotient and remainder,
-# at or above it the float; a negative time (never simulated) also takes the float
+# from 2**42 us on, a float quotient no longer has the exact three decimals; the writer
+# prints the exact decimal on both sides, and for a negative time (never simulated) too
 BOUND_NS = 2**42 * 1000
 EDGE_TIMES_NS = [0, 999, 1000, BOUND_NS - 1, BOUND_NS, 2**53, 2**63 - 1, -1]
 
@@ -92,6 +95,14 @@ def test_chunk_straddling_the_integer_bound():
     across = range(BOUND_NS - _TRACE_CHUNK // 2, BOUND_NS + _TRACE_CHUNK // 2)
     result = timed_trace([*below, *across])
     assert len(result.trace) == 2 * _TRACE_CHUNK
+    assert trace_to_csv(result) == reference_trace_csv(result)
+
+
+def test_packaged_chain_at_far_timestamps_prints_exact_decimals(data_dir):
+    scenario = load_scenario(data_dir / "chain_scenario.json")
+    far = (WorkloadItem("camera", "t_cam", count=2, period_us=4e15),)
+    result = simulate(replace(scenario, workload=far), PLATFORM)
+    assert max(ev.t_ns for ev in result.trace) >= BOUND_NS
     assert trace_to_csv(result) == reference_trace_csv(result)
 
 
