@@ -5,6 +5,10 @@ deliveries of one simulation (or of one grid's compare CSV). The digests
 were taken before the engine's inner loop was rewritten for speed; any
 change to event order, tie-breaking, the MEMIF pool's float arithmetic or
 the jitter draw sequence shows up here as a mismatch.
+
+Each simulation also pins an id-free digest: the same record without the
+trace's ``message_id`` column. A change to how messages are named moves
+only the full digest; a change to what the engine did moves both.
 """
 
 import hashlib
@@ -45,6 +49,20 @@ def result_digest(result) -> str:
     return h.hexdigest()
 
 
+def id_free_digest(result) -> str:
+    h = hashlib.sha256()
+    h.update(repr([(t_ns, kind, endpoint) for t_ns, kind, _, endpoint in result.trace]).encode())
+    h.update(repr(result.memif_segments).encode())
+    rows = [(d.topic, d.subscriber, d.seq, d.t_pub_ns, d.t_deliver_ns) for d in result.deliveries]
+    h.update(repr(rows).encode())
+    return h.hexdigest()
+
+
+def digests(result) -> tuple[str, str]:
+    """(full, id-free) digests of one simulation."""
+    return result_digest(result), id_free_digest(result)
+
+
 def star(kind, hw_subs, sw_subs, policy, reps, period_us, seed, jitter_pct=None):
     scenario = star_scenario(
         kind, hw_subs, sw_subs, 100_000, reps, period_us, seed, policy=policy, jitter_pct=jitter_pct
@@ -53,52 +71,84 @@ def star(kind, hw_subs, sw_subs, policy, reps, period_us, seed, jitter_pct=None)
 
 
 @pytest.mark.parametrize(
-    "args, digest",
+    "args, digest, id_free",
     [
         # every HW subscriber pulls over MEMIF at once: up to 32 equal-share flows
-        (("hw", 32, 4, SMT, 40, 5000.0, 3, 0.05), "5e7467f938c6b4cdb16c9d27f0456accb3d9d0ef199c79e86c9cb6f265444299"),
+        (
+            ("hw", 32, 4, SMT, 40, 5000.0, 3, 0.05),
+            "5e7467f938c6b4cdb16c9d27f0456accb3d9d0ef199c79e86c9cb6f265444299",
+            "289817b1bca2eb4321b5ce44f42e6872f6068e59bf90351e8352dbc1215409a9",
+        ),
         # gateway path: transfer-to-HMT, loop-back and the cancellable read
-        (("sw", 16, 8, GW, 40, 5000.0, 4), "370d016257290f80cd33d9e0de5a8dd63552730edccc4d3008981867ec6b7e4f"),
+        (
+            ("sw", 16, 8, GW, 40, 5000.0, 4),
+            "370d016257290f80cd33d9e0de5a8dd63552730edccc4d3008981867ec6b7e4f",
+            "7fd88f38072fb42a99778e604880d12d485ad197b139f0f2d0bfbe8443426fba",
+        ),
         # saturated pool: messages arrive faster than 64 pulls drain, flows pile up
-        (("sw", 64, 64, SMT, 6, 100.0, 5), "7c546289c07931a2f1c7b7a8763a9aa553dbbd31a016e349b69c73809b62f19d"),
+        (
+            ("sw", 64, 64, SMT, 6, 100.0, 5),
+            "7c546289c07931a2f1c7b7a8763a9aa553dbbd31a016e349b69c73809b62f19d",
+            "b41c93a05108424744b7b4b502f6cbdec9b0d0b21c4712c7bd2c84a90cb206d6",
+        ),
         # the gateway publishes each HMT message on SMT to four software subscribers at once
-        (("hw", 8, 4, GW, 40, 5000.0, 11, 0.05), "5573be9fd8beb7ce0cd44bf1b7340188e5eea664476cd69fe7bfe65c93245303"),
+        (
+            ("hw", 8, 4, GW, 40, 5000.0, 11, 0.05),
+            "5573be9fd8beb7ce0cd44bf1b7340188e5eea664476cd69fe7bfe65c93245303",
+            "ae621d9f17485559f60db2084b608098aeb0adb87c0d21971a50879e2020a285",
+        ),
     ],
     ids=["hw32_sw4_smt_jitter", "sw16_sw8_gw", "sw64_sw64_smt_saturated", "hw8_sw4_gw_jitter"],
 )
-def test_star(args, digest):
-    assert result_digest(star(*args)) == digest
+def test_star(args, digest, id_free):
+    assert digests(star(*args)) == (digest, id_free)
 
 
 @pytest.mark.parametrize(
-    "policy, digest",
+    "policy, digest, id_free",
     [
-        (SMT, "eb882e5f4162cda4f2144fdeb5b12d92f70728a899dbe3ba10ea98b9f23720d7"),
-        (GW, "f3f97b2f592cb9cdd69c359f1ec500191d346cbe971ff986283f3f4a00ec0380"),
+        (
+            SMT,
+            "eb882e5f4162cda4f2144fdeb5b12d92f70728a899dbe3ba10ea98b9f23720d7",
+            "087c818852372b3c9d7d70bfeec3ac87ad22b0bfe4421aa66a956742c85c0e42",
+        ),
+        (
+            GW,
+            "f3f97b2f592cb9cdd69c359f1ec500191d346cbe971ff986283f3f4a00ec0380",
+            "8636debc479e9a69e27ea4fabb2ac36ab1cfde523d77eee7800c700656a143ab",
+        ),
     ],
     ids=["smt", "multi-hw-sub"],
 )
-def test_packaged_chain_with_relays(data_dir, policy, digest):
+def test_packaged_chain_with_relays(data_dir, policy, digest, id_free):
     scenario = load_scenario(data_dir / "chain_scenario.json")
     relays, _, _ = chain_relays(scenario.graph, CHAIN, dict(scenario.compute_us))
     result = simulate(replace(scenario, policy=policy), PLATFORM, relays=relays)
-    assert result_digest(result) == digest
+    assert digests(result) == (digest, id_free)
 
 
 @pytest.mark.parametrize(
-    "policy, digest",
+    "policy, digest, id_free",
     [
-        (SMT, "391f2a78af46999f7124918b175fa38a2632078faef18a577984d18205b141fc"),
-        (GW, "31696ce1252e6a9cd7fa5e80fe75cc7eab887bcd54ec5646acc79b0941c2a497"),
+        (
+            SMT,
+            "391f2a78af46999f7124918b175fa38a2632078faef18a577984d18205b141fc",
+            "5c3810eb93811f89e9193eef296e1d7f44d0f93f97f3c55a279740b3a3664e68",
+        ),
+        (
+            GW,
+            "31696ce1252e6a9cd7fa5e80fe75cc7eab887bcd54ec5646acc79b0941c2a497",
+            "ceb72d44dd2c4b327cb0a69ddcfbbb95e896b7c24492726945f569260cfc88d5",
+        ),
     ],
     ids=["smt", "multi-hw-sub"],
 )
-def test_packaged_chain_with_zero_compute_relays(data_dir, policy, digest):
+def test_packaged_chain_with_zero_compute_relays(data_dir, policy, digest, id_free):
     """Each relay republishes on the nanosecond its input is delivered."""
     scenario = load_scenario(data_dir / "chain_scenario.json")
     relays, _, _ = chain_relays(scenario.graph, CHAIN, {})
     result = simulate(replace(scenario, policy=policy), PLATFORM, relays=relays)
-    assert result_digest(result) == digest
+    assert digests(result) == (digest, id_free)
 
 
 def test_two_items_publish_on_the_same_nanosecond():
@@ -124,7 +174,8 @@ def test_two_items_publish_on_the_same_nanosecond():
         jitter_pct=0.0,
     )
     digest = "696a7a64c1dbfd5a6ced17627912b6a2f9a7acc717f807edbbe25932e1f73b28"
-    assert result_digest(simulate(scenario, PLATFORM)) == digest
+    id_free = "4faa2265d4720573f5995cf8faa89285a259dbd80fd1e753ea5a00cab0128a2e"
+    assert digests(simulate(scenario, PLATFORM)) == (digest, id_free)
 
 
 def test_software_copies_tie_with_a_hardware_fanout():
@@ -152,7 +203,8 @@ def test_software_copies_tie_with_a_hardware_fanout():
         jitter_pct=0.05,
     )
     digest = "1175ee962366ba0d9219a70350b4a55640dff75a99cd2c9681c78fa0dc5aaaf0"
-    assert result_digest(simulate(scenario, PLATFORM)) == digest
+    id_free = "38b9db0bcf3a309f7e7190a24a2157cea605d4a8277d48e5cb3c0a9bd717d38f"
+    assert digests(simulate(scenario, PLATFORM)) == (digest, id_free)
 
 
 def test_pull_finishes_alone_while_a_hop_is_due():
@@ -179,24 +231,34 @@ def test_pull_finishes_alone_while_a_hop_is_due():
         jitter_pct=0.0,
     )
     digest = "60a1a4e399d1f839c8ca528d9cc5efa512d3ae6364c0ef4ae0891661886a0936"
-    assert result_digest(simulate(scenario, PLATFORM)) == digest
+    id_free = "04b90e244283be5d185fceedf078f441e29debf51598cb3a58281e67fa4a3a03"
+    assert digests(simulate(scenario, PLATFORM)) == (digest, id_free)
 
 
 def test_zero_period_publishes_everything_at_once():
     scenario = star_scenario("sw", 6, 3, 50_000, 25, 0.0, 6, policy=SMT)
     digest = "3f0bf0270f9ff0f853898b8863010c3e5681991b77f1c16eab19b3a7c810b449"
-    assert result_digest(simulate(scenario, PLATFORM)) == digest
+    id_free = "c4e16538bca242d3c3ad5125ecaa9489fad1907b8d12e3e95c3b8b37f53b4f1f"
+    assert digests(simulate(scenario, PLATFORM)) == (digest, id_free)
 
 
 @pytest.mark.parametrize(
-    "policy, digest",
+    "policy, digest, id_free",
     [
-        (SMT, "0706ea5932731972f9709b757d069527f024beec63e0e3abb87de49dc241c319"),
-        (GW, "90b70ad58d0133f115f18609799328a25b34706e2c43809d7d0e6699503865cc"),
+        (
+            SMT,
+            "0706ea5932731972f9709b757d069527f024beec63e0e3abb87de49dc241c319",
+            "5a26f3a39dd31c7e188b968b2f71d2e465d9eded31fe2597d36a005c4c9f20d0",
+        ),
+        (
+            GW,
+            "90b70ad58d0133f115f18609799328a25b34706e2c43809d7d0e6699503865cc",
+            "f568bdfbd5aac570f3324d82da1ef0ba12007ea39f3a984a7d02c039dbd3810f",
+        ),
     ],
     ids=["smt", "multi-hw-sub"],
 )
-def test_workload_size_overrides_the_topic_size(policy, digest):
+def test_workload_size_overrides_the_topic_size(policy, digest, id_free):
     """A software publisher's 37 kB messages on a topic declared at 100 kB."""
     graph, node_mapping = star_graph("sw", 5, 3, 100_000)
     scenario = Scenario(
@@ -206,7 +268,7 @@ def test_workload_size_overrides_the_topic_size(policy, digest):
         seed=7,
         policy=policy,
     )
-    assert result_digest(simulate(scenario, PLATFORM)) == digest
+    assert digests(simulate(scenario, PLATFORM)) == (digest, id_free)
 
 
 def test_compare_grid_csv(data_dir):
@@ -253,4 +315,6 @@ def test_gateway_fires_every_rule(monkeypatch):
     rules = gateway.transition_table()["rules"]
     counts = [fired[(r["phase"], r["event"], tuple(kind for kind, _ in r["actions"]))] for r in rules]
     assert counts == [1, 32, 20, 40, 40, 12, 8, 20]  # table order; the last two are the raced cancels
-    assert result_digest(result) == "57cd21ade5d929613fce0e578d08382ca83a54f9ccea412ef30bf2b695585022"
+    digest = "57cd21ade5d929613fce0e578d08382ca83a54f9ccea412ef30bf2b695585022"
+    id_free = "f8c5be4243d6e49d3a68b41eacb309490616b80d235653886b9c17d1c2d9dc67"
+    assert digests(result) == (digest, id_free)
