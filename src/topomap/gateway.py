@@ -40,15 +40,18 @@ RESTING_PHASES = (Phase.AWAIT_BUFFER, Phase.POLLING, Phase.CANCELLING)
 
 @dataclass(frozen=True)
 class Message:
+    """A message; every trace row about it, a gateway's loop-back copy's included, names it ``topic#seq``."""
+
     publisher_id: str
     seq: int
     topic: str
     size_bytes: int
+    t_pub_ns: int = field(default=0, kw_only=True, repr=False, compare=False)
     # derived once: the engine reads it for every trace row of the message
     message_id: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "message_id", f"{self.publisher_id}/{self.seq}")
+        object.__setattr__(self, "message_id", f"{self.topic}#{self.seq}")
 
 
 # -- events ---------------------------------------------------------------

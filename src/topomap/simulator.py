@@ -390,7 +390,7 @@ class _GwActor:
     def _streamed(self, m: gw.Message):
         self._sim.hmt_arrival(m, self.endpoints.hw_subs)
         # own transfer loops back through the tap under the gateway's identity
-        self._queue.append(gw.HmtArrival(gw.Message(self.state.own_hmt_id, m.seq, m.topic, m.size_bytes)))
+        self._queue.append(gw.HmtArrival(replace(m, publisher_id=self.state.own_hmt_id)))
         self._next()
 
     def _written_to_main(self, m: gw.Message):
@@ -400,7 +400,7 @@ class _GwActor:
     def _published(self, m: gw.Message):
         self._sim._smt_fanout(self._smt_route, m, loaned=True)
         # own publication loops back through the reader
-        self.offer(gw.Message(self.state.own_smt_id, m.seq, m.topic, m.size_bytes))
+        self.offer(replace(m, publisher_id=self.state.own_smt_id))
         self._next()
 
 
@@ -452,8 +452,6 @@ class _Sim(_EventLoop):
         self._dds_ns, self._copy_ns, self._hmt_ns = charges.dds_ns, charges.copy_ns, charges.hmt_ns
         self._trace: list[TraceEvent] = []
         self._deliveries: list[Delivery] = []
-        # (topic, seq) -> (publish time, the id every DELIVER row of that message shares)
-        self._pub_times: dict[tuple[str, int], tuple[int, str]] = {}
         self._next_msg_seq: dict[str, int] = {}
         self._relays = relays or {}
         check_topic_set(graph, comm_mapping)
@@ -479,11 +477,10 @@ class _Sim(_EventLoop):
     def trace(self, kind: str, message_id: str, endpoint: str):
         self._trace.append(_tuple_new(TraceEvent, (self.now_ns, kind, message_id, endpoint)))
 
-    def _deliver(self, topic: str, subscriber: str, seq: int, t_pub: int, delivery_id: str):
-        """``t_pub`` and ``delivery_id`` are the message's ``_pub_times`` entry, looked up once per message."""
-        now = self.now_ns
-        self._trace.append(_tuple_new(TraceEvent, (now, "DELIVER", delivery_id, subscriber)))
-        self._deliveries.append(_tuple_new(Delivery, (topic, subscriber, seq, t_pub, now)))
+    def _deliver(self, message: gw.Message, subscriber: str):
+        now, topic, seq = self.now_ns, message.topic, message.seq
+        self._trace.append(_tuple_new(TraceEvent, (now, "DELIVER", message.message_id, subscriber)))
+        self._deliveries.append(_tuple_new(Delivery, (topic, subscriber, seq, message.t_pub_ns, now)))
         if self._relays:  # only chains relay
             relay = self._relays.get(subscriber)
             if relay is not None and relay.in_topic == topic:
@@ -498,8 +495,7 @@ class _Sim(_EventLoop):
             seq = self._next_msg_seq.get(topic_id, 0)
             self._next_msg_seq[topic_id] = seq + 1
         now = self.now_ns
-        self._pub_times[(topic_id, seq)] = (now, f"{topic_id}#{seq}")
-        message = gw.Message(publisher, seq, topic_id, size)
+        message = gw.Message(publisher, seq, topic_id, size, t_pub_ns=now)
         self._trace.append(_tuple_new(TraceEvent, (now, "PUBLISH", message.message_id, publisher)))
         if publisher in route.endpoints.hw_pubs:
             # one OSIF round trip, then one delegate publish
@@ -539,14 +535,12 @@ class _Sim(_EventLoop):
         full now; its heap entry appends the built row.
         """
         heap, now, size, mid = self._heap, self.now_ns, message.size_bytes, message.message_id
-        topic, mseq = message.topic, message.seq
         copy_ns = 0 if loaned else self._copy_ns[size]
         dds_ns = self._dds_ns[size]
-        t_pub, delivery_id = self._pub_times[topic, mseq]
         ready_now = self._now if self._next_now() else None
         seq = self._seq
         for slot, (reader, role) in enumerate(route.readers):
-            deliver = (topic, reader, mseq, t_pub, delivery_id)
+            args = (message, reader)
             copied = slot and not loaned
             t_ready = now + slot * copy_ns
             if role == SW_SUB:
@@ -554,12 +548,12 @@ class _Sim(_EventLoop):
                     row = _tuple_new(TraceEvent, (t_ready, "SW_COPY", mid, reader))
                     heappush(heap, (t_ready, seq, self._trace.append, (row,)))
                     seq += 1
-                heappush(heap, (t_ready + dds_ns, seq, self._deliver, deliver))
+                heappush(heap, (t_ready + dds_ns, seq, self._deliver, args))
             elif copied:  # a hardware pull; the gateway's read is always slot 0
-                heappush(heap, (t_ready, seq, self._copied_pull, (message, deliver)))
+                heappush(heap, (t_ready, seq, self._copied_pull, args))
                 seq += 1
             else:
-                hop = (self._delegate_pull, (message, deliver)) if role == HW_PULL else (route.actor.offer, (message,))
+                hop = (self._delegate_pull, args) if role == HW_PULL else (route.actor.offer, (message,))
                 if ready_now is None:
                     heappush(heap, (now, seq) + hop)
                 else:
@@ -567,43 +561,39 @@ class _Sim(_EventLoop):
             seq += 1
         self._seq = seq
 
-    def _copied_pull(self, message: gw.Message, deliver: tuple):
+    def _copied_pull(self, message: gw.Message, subscriber: str):
         """A hardware subscriber's serial copy is done: its ``SW_COPY`` row, then its pull."""
-        self._trace.append(_tuple_new(TraceEvent, (self.now_ns, "SW_COPY", message.message_id, deliver[1])))
-        self._delegate_pull(message, deliver)
+        self._trace.append(_tuple_new(TraceEvent, (self.now_ns, "SW_COPY", message.message_id, subscriber)))
+        self._delegate_pull(message, subscriber)
 
-    def _delegate_pull(self, message: gw.Message, deliver: tuple):
-        """A hardware subscriber's delegate fetches its copy over MEMIF after one OSIF round trip.
-
-        ``deliver`` is ``_deliver``'s arguments for that subscriber.
-        """
+    def _delegate_pull(self, message: gw.Message, subscriber: str):
+        """A hardware subscriber's delegate fetches its copy over MEMIF after one OSIF round trip."""
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._heap, (self.now_ns + self._osif_ns(), seq, self._start_pull, (message, deliver)))
+        heappush(self._heap, (self.now_ns + self._osif_ns(), seq, self._start_pull, (message, subscriber)))
 
-    def _start_pull(self, message: gw.Message, deliver: tuple):
-        self.pool.start(self._memif_bytes(message.size_bytes), self._pulled, message, deliver)
+    def _start_pull(self, message: gw.Message, subscriber: str):
+        self.pool.start(self._memif_bytes(message.size_bytes), self._pulled, message, subscriber)
 
-    def _pulled(self, message: gw.Message, deliver: tuple):
+    def _pulled(self, message: gw.Message, subscriber: str):
         """The pull is done; delivery follows on the same nanosecond."""
         now = self.now_ns
-        self._trace.append(_tuple_new(TraceEvent, (now, "MEMIF_TRANSFER", message.message_id, deliver[1])))
+        self._trace.append(_tuple_new(TraceEvent, (now, "MEMIF_TRANSFER", message.message_id, subscriber)))
         seq = self._seq
         self._seq = seq + 1
+        hop = (self._deliver, (message, subscriber))
         if self._next_now():
-            self._now.append((self._deliver, deliver))
+            self._now.append(hop)
         else:
-            heappush(self._heap, (now, seq, self._deliver, deliver))
+            heappush(self._heap, (now, seq) + hop)
 
     def hmt_arrival(self, message: gw.Message, subscribers: tuple[str, ...]):
         """A stream reached each hardware subscriber, in order; each takes delivery after one OSIF round trip."""
         heap, trace, now, mid, osif_ns = self._heap, self._trace, self.now_ns, message.message_id, self._osif_ns
-        topic, mseq = message.topic, message.seq
-        t_pub, delivery_id = self._pub_times[topic, mseq]
         seq = self._seq
         for sub in subscribers:
             trace.append(_tuple_new(TraceEvent, (now, "HMT_TRANSFER", mid, sub)))
-            heappush(heap, (now + osif_ns(), seq, self._deliver, (topic, sub, mseq, t_pub, delivery_id)))
+            heappush(heap, (now + osif_ns(), seq, self._deliver, (message, sub)))
             seq += 1
         self._seq = seq
 

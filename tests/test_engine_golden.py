@@ -76,25 +76,25 @@ def star(kind, hw_subs, sw_subs, policy, reps, period_us, seed, jitter_pct=None)
         # every HW subscriber pulls over MEMIF at once: up to 32 equal-share flows
         (
             ("hw", 32, 4, SMT, 40, 5000.0, 3, 0.05),
-            "5e7467f938c6b4cdb16c9d27f0456accb3d9d0ef199c79e86c9cb6f265444299",
+            "e565ac8a89d21e218ab6dd02d6eb96abf3422da40d975cec6e6a8c9fea8dafa1",
             "289817b1bca2eb4321b5ce44f42e6872f6068e59bf90351e8352dbc1215409a9",
         ),
         # gateway path: transfer-to-HMT, loop-back and the cancellable read
         (
             ("sw", 16, 8, GW, 40, 5000.0, 4),
-            "370d016257290f80cd33d9e0de5a8dd63552730edccc4d3008981867ec6b7e4f",
+            "e0532cefa65ed8d164fd5c77be540c7bf65b2839488f75952db0fd8b4208cc0f",
             "7fd88f38072fb42a99778e604880d12d485ad197b139f0f2d0bfbe8443426fba",
         ),
         # saturated pool: messages arrive faster than 64 pulls drain, flows pile up
         (
             ("sw", 64, 64, SMT, 6, 100.0, 5),
-            "7c546289c07931a2f1c7b7a8763a9aa553dbbd31a016e349b69c73809b62f19d",
+            "9345e7a728c650f02148605005be73b7a18e435fb4cb4a763d7b12c7acdc6901",
             "b41c93a05108424744b7b4b502f6cbdec9b0d0b21c4712c7bd2c84a90cb206d6",
         ),
         # the gateway publishes each HMT message on SMT to four software subscribers at once
         (
             ("hw", 8, 4, GW, 40, 5000.0, 11, 0.05),
-            "5573be9fd8beb7ce0cd44bf1b7340188e5eea664476cd69fe7bfe65c93245303",
+            "81b3147d015b17d1875deecca347ea3e47cfa8d41663e9895ece68c5017a337e",
             "ae621d9f17485559f60db2084b608098aeb0adb87c0d21971a50879e2020a285",
         ),
     ],
@@ -109,12 +109,12 @@ def test_star(args, digest, id_free):
     [
         (
             SMT,
-            "eb882e5f4162cda4f2144fdeb5b12d92f70728a899dbe3ba10ea98b9f23720d7",
+            "c29fc67d6f9be6c7bd6808f2f276504a0c5b636f4d5980ba29bab27fa025757f",
             "087c818852372b3c9d7d70bfeec3ac87ad22b0bfe4421aa66a956742c85c0e42",
         ),
         (
             GW,
-            "f3f97b2f592cb9cdd69c359f1ec500191d346cbe971ff986283f3f4a00ec0380",
+            "4425b38f17c1b23ba9816716bb2ccd3f8653ef4522835602c02aa42fe807c655",
             "8636debc479e9a69e27ea4fabb2ac36ab1cfde523d77eee7800c700656a143ab",
         ),
     ],
@@ -132,12 +132,12 @@ def test_packaged_chain_with_relays(data_dir, policy, digest, id_free):
     [
         (
             SMT,
-            "391f2a78af46999f7124918b175fa38a2632078faef18a577984d18205b141fc",
+            "5da5b29f68b755517ee53a8de923b5d4bc9565c076a7258f800dc4629a2201da",
             "5c3810eb93811f89e9193eef296e1d7f44d0f93f97f3c55a279740b3a3664e68",
         ),
         (
             GW,
-            "31696ce1252e6a9cd7fa5e80fe75cc7eab887bcd54ec5646acc79b0941c2a497",
+            "185a4bab0bebbb2c29365e793deca76fca4dacfb030aad7713ed1f3a5fd56461",
             "ceb72d44dd2c4b327cb0a69ddcfbbb95e896b7c24492726945f569260cfc88d5",
         ),
     ],
@@ -173,7 +173,7 @@ def test_two_items_publish_on_the_same_nanosecond():
         comm_mapping=CommMapping((("img", TopicImpl.SMT), ("cmd", TopicImpl.SMT))),
         jitter_pct=0.0,
     )
-    digest = "696a7a64c1dbfd5a6ced17627912b6a2f9a7acc717f807edbbe25932e1f73b28"
+    digest = "5a9a66d1ff7b21733f0893ae8ac95e6dcb54bf14a463e2816b4956e74714e7a0"
     id_free = "4faa2265d4720573f5995cf8faa89285a259dbd80fd1e753ea5a00cab0128a2e"
     assert digests(simulate(scenario, PLATFORM)) == (digest, id_free)
 
@@ -202,7 +202,7 @@ def test_software_copies_tie_with_a_hardware_fanout():
         comm_mapping=CommMapping((("cmd", TopicImpl.SMT), ("img", TopicImpl.SMT))),
         jitter_pct=0.05,
     )
-    digest = "1175ee962366ba0d9219a70350b4a55640dff75a99cd2c9681c78fa0dc5aaaf0"
+    digest = "4f90929cd61e911079df7ea391b96baa4243d1d78d8c4591ed395ea514f70d71"
     id_free = "38b9db0bcf3a309f7e7190a24a2157cea605d4a8277d48e5cb3c0a9bd717d38f"
     assert digests(simulate(scenario, PLATFORM)) == (digest, id_free)
 
@@ -230,14 +230,14 @@ def test_pull_finishes_alone_while_a_hop_is_due():
         comm_mapping=CommMapping((("a", TopicImpl.SMT), ("b", TopicImpl.SMT))),
         jitter_pct=0.0,
     )
-    digest = "60a1a4e399d1f839c8ca528d9cc5efa512d3ae6364c0ef4ae0891661886a0936"
+    digest = "f9e6277dbb1b3f5f10a7f8f47e4e0806e23ab8fc145eeb7343aa43652635c020"
     id_free = "04b90e244283be5d185fceedf078f441e29debf51598cb3a58281e67fa4a3a03"
     assert digests(simulate(scenario, PLATFORM)) == (digest, id_free)
 
 
 def test_zero_period_publishes_everything_at_once():
     scenario = star_scenario("sw", 6, 3, 50_000, 25, 0.0, 6, policy=SMT)
-    digest = "3f0bf0270f9ff0f853898b8863010c3e5681991b77f1c16eab19b3a7c810b449"
+    digest = "b98d5cf7ba69dc2f3a9a91a40f970f0976d26b5606949b5a78f3671040b2e773"
     id_free = "c4e16538bca242d3c3ad5125ecaa9489fad1907b8d12e3e95c3b8b37f53b4f1f"
     assert digests(simulate(scenario, PLATFORM)) == (digest, id_free)
 
@@ -247,12 +247,12 @@ def test_zero_period_publishes_everything_at_once():
     [
         (
             SMT,
-            "0706ea5932731972f9709b757d069527f024beec63e0e3abb87de49dc241c319",
+            "8d180458f0ad4d84dff0f6731e77f70f81f6e94c6a9de15d9cedead00b6a8a8d",
             "5a26f3a39dd31c7e188b968b2f71d2e465d9eded31fe2597d36a005c4c9f20d0",
         ),
         (
             GW,
-            "90b70ad58d0133f115f18609799328a25b34706e2c43809d7d0e6699503865cc",
+            "cf361022215cab827e4f914be0b61f42aa0a08c0ec588d03e5ecc8a5c9b3b081",
             "f568bdfbd5aac570f3324d82da1ef0ba12007ea39f3a984a7d02c039dbd3810f",
         ),
     ],
@@ -315,6 +315,6 @@ def test_gateway_fires_every_rule(monkeypatch):
     rules = gateway.transition_table()["rules"]
     counts = [fired[(r["phase"], r["event"], tuple(kind for kind, _ in r["actions"]))] for r in rules]
     assert counts == [1, 32, 20, 40, 40, 12, 8, 20]  # table order; the last two are the raced cancels
-    digest = "57cd21ade5d929613fce0e578d08382ca83a54f9ccea412ef30bf2b695585022"
+    digest = "bdee6068980e2355fc23bb7a71a52581fb047edb5395110cfde96dddbd4aa03d"
     id_free = "f8c5be4243d6e49d3a68b41eacb309490616b80d235653886b9c17d1c2d9dc67"
     assert digests(result) == (digest, id_free)

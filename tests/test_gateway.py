@@ -52,7 +52,7 @@ class TestInit:
         assert state.own_hmt_id == HMT
 
     def test_message_id(self):
-        assert msg("pub", 17).message_id == "pub/17"
+        assert msg("pub", 17).message_id == "t#17"
 
 
 class TestMessageValue:
@@ -78,7 +78,15 @@ class TestMessageValue:
         m = gw.Message("a", 1, "t", 5)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(m, name, "b/2")
-        assert m.message_id == "a/1"
+        assert m.message_id == "t#1"
+
+    def test_publish_time_is_keyword_only_and_no_part_of_the_value(self):
+        m = gw.Message("a", 1, "t", 5, t_pub_ns=7)
+        assert m.t_pub_ns == 7 and gw.Message("a", 1, "t", 5).t_pub_ns == 0
+        assert m == gw.Message("a", 1, "t", 5) and hash(m) == hash(gw.Message("a", 1, "t", 5))
+        assert repr(m) == "Message(publisher_id='a', seq=1, topic='t', size_bytes=5)"
+        with pytest.raises(TypeError):
+            gw.Message("a", 1, "t", 5, 7)
 
 
 class TestLegalSteps:

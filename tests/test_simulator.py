@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topomap.graph import ComputationGraph, DanglingTopicWarning, NodeMapping, TopicSpec, parse_document
+from topomap.graph import ComputationGraph, DanglingTopicWarning, NodeMapping, Placement, TopicSpec, parse_document
 from topomap.mapping import (
     CommMapping,
     MappingError,
@@ -100,7 +100,7 @@ class TestExactTimings:
         assert latencies(result) == [100.0]
         kinds = result.kind_counts()
         assert kinds == {"PUBLISH": 1, "DELIVER": 1}
-        assert result.trace[0].message_id == "pub0/0"
+        assert result.trace[0].message_id == "t0#0"
         assert result.deliveries[0].topic == "t0"
 
     def test_hw_publisher_single_hw_subscriber_smt(self):
@@ -216,7 +216,7 @@ class TestTraceOutput:
         result = simulate(quiet("sw", 0, 1, 10_000), PLATFORM)
         lines = trace_to_csv(result).splitlines()
         assert lines[0] == ",".join(TRACE_HEADER)
-        assert lines[1] == "0.000,PUBLISH,pub0/0,pub0"
+        assert lines[1] == "0.000,PUBLISH,t0#0,pub0"
         assert lines[2] == "100.000,DELIVER,t0#0,sw_sub_1"
 
     def test_stats_csv_exact(self):
@@ -251,6 +251,42 @@ class TestTraceOutput:
         assert row["max_us"] == max(lats)
         expected_std = statistics.stdev(lats) if len(lats) > 1 else 0.0
         assert row["stddev_us"] == pytest.approx(expected_std)
+
+
+class TestMessageIds:
+    """Every trace row about a message names it ``topic#seq``, from its publication to each delivery."""
+
+    def test_one_publisher_two_topics(self):
+        # p publishes two topics, so ``p`` and a seq alone cannot tell their messages apart
+        sw, hw = Placement.SW, Placement.HW
+        placements = {"p": sw, "h": hw, "s": sw}
+        graph = ComputationGraph(
+            nodes=tuple(placements),
+            topics=(TopicSpec("t1", 10_000, 10.0), TopicSpec("t2", 10_000, 10.0)),
+            pub_edges=(("p", "t1"), ("p", "t2")),
+            sub_edges=(("t1", "h"), ("t2", "s")),
+        )
+        scenario = Scenario(
+            graph=graph,
+            node_mapping=NodeMapping(tuple(placements.items())),
+            workload=(WorkloadItem("p", "t1", 2, 1000.0), WorkloadItem("p", "t2", 2, 1000.0)),
+            policy=SMT,
+        )
+        trace = simulate(scenario, PLATFORM).trace
+        assert [ev.message_id for ev in trace if ev.kind == "PUBLISH"] == ["t1#0", "t2#0", "t1#1", "t2#1"]
+        rows = {}
+        for ev in trace:
+            rows.setdefault(ev.message_id, []).append((ev.kind, ev.endpoint))
+        # one group per message, each holding all of that message's rows and one publication
+        t1 = [("PUBLISH", "p"), ("MEMIF_TRANSFER", "h"), ("DELIVER", "h")]
+        t2 = [("PUBLISH", "p"), ("DELIVER", "s")]
+        assert rows == {"t1#0": t1, "t2#0": t2, "t1#1": t1, "t2#1": t2}
+
+    def test_gateway_rows_name_the_message(self):
+        # the gateway's reads, transfers, loop-backs and discards all name the message they move
+        result = simulate(star_scenario("sw", 16, 8, 100_000, 40, 5000.0, 4, policy=CLASSIFYING), PLATFORM)
+        ids = {ev.message_id for ev in result.trace} - {"-"}
+        assert ids == {f"t0#{seq}" for seq in range(40)}
 
 
 class TestEngineCosts:
