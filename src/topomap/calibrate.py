@@ -67,7 +67,7 @@ class SpeedupTarget:
 
 def _target(entry, where: str) -> SpeedupTarget:
     TargetError.known_keys(TargetError.typed(entry, dict, where), SpeedupTarget.__dataclass_fields__, where)
-    return SpeedupTarget(
+    fields = dict(
         publisher_kind=TargetError.require(entry, "publisher_kind", where),
         size_bytes=TargetError.size(TargetError.require(entry, "size_bytes", where), f"{where}.size_bytes"),
         hw_subs=TargetError.integer(TargetError.require(entry, "hw_subs", where), f"{where}.hw_subs", 0),
@@ -75,6 +75,10 @@ def _target(entry, where: str) -> SpeedupTarget:
         measure=TargetError.require(entry, "measure", where),
         speedup=TargetError.number(TargetError.require(entry, "speedup", where), f"{where}.speedup"),
     )
+    try:
+        return SpeedupTarget(**fields)
+    except TargetError as exc:  # its own checks name the field, not the target
+        raise TargetError(f"{where}: {exc}") from None
 
 
 def parse_targets(text: str) -> tuple[list[SpeedupTarget], float]:

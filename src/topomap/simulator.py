@@ -150,6 +150,8 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
         )
     policy = None
     if "policy" in doc:
+        if comm_mapping is not None:
+            raise ScenarioError("scenario: 'policy' and 'comm_mapping' exclude each other; give one of them")
         policy = ScenarioError.member(doc["policy"], "policy", MappingPolicy)
 
     grid = None
@@ -171,10 +173,9 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
         )
 
     jitter = doc.get("jitter_pct")
-    compute = ScenarioError.typed(doc.get("compute_us", {}), dict, "compute_us")
-    unknown = sorted(set(compute) - set(graph.nodes))
-    if unknown:
-        raise ScenarioError(f"compute_us: {unknown} name no node of graph {doc['graph']!r}")
+    compute = ScenarioError.known_keys(
+        ScenarioError.typed(doc.get("compute_us", {}), dict, "compute_us"), graph.nodes, "compute_us"
+    )
     return Scenario(
         graph=graph,
         node_mapping=node_mapping,

@@ -378,7 +378,7 @@ class TestScenarioValidation:
             (_workload(period_us=1e308), "period_us"),
             ({"compute_us": {"2": 1e308}}, "compute_us.2"),
             # a relay priced under a misspelled node would run at 0 us instead
-            ({"compute_us": {"gausian_blur": 400.0}}, "compute_us: ['gausian_blur'] name no node"),
+            ({"compute_us": {"gausian_blur": 400.0}}, "compute_us: unknown keys ['gausian_blur']"),
             (_grid(period_us=1e308), "grid.period_us"),
             # byte counts that are no longer exact floats
             (_workload(size_bytes=10**400), "size_bytes"),
@@ -397,6 +397,8 @@ class TestScenarioValidation:
             ({"comm_mapping": {"t_cam": 5}}, "unknown comm_mapping.t_cam transport 5 (choose from: SMT, HMT, GW)"),
             ({"seed": True}, "seed must be an integer, got True"),
             ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            # the document already holds a policy, which the mapping would silently override
+            ({"comm_mapping": dict.fromkeys("ABCDE", "SMT")}, "'policy' and 'comm_mapping' exclude each other"),
         ],
     )
     def test_rejected_with_one_line_error(self, workdir, capsys, extra, field):
@@ -906,6 +908,24 @@ class TestCalibrate:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and field in lines[0]
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"speedup": 0}, "speedup must be a positive number, got 0.0"),
+            ({"publisher_kind": "fpga"}, "publisher_kind must be 'hw' or 'sw', got 'fpga'"),
+            ({"measure": "both"}, "measure must be 'hw' or 'sw', got 'both'"),
+            ({"sw_subs": 0, "measure": "sw"}, "sw-side target needs at least one software subscriber"),
+        ],
+        ids=["zero-speedup", "publisher-kind", "measure", "sw-measure-without-sw-subs"],
+    )
+    def test_target_check_names_the_target(self, data_dir, tmp_path, capsys, change, message):
+        doc = json.loads((data_dir / "measured_speedups.json").read_text(encoding="utf-8"))
+        doc["targets"][3].update(change)
+        path = tmp_path / "targets.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("calibrate", "--targets", str(path)) == 2
+        assert _one_line_error(capsys, message) == f"error: targets[3]: {message}"
 
 
 class TestFsmExport:
