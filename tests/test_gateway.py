@@ -85,8 +85,6 @@ class TestMessageValue:
         assert m.t_pub_ns == 7 and gw.Message("a", 1, "t", 5).t_pub_ns == 0
         assert m == gw.Message("a", 1, "t", 5) and hash(m) == hash(gw.Message("a", 1, "t", 5))
         assert repr(m) == "Message(publisher_id='a', seq=1, topic='t', size_bytes=5)"
-        with pytest.raises(TypeError):
-            gw.Message("a", 1, "t", 5, 7)
 
 
 class TestLegalSteps:
