@@ -69,11 +69,11 @@ def _target(entry, where: str) -> SpeedupTarget:
     TargetError.known_keys(TargetError.typed(entry, dict, where), SpeedupTarget.__dataclass_fields__, where)
     fields = dict(
         publisher_kind=TargetError.require(entry, "publisher_kind", where),
-        size_bytes=TargetError.size(TargetError.require(entry, "size_bytes", where), f"{where}.size_bytes"),
-        hw_subs=TargetError.integer(TargetError.require(entry, "hw_subs", where), f"{where}.hw_subs", 0),
-        sw_subs=TargetError.integer(entry.get("sw_subs", 0), f"{where}.sw_subs", 0),
+        size_bytes=TargetError.size(TargetError.require(entry, "size_bytes", where), ("{}.size_bytes", where)),
+        hw_subs=TargetError.integer(TargetError.require(entry, "hw_subs", where), ("{}.hw_subs", where), 0),
+        sw_subs=TargetError.integer(entry.get("sw_subs", 0), ("{}.sw_subs", where), 0),
         measure=TargetError.require(entry, "measure", where),
-        speedup=TargetError.number(TargetError.require(entry, "speedup", where), f"{where}.speedup"),
+        speedup=TargetError.number(TargetError.require(entry, "speedup", where), ("{}.speedup", where)),
     )
     try:
         return SpeedupTarget(**fields)

@@ -166,7 +166,7 @@ def cmd_report(args) -> int:
         raise DocumentError(f"{args.infile!r}: not a grid comparison (missing columns {sorted(missing)})")
     for line, row in rows:
         # the kind names the output files, so it must not carry a path
-        DocumentError.side(row["publisher_kind"], f"{args.infile!r} line {line}: publisher_kind")
+        DocumentError.side(row["publisher_kind"], ("{!r} line {}: publisher_kind", args.infile, line))
         for column in ("size_bytes", "hw_subs"):
             try:
                 row[column] = int(row[column])

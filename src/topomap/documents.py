@@ -27,69 +27,86 @@ from enum import Enum
 MAX_SIZE_BYTES = 2**53
 
 
+def _named(where: str | tuple) -> str:
+    """A field's name in an error: ``where`` itself, or a ``(template, *args)`` tuple formatted."""
+    return where if isinstance(where, str) else where[0].format(*where[1:])
+
+
 class FieldError(ValueError):
-    """A field of the wrong type or out of range; each check returns the value it accepts."""
+    """A field of the wrong type or out of range; each check returns the value it accepts.
+
+    A check's ``where`` (``what`` for ``member``) names the field: a string,
+    or a tuple of a ``str.format`` template and its arguments, formatted
+    only when the check fails, so that a passing field formats nothing.
+    """
 
     @classmethod
     def require(cls, doc: dict, key: str, where: str, kind: type | None = None):
-        """``doc[key]``, which must be present and, if ``kind`` is given, of that type."""
+        """``doc[key]``, which must be present and, if ``kind`` is given, of that type; ``where`` is a string."""
         if key not in doc:
             raise cls(f"{where}: missing required key {key!r}")
-        return doc[key] if kind is None else cls.typed(doc[key], kind, f"{where}.{key}")
+        return doc[key] if kind is None else cls.typed(doc[key], kind, ("{}.{}", where, key))
 
     @classmethod
-    def typed(cls, value, kind: type, where: str):
+    def typed(cls, value, kind: type, where: str | tuple):
         if not isinstance(value, kind):
             name = {dict: "an object", list: "a list", str: "a string"}[kind]
-            raise cls(f"{where}: expected {name}, got {value!r}")
+            raise cls(f"{_named(where)}: expected {name}, got {value!r}")
         return value
 
     @classmethod
-    def known_keys(cls, doc: dict, known, where: str) -> dict:
+    def known_keys(cls, doc: dict, known, where: str | tuple) -> dict:
         """``doc`` itself, if it has no key outside ``known``."""
         unknown = sorted(set(doc) - set(known))
         if unknown:
-            raise cls(f"{where}: unknown keys {unknown}")
+            raise cls(f"{_named(where)}: unknown keys {unknown}")
         return doc
 
     @classmethod
-    def integer(cls, value, where: str, minimum: int | None) -> int:
+    def integer(cls, value, where: str | tuple, minimum: int | None) -> int:
         """An integer of at least ``minimum``, or of any sign if ``minimum`` is None."""
         # bool is an int subclass and must not pass as a count
         if isinstance(value, bool) or not isinstance(value, int) or minimum is not None and value < minimum:
             kind = "an" if minimum is None else "a positive" if minimum > 0 else "a non-negative"
-            raise cls(f"{where} must be {kind} integer, got {value!r}")
+            raise cls(f"{_named(where)} must be {kind} integer, got {value!r}")
         return value
 
     @classmethod
-    def size(cls, value, where: str) -> int:
+    def size(cls, value, where: str | tuple) -> int:
         """A message size in bytes: a positive integer below ``MAX_SIZE_BYTES``."""
-        if cls.integer(value, where, 1) >= MAX_SIZE_BYTES:
-            raise cls(f"{where} must be below {MAX_SIZE_BYTES} bytes, got {value!r}")
+        # an int skips both type tests
+        if (
+            value.__class__ is not int
+            and (isinstance(value, bool) or not isinstance(value, int))
+            or not 0 < value < MAX_SIZE_BYTES
+        ):
+            cls.integer(value, where, 1)  # raises unless a positive integer
+            raise cls(f"{_named(where)} must be below {MAX_SIZE_BYTES} bytes, got {value!r}")
         return value
 
     @classmethod
-    def side(cls, value, where: str) -> str:
+    def side(cls, value, where: str | tuple) -> str:
         """``"hw"`` or ``"sw"``: the side of the hardware/software split a publisher or a measure is on."""
         if value not in ("hw", "sw"):
-            raise cls(f"{where} must be 'hw' or 'sw', got {value!r}")
+            raise cls(f"{_named(where)} must be 'hw' or 'sw', got {value!r}")
         return value
 
     @classmethod
-    def member(cls, value, what: str, enum: type[Enum]):
+    def member(cls, value, what: str | tuple, enum: type[Enum]):
         """The member of ``enum`` whose value is ``value``; an error lists the choices."""
         try:
             return enum(value)
         except ValueError:
             choices = ", ".join(m.value for m in enum)
-            raise cls(f"unknown {what} {value!r} (choose from: {choices})") from None
+            raise cls(f"unknown {_named(what)} {value!r} (choose from: {choices})") from None
 
     @classmethod
-    def number(cls, value, where: str, upper: float = math.inf, positive: bool = False) -> float:
+    def number(cls, value, where: str | tuple, upper: float = math.inf, positive: bool = False) -> float:
         """A finite number in [0, upper), or in (0, upper) if ``positive``."""
+        # bool is an int subclass and must not pass as a number; a float skips both type tests
         if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
+            value.__class__ is not float
+            and (isinstance(value, bool) or not isinstance(value, (int, float)))
             or not 0 <= value < upper
             or positive and not value
         ):
@@ -97,7 +114,7 @@ class FieldError(ValueError):
                 kind = "a positive number" if positive else "a non-negative number"
             else:
                 kind = f"a number in {'(' if positive else '['}0, {upper:g})"
-            raise cls(f"{where} must be {kind}, got {value!r}")
+            raise cls(f"{_named(where)} must be {kind}, got {value!r}")
         return float(value)
 
 

@@ -16,6 +16,15 @@ from (state, event) to (state, actions), runs them; ``transition_table``
 exports them for ``topomap fsm-export``; ``ACCEPTED_EVENTS`` lists the
 events each resting phase has a rule for.  An event no rule takes raises
 ``GatewayProtocolError``.
+
+The simulator's gateway actor drives ``step``: it hands the machine each
+event its resting phase accepts, then runs the actions the step returns
+through one table keyed by action class, built once, so ``step`` stays
+the only code that reads the rules.  A run builds a protocol object for
+every message, event, action and state change, so each ``__init__``
+writes the fields straight into the instance dict (see ``_Carrier``)
+instead of through the frozen ``__setattr__``, one call per field;
+fields, ``repr``, equality, hash and frozenness stay the dataclass's own.
 """
 
 from __future__ import annotations
@@ -38,7 +47,10 @@ class Phase(enum.Enum):
 RESTING_PHASES = (Phase.AWAIT_BUFFER, Phase.POLLING, Phase.CANCELLING)
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+
+
+@dataclass(frozen=True, init=False)
 class Message:
     """A message; every trace row about it, a gateway's loop-back copy's included, names it ``topic#seq``."""
 
@@ -50,11 +62,37 @@ class Message:
     # derived once: the engine reads it for every trace row of the message
     message_id: str = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "message_id", f"{self.topic}#{self.seq}")
+    def __init__(self, publisher_id: str, seq: int, topic: str, size_bytes: int, *, t_pub_ns: int = 0):
+        self.__dict__.update(
+            publisher_id=publisher_id,
+            seq=seq,
+            topic=topic,
+            size_bytes=size_bytes,
+            t_pub_ns=t_pub_ns,
+            message_id=f"{topic}#{seq}",
+        )
+
+    def loop_back(self, publisher_id: str) -> Message:
+        """``replace(self, publisher_id=publisher_id)``, sharing this message's id and publish time."""
+        copy = _new(Message)
+        copy.__dict__.update(self.__dict__, publisher_id=publisher_id)
+        return copy
 
 
 # -- events ---------------------------------------------------------------
+
+
+class _Carrier:
+    """Base of the events and actions that carry one message.
+
+    Its ``__init__`` stores the message straight into the instance dict; each
+    subclass is a frozen dataclass with ``init=False``, which keeps it.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, message: Message):
+        self.__dict__["message"] = message
 
 
 @dataclass(frozen=True)
@@ -62,26 +100,29 @@ class BufferLocation:
     """Shared buffer negotiated; the gateway may start polling."""
 
 
-@dataclass(frozen=True)
-class DelegateResponse:
+@dataclass(frozen=True, init=False)
+class DelegateResponse(_Carrier):
     """The SMT delegate answered the outstanding read request."""
 
     message: Message
 
 
-@dataclass(frozen=True)
-class HmtArrival:
+@dataclass(frozen=True, init=False)
+class HmtArrival(_Carrier):
     """A message arrived on the hardware transport stream."""
 
     message: Message
 
 
-@dataclass(frozen=True)
-class CancelResult:
+@dataclass(frozen=True, init=False)
+class CancelResult(_Carrier):
     """The delegate confirmed the cancel; ``message`` is the response that
     was already in flight when the cancel landed, if any."""
 
     message: Message | None = None
+
+    def __init__(self, message: Message | None = None):
+        self.__dict__["message"] = message
 
 
 Event = BufferLocation | DelegateResponse | HmtArrival | CancelResult
@@ -100,23 +141,23 @@ class CancelSmtRequest:
     """Ask the delegate to abort the outstanding read."""
 
 
-@dataclass(frozen=True)
-class TransferToHmt:
+@dataclass(frozen=True, init=False)
+class TransferToHmt(_Carrier):
     message: Message
 
 
-@dataclass(frozen=True)
-class TransferToMain:
+@dataclass(frozen=True, init=False)
+class TransferToMain(_Carrier):
     message: Message
 
 
-@dataclass(frozen=True)
-class PublishSmt:
+@dataclass(frozen=True, init=False)
+class PublishSmt(_Carrier):
     message: Message
 
 
-@dataclass(frozen=True)
-class Discard:
+@dataclass(frozen=True, init=False)
+class Discard(_Carrier):
     message: Message
 
 
@@ -132,7 +173,7 @@ class GatewayProtocolError(RuntimeError):
         super().__init__(f"event {type(event).__name__} is illegal in phase {phase.value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GatewayState:
     """Immutable snapshot between steps.
 
@@ -143,6 +184,9 @@ class GatewayState:
     own_hmt_id: str
     phase: Phase = Phase.AWAIT_BUFFER
     held: Message | None = None
+
+    def __init__(self, own_smt_id: str, own_hmt_id: str, phase: Phase = Phase.AWAIT_BUFFER, held: Message | None = None):
+        self.__dict__.update(own_smt_id=own_smt_id, own_hmt_id=own_hmt_id, phase=phase, held=held)
 
     @property
     def outstanding_request(self) -> bool:
@@ -217,19 +261,32 @@ _GUARDS = {
     "MESSAGE_SMT_REJECT": lambda state, m: m is not None and m.publisher_id == state.own_smt_id,
 }
 
-# event class -> (phase, guard, rule) for its rules in table order; keyed by
-# class alone, since hashing an enum member costs a Python-level call
-_BY_EVENT = {
-    event: [(r.phase, _GUARDS[r.guard], r) for r in _RULES if r.event is event]
-    for event in dict.fromkeys(r.event for r in _RULES)
-}
-
 # Event classes each resting phase has a rule for; a driver holds any other
 # event back until the phase changes.
 ACCEPTED_EVENTS = {p: tuple(dict.fromkeys(r.event for r in _RULES if r.phase is p)) for p in RESTING_PHASES}
 
 # the argument-less actions are values, so every step shares one of each
 _SHARED = {RequestSmtMessage: RequestSmtMessage(), CancelSmtRequest: CancelSmtRequest()}
+
+# ``_RULES`` as ``step`` reads them: event class -> its rules in table order,
+# each as (phase, guard, next phase, whether the next phase holds the event's
+# message, actions), each action as (class, shared instance or None, whether
+# its argument is the held message); keyed by class alone, since hashing an
+# enum member costs a Python-level call
+_BY_EVENT = {
+    event: [
+        (
+            r.phase,
+            _GUARDS[r.guard],
+            r.next,
+            r.next is Phase.CANCELLING,
+            tuple((kind, _SHARED.get(kind), arg == _HELD) for kind, arg in r.actions),
+        )
+        for r in _RULES
+        if r.event is event
+    ]
+    for event in dict.fromkeys(r.event for r in _RULES)
+}
 
 
 def step(state: GatewayState, event: Event) -> tuple[GatewayState, list[Action]]:
@@ -240,17 +297,18 @@ def step(state: GatewayState, event: Event) -> tuple[GatewayState, list[Action]]
     exactly while ``CANCELLING``.
     """
     phase, message = state.phase, getattr(event, "message", None)
-    for rule_phase, guard, rule in _BY_EVENT.get(type(event), ()):
+    for rule_phase, guard, next_phase, holds, plan in _BY_EVENT.get(type(event), ()):
         if rule_phase is phase and guard(state, message):
             break
     else:
         raise GatewayProtocolError(phase, event)
+    held = state.held
     actions = []
-    for kind, arg in rule.actions:
-        actions.append(_SHARED[kind] if arg is None else kind(message if arg == _MSG else state.held))
-    held = message if rule.next is Phase.CANCELLING else None
-    if rule.next is not phase or held is not state.held:
-        state = GatewayState(state.own_smt_id, state.own_hmt_id, rule.next, held)
+    for kind, shared, from_held in plan:
+        actions.append(kind(held if from_held else message) if shared is None else shared)
+    new_held = message if holds else None
+    if next_phase is not phase or new_held is not held:
+        state = GatewayState(state.own_smt_id, state.own_hmt_id, next_phase, new_held)
     return state, actions
 
 

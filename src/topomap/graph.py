@@ -62,9 +62,10 @@ class TopicSpec:
     publish_rate_hz: float
 
     def __post_init__(self):
-        BadAnnotationError.size(self.message_size_bytes, f"topic {self.id!r}: message_size_bytes")
-        rate = BadAnnotationError.number(self.publish_rate_hz, f"topic {self.id!r}: publish_rate_hz", positive=True)
-        object.__setattr__(self, "publish_rate_hz", rate)
+        BadAnnotationError.size(self.message_size_bytes, ("topic {!r}: message_size_bytes", self.id))
+        rate = BadAnnotationError.number(self.publish_rate_hz, ("topic {!r}: publish_rate_hz", self.id), positive=True)
+        if rate is not self.publish_rate_hz:  # an integer rate is stored as its float
+            object.__setattr__(self, "publish_rate_hz", rate)
 
 
 def gateway_ids(topic_id: str) -> tuple[str, str]:

@@ -59,7 +59,7 @@ class CommMapping:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CommMapping":
-        return cls(tuple((t, MappingError.member(v, f"comm_mapping.{t} transport", TopicImpl)) for t, v in d.items()))
+        return cls(tuple((t, MappingError.member(v, ("comm_mapping.{} transport", t), TopicImpl)) for t, v in d.items()))
 
 
 def cost_params_from_platform(platform: PlatformModel) -> PlatformModel:

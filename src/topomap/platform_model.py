@@ -48,15 +48,16 @@ class PlatformModel:
     jitter_pct: float = 0.05
 
     def __post_init__(self):
+        number = PlatformError.number
         for name, value in vars(self).items():
-            if name.endswith("_bytes_per_s"):
+            if name in _BANDWIDTHS:
                 # the simulator charges transfers in whole bytes per second
-                if PlatformError.number(value, name) < 1:
+                if number(value, name) < 1:
                     raise PlatformError(f"{name} must be at least 1 B/s, got {value!r}")
             elif name == "jitter_pct":
-                PlatformError.number(value, name, 1.0)
+                number(value, name, 1.0)
             else:
-                PlatformError.number(value, name, MAX_TIME_US, positive=True)
+                number(value, name, MAX_TIME_US, True)
         if self.hmt_bandwidth_bytes_per_s < self.memif_bandwidth_bytes_per_s:
             raise PlatformError("hmt bandwidth must be at least memif bandwidth")
 
@@ -76,4 +77,8 @@ class PlatformModel:
     @classmethod
     def load(cls, path) -> "PlatformModel":
         return PlatformSyntaxError.load(path, cls.from_json)
+
+
+# the fields checked against 1 B/s; named once, since the check runs on every model built
+_BANDWIDTHS = frozenset(name for name in PlatformModel.__dataclass_fields__ if name.endswith("_bytes_per_s"))
 

@@ -101,6 +101,11 @@ class Scenario:
     jitter_pct: float | None = None  # None: platform default
     grid: GridSpec | None = None
 
+    def __post_init__(self):
+        # ``resolve_mapping`` would take the mapping and drop the policy unsaid
+        if self.policy is not None and self.comm_mapping is not None:
+            raise ScenarioError("scenario: 'policy' and 'comm_mapping' exclude each other; give one of them")
+
     def resolve_mapping(self, platform: PlatformModel = PlatformModel()) -> CommMapping:
         """The explicit mapping, else the policy's pick priced on ``platform``."""
         if self.comm_mapping is not None:
@@ -134,11 +139,11 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
             WorkloadItem(
                 publisher=ScenarioError.require(entry, "publisher", where, str),
                 topic=ScenarioError.require(entry, "topic", where, str),
-                count=ScenarioError.integer(entry.get("count", WorkloadItem.count), f"{where}.count", 0),
+                count=ScenarioError.integer(entry.get("count", WorkloadItem.count), ("{}.count", where), 0),
                 period_us=ScenarioError.number(
-                    entry.get("period_us", WorkloadItem.period_us), f"{where}.period_us", MAX_TIME_US
+                    entry.get("period_us", WorkloadItem.period_us), ("{}.period_us", where), MAX_TIME_US
                 ),
-                size_bytes=None if size is None else ScenarioError.size(size, f"{where}.size_bytes"),
+                size_bytes=None if size is None else ScenarioError.size(size, ("{}.size_bytes", where)),
             )
         )
 
@@ -146,12 +151,10 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
     if "comm_mapping" in doc:
         entries = ScenarioError.typed(doc["comm_mapping"], dict, "comm_mapping").items()
         comm_mapping = CommMapping(
-            tuple((t, ScenarioError.member(v, f"comm_mapping.{t} transport", TopicImpl)) for t, v in entries)
+            tuple((t, ScenarioError.member(v, ("comm_mapping.{} transport", t), TopicImpl)) for t, v in entries)
         )
     policy = None
     if "policy" in doc:
-        if comm_mapping is not None:
-            raise ScenarioError("scenario: 'policy' and 'comm_mapping' exclude each other; give one of them")
         policy = ScenarioError.member(doc["policy"], "policy", MappingPolicy)
 
     grid = None
@@ -184,7 +187,7 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
         comm_mapping=comm_mapping,
         policy=policy,
         compute_us=tuple(
-            sorted((k, ScenarioError.number(v, f"compute_us.{k}", MAX_TIME_US)) for k, v in compute.items())
+            sorted((k, ScenarioError.number(v, ("compute_us.{}", k), MAX_TIME_US)) for k, v in compute.items())
         ),
         jitter_pct=None if jitter is None else ScenarioError.number(jitter, "jitter_pct", upper=1.0),
         grid=grid,
@@ -289,19 +292,23 @@ class SimResult:
 
 # -- gateway actor -----------------------------------------------------------
 
-# each action's trace kind, built once
-_ACTION_TRACE_KIND = {cls: f"GW_ACTION:{kind}" for cls, kind in gw._ACTION_KIND.items()}
+# the events each resting phase accepts, keyed by the phase's value: a string
+# hashes in C, an enum member through a Python-level ``__hash__``
+_ACCEPTS = {phase.value: events for phase, events in gw.ACCEPTED_EVENTS.items()}
 
 
 class _GwActor:
     """One gateway inside the simulation: its state machine and its reader on SMT.
 
-    Data events queue FIFO and are only handed to the machine in phases
+    Data events queue FIFO and are only handed to ``gw.step`` in phases
     that accept them; cancel acknowledgements travel on the control path
     and jump the queue, so a burst of arrivals cannot wedge a pending
     cancel.  Actions run serially from ``_actions``, the rest of the
     running step, each finishing before the next starts (``_busy`` while
     one takes simulated time); that makes gateway timing reproducible.
+    Each action runs through ``_ACTION_RUN``, one table keyed by action
+    class and built once: its trace kind, whether it carries a message,
+    and the method that performs it.
 
     The reader keeps at most one cancellable read open over the messages
     offered to it; a response costs two control round trips (readiness
@@ -309,12 +316,12 @@ class _GwActor:
     flight, so a response still scheduled for it is dropped.
     """
 
-    def __init__(self, sim: "_Sim", endpoints: TopicEndpoints):
+    def __init__(self, sim: "_Sim", endpoints: TopicEndpoints, size_bytes: int):
         self._sim = sim
         self.endpoints = endpoints
         # its publications on SMT: a loan to each software subscriber, in copy order
         readers = tuple(reader for reader in copy_order(endpoints, TopicImpl.GW) if reader[1] == SW_SUB)
-        self._smt_route = _Route(TopicImpl.GW, readers, endpoints, None)
+        self._smt_route = _Route(TopicImpl.GW, readers, endpoints, None, size_bytes)
         self.state, actions = gw.init(*gateway_ids(endpoints.topic_id))
         self._actions: deque[gw.Action] = deque(actions)
         self._queue: deque[gw.Event] = deque()
@@ -351,37 +358,56 @@ class _GwActor:
 
     def _next(self):
         """Run actions up to the first that takes simulated time, stepping on accepted events."""
-        sim, actions, queue, accepts = self._sim, self._actions, self._queue, gw.ACCEPTED_EVENTS
+        sim, actions, queue = self._sim, self._actions, self._queue
         while True:
             while not actions:
-                if not queue or not isinstance(queue[0], accepts[self.state.phase]):
+                state = self.state
+                if not queue or not isinstance(queue[0], _ACCEPTS[state.phase._value_]):
                     self._busy = False
                     return  # the head waits for a phase change; order is preserved
-                self.state, step_actions = gw.step(self.state, queue.popleft())
+                self.state, step_actions = gw.step(state, queue.popleft())
                 actions.extend(step_actions)
             action = actions.popleft()
-            message = getattr(action, "message", None)
-            mid = "-" if message is None else message.message_id
-            sim.trace(_ACTION_TRACE_KIND[type(action)], mid, self.state.own_smt_id)
-            if isinstance(action, gw.RequestSmtMessage):
-                self._open = True
-                self._read()
-            elif isinstance(action, gw.CancelSmtRequest):
-                # the acknowledgement returns the read the cancel raced, if any
-                raced, self._inflight, self._open = self._inflight, None, False
-                sim.at(sim.now_ns + sim._osif_ns(), self._cancelled, raced)
-            elif not isinstance(action, gw.Discard):
-                break
-        # the action takes simulated time; its completion moves the cursor on
-        self._busy = True
-        if isinstance(action, gw.TransferToHmt):
-            sim.pool.start(sim._memif_bytes(message.size_bytes), self._read_to_hmt, message)
-        elif isinstance(action, gw.TransferToMain):
-            sim.pool.start(sim._memif_bytes(message.size_bytes), self._written_to_main, message)
-        elif isinstance(action, gw.PublishSmt):
-            sim.at(sim.now_ns + sim._delegate_ns(), self._published, message)
-        else:  # pragma: no cover - action set is closed
-            raise AssertionError(f"unknown action {action!r}")
+            kind, carries, run = _ACTION_RUN[action.__class__]
+            message = action.message if carries else None
+            mid = message.message_id if carries else "-"
+            sim._trace.append(_tuple_new(TraceEvent, (sim.now_ns, kind, mid, self.state.own_smt_id)))
+            if run(self, message):
+                # the action takes simulated time; its completion moves the cursor on
+                self._busy = True
+                return
+
+    # -- actions: each returns whether it takes simulated time --
+
+    def _request(self, _message: None) -> bool:
+        self._open = True
+        self._read()
+        return False
+
+    def _cancel(self, _message: None) -> bool:
+        # the acknowledgement returns the read the cancel raced, if any
+        sim = self._sim
+        raced, self._inflight, self._open = self._inflight, None, False
+        sim.at(sim.now_ns + sim._osif_ns(), self._cancelled, raced)
+        return False
+
+    def _discard(self, _message: gw.Message) -> bool:
+        return False
+
+    def _to_hmt(self, message: gw.Message) -> bool:
+        sim = self._sim
+        sim.pool.start(sim._memif_bytes(message.size_bytes), self._read_to_hmt, message)
+        return True
+
+    def _to_main(self, message: gw.Message) -> bool:
+        sim = self._sim
+        sim.pool.start(sim._memif_bytes(message.size_bytes), self._written_to_main, message)
+        return True
+
+    def _publish(self, message: gw.Message) -> bool:
+        sim = self._sim
+        sim.at(sim.now_ns + sim._delegate_ns(), self._published, message)
+        return True
 
     def _read_to_hmt(self, m: gw.Message):
         sim = self._sim
@@ -391,7 +417,7 @@ class _GwActor:
     def _streamed(self, m: gw.Message):
         self._sim.hmt_arrival(m, self.endpoints.hw_subs)
         # own transfer loops back through the tap under the gateway's identity
-        self._queue.append(gw.HmtArrival(replace(m, publisher_id=self.state.own_hmt_id)))
+        self._queue.append(gw.HmtArrival(m.loop_back(self.state.own_hmt_id)))
         self._next()
 
     def _written_to_main(self, m: gw.Message):
@@ -401,8 +427,22 @@ class _GwActor:
     def _published(self, m: gw.Message):
         self._sim._smt_fanout(self._smt_route, m, loaned=True)
         # own publication loops back through the reader
-        self.offer(replace(m, publisher_id=self.state.own_smt_id))
+        self.offer(m.loop_back(self.state.own_smt_id))
         self._next()
+
+
+# per action class: its trace kind, whether it carries a message, and the actor method that runs it
+_ACTION_RUN = {
+    cls: (f"GW_ACTION:{gw._ACTION_KIND[cls]}", "message" in cls.__dataclass_fields__, run)
+    for cls, run in (
+        (gw.RequestSmtMessage, _GwActor._request),
+        (gw.CancelSmtRequest, _GwActor._cancel),
+        (gw.Discard, _GwActor._discard),
+        (gw.TransferToHmt, _GwActor._to_hmt),
+        (gw.TransferToMain, _GwActor._to_main),
+        (gw.PublishSmt, _GwActor._publish),
+    )
+}
 
 
 # -- the engine --------------------------------------------------------------
@@ -417,6 +457,14 @@ class RelaySpec:
     compute_us: float
 
 
+class _Relay(NamedTuple):
+    """A ``RelaySpec`` as the engine runs it: its compute time in whole ns."""
+
+    in_topic: str
+    out_topic: str
+    compute_ns: int
+
+
 @dataclass(frozen=True)
 class _Route:
     """How one topic's messages travel, fixed when the engine starts.
@@ -426,13 +474,15 @@ class _Route:
     served on the hardware side when the topic has one (HMT or GW);
     ``actor`` is the topic's gateway on GW, else None.  A gateway's own
     route, for its publications on SMT, holds only the software
-    subscribers and no actor.
+    subscribers and no actor.  ``size_bytes`` is the topic's declared
+    message size, for a publication that does not state its own.
     """
 
     impl: TopicImpl
     readers: tuple[tuple[str, str], ...]
     endpoints: TopicEndpoints
     actor: _GwActor | None
+    size_bytes: int
 
 
 class _Sim(_EventLoop):
@@ -454,19 +504,23 @@ class _Sim(_EventLoop):
         self._trace: list[TraceEvent] = []
         self._deliveries: list[Delivery] = []
         self._next_msg_seq: dict[str, int] = {}
-        self._relays = relays or {}
+        self._relays = {
+            node: _Relay(relay.in_topic, relay.out_topic, _us_to_ns(relay.compute_us))
+            for node, relay in (relays or {}).items()
+        }
         check_topic_set(graph, comm_mapping)
         self._routes = {
-            topic_id: self._route(topic_endpoints(graph, node_mapping, topic_id), comm_mapping.impl_of(topic_id))
-            for topic_id in graph.topic_ids()
+            topic.id: self._route(topic, topic_endpoints(graph, node_mapping, topic.id), comm_mapping.impl_of(topic.id))
+            for topic in graph.topics
         }
 
-    def _route(self, endpoints: TopicEndpoints, impl: TopicImpl) -> _Route:
+    def _route(self, topic: TopicSpec, endpoints: TopicEndpoints, impl: TopicImpl) -> _Route:
         """Decide once how a topic's messages travel; rejects impossible mappings."""
         endpoints.check(impl)
+        size = topic.message_size_bytes
         # on GW hardware subscribers listen on the HMT side, the gateway reads the SMT side
-        actor = _GwActor(self, endpoints) if impl is TopicImpl.GW else None
-        return _Route(impl, tuple(copy_order(endpoints, impl)), endpoints, actor)
+        actor = _GwActor(self, endpoints, size) if impl is TopicImpl.GW else None
+        return _Route(impl, tuple(copy_order(endpoints, impl)), endpoints, actor, size)
 
     # -- primitives --
     #
@@ -485,13 +539,13 @@ class _Sim(_EventLoop):
         if self._relays:  # only chains relay
             relay = self._relays.get(subscriber)
             if relay is not None and relay.in_topic == topic:
-                self.at(now + _us_to_ns(relay.compute_us), self.publish, subscriber, relay.out_topic, None, seq)
+                self.at(now + relay.compute_ns, self.publish, subscriber, relay.out_topic, None, seq)
 
     # -- publishing --
 
     def publish(self, publisher: str, topic_id: str, size_bytes: int | None = None, seq: int | None = None):
         route = self._routes[topic_id]
-        size = self.graph.topic(topic_id).message_size_bytes if size_bytes is None else size_bytes
+        size = route.size_bytes if size_bytes is None else size_bytes
         if seq is None:
             seq = self._next_msg_seq.get(topic_id, 0)
             self._next_msg_seq[topic_id] = seq + 1

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topomap import gateway as gw
 
@@ -85,6 +87,104 @@ class TestMessageValue:
         assert m.t_pub_ns == 7 and gw.Message("a", 1, "t", 5).t_pub_ns == 0
         assert m == gw.Message("a", 1, "t", 5) and hash(m) == hash(gw.Message("a", 1, "t", 5))
         assert repr(m) == "Message(publisher_id='a', seq=1, topic='t', size_bytes=5)"
+
+
+ids = st.text(max_size=6)
+seqs = st.integers(min_value=0, max_value=2**40)
+messages = st.builds(
+    lambda publisher, seq, topic, size, t_pub_ns: gw.Message(publisher, seq, topic, size, t_pub_ns=t_pub_ns),
+    ids,
+    seqs,
+    ids,
+    st.integers(min_value=1, max_value=2**53 - 1),
+    st.integers(min_value=0, max_value=2**62),
+)
+
+# the events and actions that carry one message, and those that carry nothing
+CARRIERS = (
+    gw.DelegateResponse, gw.HmtArrival, gw.CancelResult, gw.TransferToHmt, gw.TransferToMain, gw.PublishSmt, gw.Discard
+)
+EMPTY = (gw.BufferLocation, gw.RequestSmtMessage, gw.CancelSmtRequest)
+
+
+def as_dataclass(obj):
+    """The ``repr`` and hash a dataclass states from ``obj``'s fields."""
+    fields = dataclasses.fields(obj)
+    shown = ", ".join(f"{f.name}={getattr(obj, f.name)!r}" for f in fields if f.repr)
+    return f"{type(obj).__name__}({shown})", hash(tuple(getattr(obj, f.name) for f in fields if f.compare))
+
+
+def assert_frozen(obj, names):
+    for name in (*names, "not_a_field"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+
+
+class TestProtocolValues:
+    """The protocol objects skip the generated ``__init__`` but keep the dataclass's value semantics."""
+
+    def test_fields_are_the_dataclass_fields(self):
+        def columns(cls):
+            return [(f.name, f.init, f.repr, f.compare, f.kw_only) for f in dataclasses.fields(cls)]
+
+        assert columns(gw.Message) == [
+            ("publisher_id", True, True, True, False),
+            ("seq", True, True, True, False),
+            ("topic", True, True, True, False),
+            ("size_bytes", True, True, True, False),
+            ("t_pub_ns", True, False, False, True),
+            ("message_id", False, False, False, False),
+        ]
+        assert columns(gw.GatewayState) == [
+            (name, True, True, True, False) for name in ("own_smt_id", "own_hmt_id", "phase", "held")
+        ]
+        for cls in CARRIERS:
+            assert columns(cls) == [("message", True, True, True, False)], cls
+        for cls in EMPTY:
+            assert columns(cls) == [], cls
+
+    @settings(deadline=None)
+    @given(messages, ids)
+    def test_loop_back_copy_is_replace(self, m, own):
+        copy, ref = m.loop_back(own), dataclasses.replace(m, publisher_id=own)
+        assert copy == ref and hash(copy) == hash(ref) and repr(copy) == repr(ref) == as_dataclass(ref)[0]
+        assert copy.publisher_id == own and vars(copy) == vars(ref)
+        assert (copy.message_id, copy.t_pub_ns) == (ref.message_id, ref.t_pub_ns) == (m.message_id, m.t_pub_ns)
+        assert_frozen(copy, ("publisher_id", "seq", "message_id", "t_pub_ns"))
+
+    @settings(deadline=None)
+    @given(ids, ids, st.sampled_from(list(gw.Phase)), st.none() | messages)
+    def test_gateway_state_keeps_dataclass_semantics(self, smt, hmt, phase, held):
+        state = gw.GatewayState(smt, hmt, phase, held)
+        assert (state.own_smt_id, state.own_hmt_id, state.phase, state.held) == (smt, hmt, phase, held)
+        twin = gw.GatewayState(own_smt_id=smt, own_hmt_id=hmt, phase=phase, held=held)
+        assert twin == state and hash(twin) == hash(state)
+        assert (repr(state), hash(state)) == as_dataclass(state)
+        assert state != dataclasses.replace(state, own_hmt_id=hmt + "x")
+        assert gw.GatewayState(smt, hmt) == gw.GatewayState(smt, hmt, gw.Phase.AWAIT_BUFFER, None)
+        assert_frozen(state, ("own_smt_id", "own_hmt_id", "phase", "held"))
+
+    @settings(deadline=None)
+    @given(messages)
+    def test_events_and_actions_keep_dataclass_semantics(self, m):
+        for cls in CARRIERS:
+            obj = cls(m)
+            assert obj.message is m and cls(message=m) == obj == cls(dataclasses.replace(m))
+            assert (repr(obj), hash(obj)) == as_dataclass(obj)
+            assert repr(obj) == f"{cls.__name__}(message={m!r})"
+            assert obj != cls(m.loop_back(m.publisher_id + "x"))
+            assert all(obj != other(m) for other in CARRIERS if other is not cls)
+            assert_frozen(obj, ("message",))
+        assert gw.CancelResult() == gw.CancelResult(None)
+        for cls in EMPTY:
+            obj = cls()
+            assert obj == cls() and (repr(obj), hash(obj)) == as_dataclass(obj) == (f"{cls.__name__}()", hash(()))
+            assert_frozen(obj, ())
+
+    @pytest.mark.parametrize("cls", [c for c in CARRIERS if c is not gw.CancelResult])
+    def test_a_carried_message_is_required(self, cls):
+        with pytest.raises(TypeError):
+            cls()
 
 
 class TestLegalSteps:

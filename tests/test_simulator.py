@@ -361,6 +361,56 @@ class TestEngineCosts:
         for d in result.deliveries:
             assert d.t_deliver_ns - d.t_pub_ns == expected[d.subscriber], d
 
+    def test_runs_copy_no_message_and_look_up_no_topic(self, data_dir, monkeypatch):
+        """Once a run's events start, no ``dataclasses.replace`` and no ``ComputationGraph.topic`` call is made.
+
+        A gateway's loop-back copy comes from ``Message.loop_back`` and a
+        publication's declared size from its route; only ``run``'s workload
+        check, before the events, looks each item's topic up. Checked on the
+        packaged chain under multi-hw-sub, whose relays publish at the declared
+        size, and on a jittered GW star; the deliveries stay those of the
+        unpatched run.
+        """
+        chain_scn = load_scenario(data_dir / "chain_scenario.json")
+        assert chain_scn.policy is CLASSIFYING
+        chain = ["camera", "image_compensation", "gaussian_blur", "lane_planner", "polyfit", "lane_control"]
+        relays, _, _ = chain_relays(chain_scn.graph, chain, dict(chain_scn.compute_us))
+        star = star_scenario("sw", 4, 2, S_10US, reps=40, period_us=50.0, seed=5, policy=CLASSIFYING, jitter_pct=0.05)
+        cases = {
+            "packaged chain": lambda: simulate(chain_scn, PLATFORM, relays=relays),
+            "jittered gw star": lambda: simulate(star, PLATFORM),
+        }
+        expected = {}
+        for label, case in cases.items():
+            result = case()
+            assert any(ev.kind.startswith("GW_ACTION:") for ev in result.trace), label
+            expected[label] = result.deliveries
+
+        calls, running, real_drain = [], [], _Sim.drain
+
+        def drain(self):
+            running.append(True)
+            try:
+                real_drain(self)
+            finally:
+                running.pop()
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                if running:
+                    calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(_Sim, "drain", drain)
+        monkeypatch.setattr(dataclasses, "replace", counted("replace", dataclasses.replace))
+        monkeypatch.setattr("topomap.simulator.replace", counted("replace", dataclasses.replace))
+        monkeypatch.setattr(ComputationGraph, "topic", counted("topic", ComputationGraph.topic))
+        for label, case in cases.items():
+            assert case().deliveries == expected[label], label
+        assert calls == []
+
     @staticmethod
     def _gc_free_cases(data_dir):
         chain_scn = load_scenario(data_dir / "chain_scenario.json")
@@ -571,6 +621,14 @@ class TestScenarioDocuments:
         assert scn.workload[0].publisher == "camera"
         assert scn.workload[0].count == 500
         assert dict(scn.compute_us)["image_compensation"] == 400.0
+
+    def test_scenario_in_code_rejects_both_policy_and_mapping(self):
+        # resolve_mapping would run on the mapping and drop the policy unsaid
+        with pytest.raises(ScenarioError) as caught:
+            star_scenario(
+                "hw", 2, 0, 10000, 3, 1000.0, 1, policy=SMT, comm_mapping=CommMapping.from_dict({"t0": "HMT"})
+            )
+        assert str(caught.value) == "scenario: 'policy' and 'comm_mapping' exclude each other; give one of them"
 
     @pytest.mark.parametrize("kind", ["HW", "gw", ""])
     def test_star_rejects_an_unknown_publisher_kind(self, kind):
