@@ -31,9 +31,7 @@ a fan-out serves each role in one branch, as the latency model prices it.
 Internally time is integer nanoseconds; all randomness flows from one
 seeded generator, so runs are reproducible event for event. The timing
 rules (nanosecond rounding, copy-slot order, the MEMIF pool) and the
-``(time, seq)`` event loop the engine runs on live in ``topomap.timing``;
-the loop also decides when an event for the running nanosecond may skip
-its heap.
+``(time, seq)`` event loop the engine runs on live in ``topomap.timing``.
 """
 
 from __future__ import annotations
@@ -526,8 +524,7 @@ class _Sim(_EventLoop):
     #
     # The per-hop methods below push onto the heap with the ``seq`` counter
     # and append trace rows themselves; ``at`` and ``trace`` serve the cold
-    # paths and the gateway actor. A hop for the running nanosecond goes
-    # through ``at`` or ``_now`` by ``_EventLoop``'s rule.
+    # paths and the gateway actor.
 
     def trace(self, kind: str, message_id: str, endpoint: str):
         self._trace.append(_tuple_new(TraceEvent, (self.now_ns, kind, message_id, endpoint)))
@@ -577,12 +574,7 @@ class _Sim(_EventLoop):
 
         ``loaned`` fan-out (hardware and gateway publications, already in main memory)
         reaches all readers at once; a software publisher copies serially,
-        first reader free. The readers ready now, every reader of a loaned
-        fan-out and slot 0 of a serial one, are hardware-side (a software
-        subscriber's delivery trails its copy by the positive software
-        latency), so they come first in slot order: when ``_next_now``
-        holds as the fan-out starts, it holds for each of them, and they
-        join ``_now`` instead of the heap.
+        first reader free.
 
         A hardware pull in a later serial slot is one event: its copy's
         ``SW_COPY`` row and its pull sat at adjacent keys, so nothing ran
@@ -592,7 +584,6 @@ class _Sim(_EventLoop):
         heap, now, size, mid = self._heap, self.now_ns, message.size_bytes, message.message_id
         copy_ns = 0 if loaned else self._copy_ns[size]
         dds_ns = self._dds_ns[size]
-        ready_now = self._now if self._next_now() else None
         seq = self._seq
         for slot, (reader, role) in enumerate(route.readers):
             args = (message, reader)
@@ -607,12 +598,10 @@ class _Sim(_EventLoop):
             elif copied:  # a hardware pull; the gateway's read is always slot 0
                 heappush(heap, (t_ready, seq, self._copied_pull, args))
                 seq += 1
+            elif role == HW_PULL:
+                heappush(heap, (now, seq, self._delegate_pull, args))
             else:
-                hop = (self._delegate_pull, args) if role == HW_PULL else (route.actor.offer, (message,))
-                if ready_now is None:
-                    heappush(heap, (now, seq) + hop)
-                else:
-                    ready_now.append(hop)
+                heappush(heap, (now, seq, route.actor.offer, (message,)))
             seq += 1
         self._seq = seq
 
@@ -636,11 +625,7 @@ class _Sim(_EventLoop):
         self._trace.append(_tuple_new(TraceEvent, (now, "MEMIF_TRANSFER", message.message_id, subscriber)))
         seq = self._seq
         self._seq = seq + 1
-        hop = (self._deliver, (message, subscriber))
-        if self._next_now():
-            self._now.append(hop)
-        else:
-            heappush(self._heap, (now, seq) + hop)
+        heappush(self._heap, (now, seq, self._deliver, (message, subscriber)))
 
     def hmt_arrival(self, message: gw.Message, subscribers: tuple[str, ...]):
         """A stream reached each hardware subscriber, in order; each takes delivery after one OSIF round trip."""
@@ -676,15 +661,23 @@ class _Sim(_EventLoop):
     def run(self, workload: tuple[WorkloadItem, ...]) -> SimResult:
         # a relay republishes under its input's seq, so a workload item on its topic would reuse seqs
         relayed = {relay.out_topic: node for node, relay in self._relays.items()}
-        for item in workload:
-            if item.publisher not in self.graph.nodes:
+        graph = self.graph
+        nodes, published = set(graph.nodes), set(graph.pub_edges)
+        for i, item in enumerate(workload):
+            if item.publisher not in nodes:
                 raise ScenarioError(f"workload publisher {item.publisher!r} is not a graph node")
-            if item.publisher not in self.graph.publishers_of(item.topic):
+            graph.topic(item.topic)  # an unknown topic raises ``UnknownTopicError``
+            if (item.publisher, item.topic) not in published:
                 raise ScenarioError(
                     f"workload: {item.publisher!r} does not publish topic {item.topic!r}"
                 )
             if item.topic in relayed:
                 raise ScenarioError(f"workload: topic {item.topic!r} is published by chain relay {relayed[item.topic]!r}")
+            # items built in code skip the document reader's checks; a bad one runs time or seqs backwards
+            ScenarioError.integer(item.count, ("workload[{}].count", i), 0)
+            ScenarioError.number(item.period_us, ("workload[{}].period_us", i), MAX_TIME_US)
+            if item.size_bytes is not None:
+                ScenarioError.size(item.size_bytes, ("workload[{}].size_bytes", i))
         # each item's publications take the next ``count`` seqs, in item order; only
         # an item's next publication waits on the heap, at the seq reserved for it
         first = self._seq
@@ -967,6 +960,12 @@ def run_chain_scenario(
         return 0.0, 0.0
     compute = dict(scenario.compute_us)
     relays, first_topic, last_topic = chain_relays(scenario.graph, chain, compute)
+    # latencies are keyed by seq on the first hop topic, so only the chain's source may publish it
+    for item in scenario.workload:
+        if item.topic == first_topic and item.publisher != chain[0]:
+            raise ScenarioError(
+                f"workload: topic {first_topic!r} starts the chain at {chain[0]!r}, so {item.publisher!r} may not publish it"
+            )
     result = simulate(scenario, platform, seed=seed, relays=relays)
     t_pub: dict[int, int] = {}
     t_end: dict[int, int] = {}

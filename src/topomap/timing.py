@@ -32,7 +32,6 @@ import gc
 import itertools
 import math
 import random
-from collections import deque
 from heapq import heappop, heappush
 
 from .graph import gateway_ids
@@ -43,12 +42,12 @@ NS_PER_US = 1000
 
 
 def _us_to_ns(us: float) -> int:
-    return int(round(us * NS_PER_US))
+    return round(us * NS_PER_US)
 
 
 def _bytes_ns(nbytes: int, bytes_per_s: float) -> int:
     # exact integer ceiling so repeated runs cannot drift
-    bps = int(round(bytes_per_s))
+    bps = round(bytes_per_s)
     return (nbytes * 1_000_000_000 + bps - 1) // bps
 
 
@@ -103,7 +102,7 @@ class Charges:
             lo, span, draw = -jitter, jitter - -jitter, random.Random(seed).random
 
             def control(us):
-                return lambda: int(round(us * (1.0 + (lo + span * draw())) * NS_PER_US))
+                return lambda: round(us * (1.0 + (lo + span * draw())) * NS_PER_US)
 
             self.memif_bytes = lambda nbytes: nbytes * (1.0 + (lo + span * draw()))
         else:
@@ -230,10 +229,6 @@ class _EventLoop:
     the order they were scheduled. The pool's pending completion takes its
     ``seq`` from the same counter and runs when it precedes the heap head.
 
-    An event for the running nanosecond joins ``_now``, a FIFO that ``drain``
-    empties before it looks at the heap or the pool, when ``_next_now``
-    holds; it still takes its ``seq``, and runs where the heap would run it.
-
     The engine is an event loop; the latency model replays its MEMIF
     schedules on one. ``drain`` pauses the cyclic garbage collector: a run
     makes no reference cycles, but its trace rows outlive it as tracked
@@ -244,41 +239,25 @@ class _EventLoop:
         self.now_ns = 0
         self._seq = 0
         self._heap: list = []
-        self._now: deque[tuple] = deque()  # (fn, args) at ``now_ns``, in seq order
         self.pool = _MemifPool(self, bytes_per_s)
-
-    def _next_now(self) -> bool:
-        """Whether an event scheduled now for ``now_ns`` runs before every waiting event.
-
-        Each took its ``seq`` earlier, so it does unless the heap's head or the
-        pool's ``due`` is at ``now_ns``; ``_now`` holds earlier seqs only.
-        """
-        heap, due, now = self._heap, self.pool.due, self.now_ns
-        return (not heap or heap[0][0] > now) and (due is None or due[0] > now)
 
     def at(self, t_ns: int, fn, *args):
         """Schedule ``fn(*args)`` at ``t_ns``; ties run in scheduling order."""
         seq = self._seq
         self._seq = seq + 1
-        if t_ns == self.now_ns and self._next_now():
-            self._now.append((fn, args))
-        else:
-            heappush(self._heap, (t_ns, seq, fn, args))
+        heappush(self._heap, (t_ns, seq, fn, args))
 
     def drain(self):
-        """Run events until ``_now``, the heap and the pool hold none.
+        """Run events until the heap and the pool hold none.
 
         The cyclic collector is off while the loop runs and is switched
         back on afterwards, even if a handler raises, only if it was on.
         """
-        heap, now_q, pool, pop, pop_now = self._heap, self._now, self.pool, heappop, self._now.popleft
+        heap, pool, pop = self._heap, self.pool, heappop
         collecting = gc.isenabled()
         gc.disable()
         try:
             while True:
-                while now_q:
-                    fn, args = pop_now()
-                    fn(*args)
                 due = pool.due
                 if heap and (due is None or heap[0] < due):
                     t, _, fn, args = pop(heap)

@@ -3,9 +3,11 @@ import gc
 import itertools
 import json
 import random
+import re
 import signal
 import statistics
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -306,39 +308,40 @@ class TestEngineCosts:
         assert len(result.deliveries) == len(heap_sizes) == 2000
         assert max(heap_sizes) < 10
 
-    def test_same_instant_hops_skip_the_heap(self, monkeypatch):
-        """A hop for the running nanosecond is pushed only behind another event due then.
+    def test_run_checks_the_workload_without_scanning_publish_edges(self, monkeypatch):
+        """``run`` checks each workload item against sets built once, not the graph's publish edges per item.
 
-        Otherwise it would be the next event popped, so it joins the loop's
-        same-instant queue instead of the heap. On a
-        jittered 32-HW, 4-SW star under SMT a message then costs at most one
-        pop per pull start and per delivery, plus the publication and its
-        announcement: 2 * 32 + 4 + 2 = 70. It makes 38; pushing every hop made 102.
+        One item per publish edge of a random graph of 300 topics; before the
+        check used sets, ``run`` made one ``publishers_of`` call per item.
         """
-        hw_subs, sw_subs, reps = 32, 4, 40
-        scn = star_scenario("hw", hw_subs, sw_subs, S_100US, reps, 5000.0, seed=3, policy=SMT, jitter_pct=0.05)
-        sim = _Sim(scn.graph, scn.node_mapping, scn.resolve_mapping(PLATFORM), PLATFORM, scn.seed, scn.jitter_pct)
-        pushed_for_now, pops = [], 0
+        rng = random.Random(31)
+        nodes = [f"n{i}" for i in range(120)]
+        topics, pub_edges, sub_edges = [], [], []
+        for k in range(300):
+            endpoints = rng.sample(nodes, rng.randint(2, 6))
+            n_pubs = rng.randint(1, min(3, len(endpoints) - 1))
+            topics.append(TopicSpec(f"t{k}", rng.randint(1, 128) * 1000, 10.0))
+            pub_edges += [(n, f"t{k}") for n in endpoints[:n_pubs]]
+            sub_edges += [(f"t{k}", n) for n in endpoints[n_pubs:]]
+        graph = ComputationGraph(tuple(nodes), tuple(topics), tuple(pub_edges), tuple(sub_edges))
+        node_mapping = NodeMapping(tuple((n, rng.choice(list(Placement))) for n in nodes))
+        comm_mapping, _ = map_communication(graph, node_mapping, MappingPolicy.ALWAYS_SMT)
+        sim = _Sim(graph, node_mapping, comm_mapping, PLATFORM, seed=1)
+        calls = []
 
-        def push(heap, item, real=timing.heappush):
-            if pops and heap is sim._heap and item[0] == sim.now_ns:  # pushed by a running event
-                due = sim.pool.due
-                if (not heap or heap[0][0] > sim.now_ns) and (due is None or due[0] > sim.now_ns):
-                    pushed_for_now.append(item)
-            real(heap, item)
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
 
-        def pop(heap, real=timing.heappop):
-            nonlocal pops
-            pops += heap is sim._heap
-            return real(heap)
+            return wrapper
 
-        monkeypatch.setattr("topomap.simulator.heappush", push)
-        monkeypatch.setattr(timing, "heappush", push)
-        monkeypatch.setattr(timing, "heappop", pop)
-        result = sim.run(scn.workload)
-        assert len(result.deliveries) == reps * (hw_subs + sw_subs)
-        assert pushed_for_now == []
-        assert pops <= reps * (2 * hw_subs + sw_subs + 2)
+        for name in ("publishers_of", "pub_edges_of"):
+            monkeypatch.setattr(ComputationGraph, name, counted(name, getattr(ComputationGraph, name)))
+        result = sim.run(tuple(WorkloadItem(n, t) for n, t in graph.pub_edges))
+        publishers = Counter(t for _, t in graph.pub_edges)
+        assert len(result.deliveries) == sum(publishers[t] for t, _ in graph.sub_edges)
+        assert calls == []
 
     @pytest.mark.parametrize("impl", [TopicImpl.SMT, TopicImpl.GW])
     @pytest.mark.parametrize("publisher_kind", ["hw", "sw"])
@@ -548,6 +551,27 @@ class TestInvariants:
         )
         with pytest.raises(ScenarioError, match="does not publish"):
             simulate(scn, PLATFORM)
+
+    def test_code_built_items_are_checked_as_a_document_is(self):
+        """A scenario built in code gets the document reader's checks and wording when it runs.
+
+        A negative period ran time backwards, and a negative count next to a
+        positive one moved the seq counter backwards.
+        """
+        period = re.escape("workload[0].period_us must be a number in [0, ") + r".*" + re.escape("), got -1000.0")
+        with pytest.raises(ScenarioError, match=period):
+            simulate(star_scenario("hw", 2, 1, 1000, reps=3, period_us=-1000.0, seed=1), PLATFORM)
+        with pytest.raises(ScenarioError, match=re.escape("workload[0].count must be a non-negative integer, got -2")):
+            simulate(star_scenario("hw", 2, 1, 1000, reps=-2, period_us=1000.0, seed=1), PLATFORM)
+        graph, node_mapping = star_graph("hw", 2, 1, 1000)
+        for bad, message in (
+            (WorkloadItem("pub0", "t0", count=3, period_us=-1000.0), r"workload\[1\]\.period_us must be a number"),
+            (WorkloadItem("pub0", "t0", count=-2), re.escape("workload[1].count must be a non-negative integer, got -2")),
+            (WorkloadItem("pub0", "t0", size_bytes=-5), re.escape("workload[1].size_bytes must be a positive integer")),
+        ):
+            scn = Scenario(graph, node_mapping, (WorkloadItem("pub0", "t0", count=2), bad))
+            with pytest.raises(ScenarioError, match=message):
+                simulate(scn, PLATFORM)
 
 
 def _endpointless_topic():
@@ -883,6 +907,22 @@ class TestChains:
         from_x = WorkloadItem("X", "t2", count=4, period_us=12_000.0)
         with pytest.raises(ScenarioError, match="published by chain relay 'B'"):
             run_chain_scenario(dataclasses.replace(scn, workload=(from_a, from_x)), PLATFORM, ["A", "B", "C"])
+
+    def test_workload_on_the_first_hop_topic_from_another_node_is_rejected(self):
+        # a (HW) and b (SW) both publish t; latencies are keyed by seq on t, so b's messages would count as a's
+        graph = ComputationGraph(
+            ("a", "b", "c"), (TopicSpec("t", S_10US, 10.0),), (("a", "t"), ("b", "t")), (("t", "b"), ("t", "c"))
+        )
+        node_mapping = NodeMapping.from_dict({"a": "HW", "b": "SW", "c": "HW"})
+        from_a, from_b = WorkloadItem("a", "t"), WorkloadItem("b", "t")
+        for workload in ((from_b,), (from_a, from_b)):
+            scn = Scenario(graph, node_mapping, workload, jitter_pct=0.0)
+            with pytest.raises(ScenarioError, match="topic 't' starts the chain at 'a', so 'b' may not publish it"):
+                run_chain_scenario(scn, PLATFORM, ["a", "b"])
+        scn = Scenario(graph, node_mapping, (from_a,), jitter_pct=0.0)
+        mean, _ = run_chain_scenario(scn, PLATFORM, ["a", "b"])
+        (delivery,) = [d for d in simulate(scn, PLATFORM).deliveries if d.subscriber == "b"]
+        assert mean == delivery.latency_us
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM on this platform")

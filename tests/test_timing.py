@@ -310,14 +310,13 @@ def test_event_loop_runs_a_tied_pool_completion_by_seq(start_first):
     assert ran == order
 
 
-def test_event_for_the_running_nanosecond_skips_the_heap_when_nothing_else_is_due():
-    loop, ran, heap_sizes = timing._EventLoop(1e9), [], []
+def test_events_for_the_running_nanosecond_run_in_scheduling_order():
+    loop, ran = timing._EventLoop(1e9), []
 
     def first():
         ran.append(("first", loop.now_ns))
         loop.at(loop.now_ns, second)
         loop.at(loop.now_ns, third)
-        heap_sizes.append(len(loop._heap))
 
     def second():
         ran.append(("second", loop.now_ns))
@@ -332,7 +331,6 @@ def test_event_for_the_running_nanosecond_skips_the_heap_when_nothing_else_is_du
     loop.at(100, first)
     loop.at(200, lambda: ran.append(("later", loop.now_ns)))
     loop.drain()
-    assert heap_sizes == [1]  # only the event at 200 waits on the heap
     assert ran == [("first", 100), ("second", 100), ("third", 100), ("fourth", 100), ("later", 200)]
 
 
