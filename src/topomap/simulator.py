@@ -89,6 +89,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A graph, its placement, a workload, and how to map and price the run.
+
+    ``chain`` names a processing chain's nodes, source first; each inner node
+    relays, publishing its outgoing hop ``compute_us`` after its incoming hop
+    delivers. ``chain_relays`` checks the chain when the scenario runs.
+    """
+
     graph: ComputationGraph
     node_mapping: NodeMapping
     workload: tuple[WorkloadItem, ...]
@@ -98,6 +105,7 @@ class Scenario:
     compute_us: tuple[tuple[str, float], ...] = ()
     jitter_pct: float | None = None  # None: platform default
     grid: GridSpec | None = None
+    chain: tuple[str, ...] = ()
 
     def __post_init__(self):
         # ``resolve_mapping`` would take the mapping and drop the policy unsaid
@@ -118,7 +126,7 @@ class ScenarioError(DocumentError):
 
 
 # the keys of a scenario document; ``node_mapping`` comes from the graph document
-_SCENARIO_KEYS = ("graph", "workload", "seed", "comm_mapping", "policy", "compute_us", "jitter_pct", "grid")
+_SCENARIO_KEYS = tuple(key for key in Scenario.__dataclass_fields__ if key != "node_mapping")
 
 
 def scenario_from_json(text: str, base_dir) -> Scenario:
@@ -177,6 +185,8 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
     compute = ScenarioError.known_keys(
         ScenarioError.typed(doc.get("compute_us", {}), dict, "compute_us"), graph.nodes, "compute_us"
     )
+    # only the types; ``chain_relays`` checks the chain against the graph when the scenario runs
+    chain = ScenarioError.typed(doc.get("chain", []), list, "chain")
     return Scenario(
         graph=graph,
         node_mapping=node_mapping,
@@ -189,6 +199,7 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
         ),
         jitter_pct=None if jitter is None else ScenarioError.number(jitter, "jitter_pct", upper=1.0),
         grid=grid,
+        chain=tuple(ScenarioError.typed(node, str, "chain[]") for node in chain),
     )
 
 
@@ -446,17 +457,8 @@ _ACTION_RUN = {
 # -- the engine --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelaySpec:
-    """Chain hop: on delivery of in_topic, compute, then publish out_topic."""
-
-    in_topic: str
-    out_topic: str
-    compute_us: float
-
-
-class _Relay(NamedTuple):
-    """A ``RelaySpec`` as the engine runs it: its compute time in whole ns."""
+class Relay(NamedTuple):
+    """A chain hop: on delivery of ``in_topic``, compute for ``compute_ns``, then publish ``out_topic``."""
 
     in_topic: str
     out_topic: str
@@ -484,6 +486,8 @@ class _Route:
 
 
 class _Sim(_EventLoop):
+    """One run of a mapped graph; ``relays`` are a chain's, by node, as ``chain_relays`` builds them."""
+
     def __init__(
         self,
         graph: ComputationGraph,
@@ -492,7 +496,7 @@ class _Sim(_EventLoop):
         platform: PlatformModel,
         seed: int,
         jitter_pct: float | None = None,
-        relays: dict[str, RelaySpec] | None = None,
+        relays: dict[str, Relay] | None = None,
     ):
         super().__init__(platform.memif_bandwidth_bytes_per_s)
         self.graph = graph
@@ -502,10 +506,7 @@ class _Sim(_EventLoop):
         self._trace: list[TraceEvent] = []
         self._deliveries: list[Delivery] = []
         self._next_msg_seq: dict[str, int] = {}
-        self._relays = {
-            node: _Relay(relay.in_topic, relay.out_topic, _us_to_ns(relay.compute_us))
-            for node, relay in (relays or {}).items()
-        }
+        self._relays = relays or {}
         check_topic_set(graph, comm_mapping)
         self._routes = {
             topic.id: self._route(topic, topic_endpoints(graph, node_mapping, topic.id), comm_mapping.impl_of(topic.id))
@@ -659,8 +660,6 @@ class _Sim(_EventLoop):
         self.publish(item.publisher, item.topic, item.size_bytes)
 
     def run(self, workload: tuple[WorkloadItem, ...]) -> SimResult:
-        # a relay republishes under its input's seq, so a workload item on its topic would reuse seqs
-        relayed = {relay.out_topic: node for node, relay in self._relays.items()}
         graph = self.graph
         nodes, published = set(graph.nodes), set(graph.pub_edges)
         for i, item in enumerate(workload):
@@ -671,8 +670,6 @@ class _Sim(_EventLoop):
                 raise ScenarioError(
                     f"workload: {item.publisher!r} does not publish topic {item.topic!r}"
                 )
-            if item.topic in relayed:
-                raise ScenarioError(f"workload: topic {item.topic!r} is published by chain relay {relayed[item.topic]!r}")
             # items built in code skip the document reader's checks; a bad one runs time or seqs backwards
             ScenarioError.integer(item.count, ("workload[{}].count", i), 0)
             ScenarioError.number(item.period_us, ("workload[{}].period_us", i), MAX_TIME_US)
@@ -695,21 +692,17 @@ class _Sim(_EventLoop):
         return result
 
 
-def simulate(
-    scenario: Scenario,
-    platform: PlatformModel,
-    seed: int | None = None,
-    relays: dict[str, RelaySpec] | None = None,
-) -> SimResult:
-    comm_mapping = scenario.resolve_mapping(platform)
+def simulate(scenario: Scenario, platform: PlatformModel, seed: int | None = None) -> SimResult:
+    """Run the scenario's workload, and every hop of its chain, on ``platform``; ``seed`` overrides the scenario's."""
+    relays = chain_relays(scenario)[0] if scenario.chain else None
     sim = _Sim(
         scenario.graph,
         scenario.node_mapping,
-        comm_mapping,
+        scenario.resolve_mapping(platform),
         platform,
-        seed=scenario.seed if seed is None else seed,
-        jitter_pct=scenario.jitter_pct,
-        relays=relays,
+        scenario.seed if seed is None else seed,
+        scenario.jitter_pct,
+        relays,
     )
     return sim.run(scenario.workload)
 
@@ -921,62 +914,64 @@ def compare_to_csv(header: list[str], rows: list[list]) -> str:
 # -- chains -------------------------------------------------------------------
 
 
-def chain_relays(graph: ComputationGraph, chain: list[str], compute_us: dict[str, float]) -> tuple[dict[str, RelaySpec], str, str]:
-    """Relay table for consecutive chain hops; returns (relays, first_topic, last_topic)."""
+def chain_relays(scenario: Scenario) -> tuple[dict[str, Relay], str, str]:
+    """The relays of the scenario's chain, by node, and its first and last hop topics.
+
+    Every chain rule is checked here, so every command that runs the
+    scenario rejects a bad chain the same way. A hop rides the first topic,
+    in graph order, that its node publishes and the next node subscribes to.
+    """
+    graph, chain = scenario.graph, scenario.chain
+    unknown = [node for node in chain if node not in graph.nodes]
+    if unknown:
+        raise ScenarioError(f"chain: {unknown} name no node of the graph")
     if len(chain) < 2:
         raise ScenarioError("chain needs at least two nodes")
     if len(set(chain)) < len(chain):
-        raise ScenarioError(f"chain names a node twice: {chain}")
+        raise ScenarioError(f"chain names a node twice: {list(chain)}")
     hop_topics = []
     for a, b in zip(chain, chain[1:]):
         shared = [t for t in graph.topic_ids() if a in graph.publishers_of(t) and b in graph.subscribers_of(t)]
         if not shared:
-            raise ScenarioError(f"no topic connects {a!r} to {b!r}")
+            raise ScenarioError(f"chain: no topic connects {a!r} to {b!r}")
         hop_topics.append(shared[0])
     if len(set(hop_topics)) < len(hop_topics):
         # a relay would feed its own output back to itself or to an earlier hop
         raise ScenarioError(f"chain repeats a hop topic: {hop_topics}")
-    relays = {}
-    for i, node in enumerate(chain[1:-1], start=1):
-        relays[node] = RelaySpec(
-            in_topic=hop_topics[i - 1],
-            out_topic=hop_topics[i],
-            compute_us=compute_us.get(node, 0.0),
-        )
-    return relays, hop_topics[0], hop_topics[-1]
+    compute = dict(scenario.compute_us)
+    relays = {
+        node: Relay(in_topic, out_topic, _us_to_ns(compute.get(node, 0.0)))
+        for node, in_topic, out_topic in zip(chain[1:-1], hop_topics, hop_topics[1:])
+    }
+    first_topic = hop_topics[0]
+    relayed = {relay.out_topic: node for node, relay in relays.items()}
+    for item in scenario.workload:
+        # a relay republishes under its input's seq, so a workload item on its topic would reuse seqs
+        if item.topic in relayed:
+            raise ScenarioError(f"workload: topic {item.topic!r} is published by chain relay {relayed[item.topic]!r}")
+        # latencies are keyed by seq on the first hop topic, so only the chain's source may publish it
+        if item.topic == first_topic and item.publisher != chain[0]:
+            raise ScenarioError(
+                f"workload: topic {first_topic!r} starts the chain at {chain[0]!r}, so {item.publisher!r} may not publish it"
+            )
+    return relays, first_topic, hop_topics[-1]
 
 
 def run_chain_scenario(
     scenario: Scenario, platform: PlatformModel, chain: list[str], seed: int | None = None
 ) -> tuple[float, float]:
-    """End-to-end chain latency over the scenario workload: (mean, stddev) in us."""
+    """End-to-end latency of ``chain``, run as the scenario's own, over its workload: (mean, stddev) in us."""
     if not chain:
         raise ScenarioError("chain needs at least one node")
-    unknown = [node for node in chain if node not in scenario.graph.nodes]
-    if unknown:
-        raise ScenarioError(f"chain: {unknown} name no node of the graph")
-    if len(chain) == 1:
-        # degenerate chain: source and sink coincide, nothing traverses a topic
-        return 0.0, 0.0
-    compute = dict(scenario.compute_us)
-    relays, first_topic, last_topic = chain_relays(scenario.graph, chain, compute)
-    # latencies are keyed by seq on the first hop topic, so only the chain's source may publish it
-    for item in scenario.workload:
-        if item.topic == first_topic and item.publisher != chain[0]:
-            raise ScenarioError(
-                f"workload: topic {first_topic!r} starts the chain at {chain[0]!r}, so {item.publisher!r} may not publish it"
-            )
-    result = simulate(scenario, platform, seed=seed, relays=relays)
-    t_pub: dict[int, int] = {}
-    t_end: dict[int, int] = {}
-    for d in result.deliveries:
-        if d.topic == first_topic:
-            t_pub.setdefault(d.seq, d.t_pub_ns)
-        if d.topic == last_topic and d.subscriber == chain[-1]:
-            t_end[d.seq] = d.t_deliver_ns
+    if len(chain) == 1 and chain[0] in scenario.graph.nodes:
+        return 0.0, 0.0  # source and sink coincide, nothing traverses a topic
+    scenario = replace(scenario, chain=tuple(chain))
+    _, first_topic, last_topic = chain_relays(scenario)
+    deliveries = simulate(scenario, platform, seed=seed).deliveries
+    # only the chain's source publishes the first hop topic, so its seqs name the chain's messages
+    t_pub = {d.seq: d.t_pub_ns for d in deliveries if d.topic == first_topic}
+    t_end = {d.seq: d.t_deliver_ns for d in deliveries if d.topic == last_topic and d.subscriber == chain[-1]}
     lats = [(t_end[s] - t_pub[s]) / NS_PER_US for s in sorted(t_end) if s in t_pub]
     if not lats:
         raise ScenarioError("chain produced no end-to-end deliveries")
-    mean = statistics.fmean(lats)
-    stddev = statistics.stdev(lats) if len(lats) > 1 else 0.0
-    return mean, stddev
+    return statistics.fmean(lats), (statistics.stdev(lats) if len(lats) > 1 else 0.0)

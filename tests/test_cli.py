@@ -481,6 +481,54 @@ class TestScenarioMappingMismatch:
         assert line == "error: unknown topic 't_nope'"
 
 
+class TestChainScenario:
+    """The packaged chain scenario declares its chain, and every command that runs it runs every hop."""
+
+    HOPS = {
+        ("t_cam", "image_compensation"),
+        ("t_img", "gaussian_blur"),
+        ("t_blur", "lane_planner"),
+        ("t_lane", "polyfit"),
+        ("t_poly", "lane_control"),
+    }
+
+    def test_simulate_runs_every_hop(self, data_dir, capsys):
+        assert run_cli("simulate", "--scenario", str(data_dir / "chain_scenario.json"), "--stats", "-") == 0
+        captured = capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert len(rows) == 8 and {row["count"] for row in rows} == {"500"}
+        assert self.HOPS <= {(row["topic"], row["subscriber"]) for row in rows}
+        assert captured.err == "simulated 13501 events, 4000 deliveries\n"
+
+    def test_compare_lists_every_hop(self, data_dir, capsys):
+        scenario = str(data_dir / "chain_scenario.json")
+        assert run_cli("compare", "--scenario", scenario, "--policies", "smt,multi-hw-sub") == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert self.HOPS <= {(row["topic"], row["subscriber"]) for row in rows}
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["compare", "--policies", "smt,multi-hw-sub"]], ids=lambda a: a[0])
+    @pytest.mark.parametrize(
+        "chain, message",
+        [
+            ("camera", "chain: expected a list, got 'camera'"),
+            (["camera", 5], "chain[]: expected a string, got 5"),
+            (["camera", "no_such_node"], "chain: ['no_such_node'] name no node of the graph"),
+            (["camera", "polyfit"], "chain: no topic connects 'camera' to 'polyfit'"),
+        ],
+        ids=["not a list", "non-string", "unknown node", "unconnected hop"],
+    )
+    def test_bad_chain_is_input_error(self, tmp_path, data_dir, capsys, argv, chain, message):
+        shutil.copy(data_dir / "chain_graph.json", tmp_path / "chain_graph.json")
+        doc = json.loads((data_dir / "chain_scenario.json").read_text(encoding="utf-8"))
+        doc["chain"] = chain
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(*argv, "--scenario", str(scenario)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+
 def _one_line_error(capsys, field):
     captured = capsys.readouterr()
     lines = captured.err.splitlines()

@@ -24,7 +24,6 @@ from topomap.platform_model import PlatformModel
 from topomap.simulator import (
     Scenario,
     WorkloadItem,
-    chain_relays,
     compare_grid,
     compare_to_csv,
     load_scenario,
@@ -37,7 +36,6 @@ from topomap.simulator import (
 PLATFORM = PlatformModel()
 SMT = MappingPolicy.ALWAYS_SMT
 GW = MappingPolicy.ALWAYS_GW_IF_MULTI_HW_SUB
-CHAIN = ["camera", "image_compensation", "gaussian_blur", "lane_planner", "polyfit", "lane_control"]
 
 
 def result_digest(result) -> str:
@@ -122,8 +120,7 @@ def test_star(args, digest, id_free):
 )
 def test_packaged_chain_with_relays(data_dir, policy, digest, id_free):
     scenario = load_scenario(data_dir / "chain_scenario.json")
-    relays, _, _ = chain_relays(scenario.graph, CHAIN, dict(scenario.compute_us))
-    result = simulate(replace(scenario, policy=policy), PLATFORM, relays=relays)
+    result = simulate(replace(scenario, policy=policy), PLATFORM)
     assert digests(result) == (digest, id_free)
 
 
@@ -146,8 +143,7 @@ def test_packaged_chain_with_relays(data_dir, policy, digest, id_free):
 def test_packaged_chain_with_zero_compute_relays(data_dir, policy, digest, id_free):
     """Each relay republishes on the nanosecond its input is delivered."""
     scenario = load_scenario(data_dir / "chain_scenario.json")
-    relays, _, _ = chain_relays(scenario.graph, CHAIN, {})
-    result = simulate(replace(scenario, policy=policy), PLATFORM, relays=relays)
+    result = simulate(replace(scenario, policy=policy, compute_us=()), PLATFORM)
     assert digests(result) == (digest, id_free)
 
 

@@ -18,14 +18,13 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_engine_golden import CHAIN, GW, PLATFORM, SMT, star
+from test_engine_golden import GW, PLATFORM, SMT, star
 
 from topomap.simulator import (
     _TRACE_CHUNK,
     TRACE_HEADER,
     SimResult,
     TraceEvent,
-    chain_relays,
     compute_stats,
     WorkloadItem,
     load_scenario,
@@ -162,6 +161,5 @@ def test_star_stats(args, digest):
 )
 def test_packaged_chain_stats(data_dir, policy, digest):
     scenario = load_scenario(data_dir / "chain_scenario.json")
-    relays, _, _ = chain_relays(scenario.graph, CHAIN, dict(scenario.compute_us))
-    result = simulate(replace(scenario, policy=policy), PLATFORM, relays=relays)
+    result = simulate(replace(scenario, policy=policy), PLATFORM)
     assert stats_digest(result) == digest

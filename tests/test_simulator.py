@@ -376,11 +376,9 @@ class TestEngineCosts:
         """
         chain_scn = load_scenario(data_dir / "chain_scenario.json")
         assert chain_scn.policy is CLASSIFYING
-        chain = ["camera", "image_compensation", "gaussian_blur", "lane_planner", "polyfit", "lane_control"]
-        relays, _, _ = chain_relays(chain_scn.graph, chain, dict(chain_scn.compute_us))
         star = star_scenario("sw", 4, 2, S_10US, reps=40, period_us=50.0, seed=5, policy=CLASSIFYING, jitter_pct=0.05)
         cases = {
-            "packaged chain": lambda: simulate(chain_scn, PLATFORM, relays=relays),
+            "packaged chain": lambda: simulate(chain_scn, PLATFORM),
             "jittered gw star": lambda: simulate(star, PLATFORM),
         }
         expected = {}
@@ -417,8 +415,7 @@ class TestEngineCosts:
     @staticmethod
     def _gc_free_cases(data_dir):
         chain_scn = load_scenario(data_dir / "chain_scenario.json")
-        chain = ["camera", "image_compensation", "gaussian_blur", "lane_planner", "polyfit", "lane_control"]
-        yield "packaged chain", lambda: run_chain_scenario(chain_scn, PLATFORM, chain)
+        yield "packaged chain", lambda: run_chain_scenario(chain_scn, PLATFORM, chain_scn.chain)
         for kind, policy in itertools.product(["hw", "sw"], [SMT, CLASSIFYING, MappingPolicy.COST]):
             scn = star_scenario(kind, 4, 2, S_10US, reps=50, period_us=100.0, seed=1, policy=policy)
             yield f"{kind} star, {policy.value}", lambda scn=scn: simulate(scn, PLATFORM)
@@ -645,6 +642,7 @@ class TestScenarioDocuments:
         assert scn.workload[0].publisher == "camera"
         assert scn.workload[0].count == 500
         assert dict(scn.compute_us)["image_compensation"] == 400.0
+        assert scn.chain == ("camera", "image_compensation", "gaussian_blur", "lane_planner", "polyfit", "lane_control")
 
     def test_scenario_in_code_rejects_both_policy_and_mapping(self):
         # resolve_mapping would run on the mapping and drop the policy unsaid
@@ -805,43 +803,27 @@ class TestCellTimes:
 class TestChains:
     def test_chain_relays_follow_topics(self, data_dir):
         scn = load_scenario(data_dir / "chain_scenario.json")
-        chain = [
-            "camera",
-            "image_compensation",
-            "gaussian_blur",
-            "lane_planner",
-            "polyfit",
-            "lane_control",
-        ]
-        relays, first, last = chain_relays(scn.graph, chain, dict(scn.compute_us))
+        relays, first, last = chain_relays(scn)
         assert first == "t_cam"
         assert last == "t_poly"
         assert set(relays) == {"image_compensation", "gaussian_blur", "lane_planner", "polyfit"}
         assert relays["image_compensation"].in_topic == "t_cam"
         assert relays["image_compensation"].out_topic == "t_img"
-        assert relays["polyfit"].compute_us == 156.0
+        assert relays["polyfit"].compute_ns == 156_000
 
     def test_chain_requires_connected_hops(self, data_dir):
         scn = load_scenario(data_dir / "chain_scenario.json")
         with pytest.raises(ScenarioError, match="polyfit"):
-            chain_relays(scn.graph, ["camera", "polyfit"], {})
+            chain_relays(dataclasses.replace(scn, chain=("camera", "polyfit")))
 
     def test_chain_run_is_reproducible(self, data_dir):
         scn = load_scenario(data_dir / "chain_scenario.json")
         scn = dataclasses.replace(
             scn, workload=(dataclasses.replace(scn.workload[0], count=30),)
         )
-        chain = [
-            "camera",
-            "image_compensation",
-            "gaussian_blur",
-            "lane_planner",
-            "polyfit",
-            "lane_control",
-        ]
-        a = run_chain_scenario(scn, PLATFORM, chain)
-        b = run_chain_scenario(scn, PLATFORM, chain)
-        c = run_chain_scenario(scn, PLATFORM, chain, seed=99)
+        a = run_chain_scenario(scn, PLATFORM, scn.chain)
+        b = run_chain_scenario(scn, PLATFORM, scn.chain)
+        c = run_chain_scenario(scn, PLATFORM, scn.chain, seed=99)
         assert a == b
         assert a != c
         mean, stddev = a
@@ -851,9 +833,8 @@ class TestChains:
     def test_chain_without_deliveries_is_rejected(self, data_dir):
         scn = load_scenario(data_dir / "chain_scenario.json")
         scn = dataclasses.replace(scn, workload=tuple(dataclasses.replace(w, count=0) for w in scn.workload))
-        chain = ["camera", "image_compensation", "gaussian_blur", "lane_planner", "polyfit", "lane_control"]
         with pytest.raises(ScenarioError, match="chain produced no end-to-end deliveries"):
-            run_chain_scenario(scn, PLATFORM, chain)
+            run_chain_scenario(scn, PLATFORM, scn.chain)
 
     def test_single_node_chain_costs_nothing(self):
         scn = quiet("sw", 0, 1, S_10US)
@@ -870,7 +851,7 @@ class TestChains:
         with pytest.raises(ScenarioError, match="at least one"):
             run_chain_scenario(scn, PLATFORM, [])
         with pytest.raises(ScenarioError, match="at least two"):
-            chain_relays(scn.graph, ["pub0"], {})
+            chain_relays(dataclasses.replace(scn, chain=("pub0",)))
 
     def test_two_node_software_chain_closed_form(self):
         # one SMT hop between software nodes: intercept plus per-byte charge
@@ -881,19 +862,19 @@ class TestChains:
 
     def test_chain_naming_a_node_twice_is_rejected(self):
         # B relays t1 -> t2 and t3 -> t4: one relay table entry would silently replace the other
-        graph, _ = software_graph(
+        graph, mapping = software_graph(
             [("A", "t1"), ("B", "t2"), ("C", "t3"), ("B", "t4")],
             [("t1", "B"), ("t2", "C"), ("t3", "B"), ("t4", "D")],
         )
         with pytest.raises(ScenarioError, match="names a node twice"):
-            chain_relays(graph, ["A", "B", "C", "B", "D"], {})
+            chain_relays(Scenario(graph, mapping, (), chain=("A", "B", "C", "B", "D")))
 
     def test_chain_repeating_a_hop_topic_is_rejected(self):
         # C subscribes to and publishes t2, so as a relay it would feed itself without end
         graph, mapping = software_graph([("A", "t1"), ("B", "t2"), ("C", "t2")], [("t1", "B"), ("t2", "C"), ("t2", "D")])
+        scn = Scenario(graph, mapping, (WorkloadItem("A", "t1"),), jitter_pct=0.0, chain=("A", "B", "C", "D"))
         with pytest.raises(ScenarioError, match="repeats a hop topic"):
-            chain_relays(graph, ["A", "B", "C", "D"], {})
-        scn = Scenario(graph, mapping, (WorkloadItem("A", "t1"),), jitter_pct=0.0)
+            chain_relays(scn)
         with pytest.raises(ScenarioError, match="repeats a hop topic"):
             run_chain_scenario(scn, PLATFORM, ["A", "B", "C", "D"])
 
@@ -907,6 +888,10 @@ class TestChains:
         from_x = WorkloadItem("X", "t2", count=4, period_us=12_000.0)
         with pytest.raises(ScenarioError, match="published by chain relay 'B'"):
             run_chain_scenario(dataclasses.replace(scn, workload=(from_a, from_x)), PLATFORM, ["A", "B", "C"])
+        # a scenario that declares the chain is checked by every run of it
+        declared = dataclasses.replace(scn, workload=(from_a, from_x), chain=("A", "B", "C"))
+        with pytest.raises(ScenarioError, match="published by chain relay 'B'"):
+            simulate(declared, PLATFORM)
 
     def test_workload_on_the_first_hop_topic_from_another_node_is_rejected(self):
         # a (HW) and b (SW) both publish t; latencies are keyed by seq on t, so b's messages would count as a's
@@ -919,6 +904,8 @@ class TestChains:
             scn = Scenario(graph, node_mapping, workload, jitter_pct=0.0)
             with pytest.raises(ScenarioError, match="topic 't' starts the chain at 'a', so 'b' may not publish it"):
                 run_chain_scenario(scn, PLATFORM, ["a", "b"])
+            with pytest.raises(ScenarioError, match="topic 't' starts the chain at 'a', so 'b' may not publish it"):
+                simulate(dataclasses.replace(scn, chain=("a", "b")), PLATFORM)
         scn = Scenario(graph, node_mapping, (from_a,), jitter_pct=0.0)
         mean, _ = run_chain_scenario(scn, PLATFORM, ["a", "b"])
         (delivery,) = [d for d in simulate(scn, PLATFORM).deliveries if d.subscriber == "b"]
