@@ -27,6 +27,11 @@ Conventions baked into the paths:
 Each topic's route is plain data fixed when the engine starts: its
 software-side readers are ``copy_order``'s (reader id, role) pairs, and
 a fan-out serves each role in one branch, as the latency model prices it.
+A loaned fan-out makes all its readers ready at once and pushes two
+blocks, each one heap entry under its first seq: the hardware pulls now,
+the software subscribers one software delivery later. The seq counter
+still moves on by one per reader, and each block's handler runs its
+readers in slot order where their own entries would have run.
 
 Internally time is integer nanoseconds; all randomness flows from one
 seeded generator, so runs are reproducible event for event. The timing
@@ -111,6 +116,9 @@ class Scenario:
         # ``resolve_mapping`` would take the mapping and drop the policy unsaid
         if self.policy is not None and self.comm_mapping is not None:
             raise ScenarioError("scenario: 'policy' and 'comm_mapping' exclude each other; give one of them")
+        # ``compare_grid`` would run the star cells and leave the chain unchecked
+        if self.grid is not None and self.chain:
+            raise ScenarioError(_GRID_AND_CHAIN)
 
     def resolve_mapping(self, platform: PlatformModel = PlatformModel()) -> CommMapping:
         """The explicit mapping, else the policy's pick priced on ``platform``."""
@@ -125,6 +133,9 @@ class ScenarioError(DocumentError):
     what = "scenario document"
 
 
+_GRID_AND_CHAIN = "scenario: 'grid' and 'chain' exclude each other; a grid's star cells have no chain"
+
+
 # the keys of a scenario document; ``node_mapping`` comes from the graph document
 _SCENARIO_KEYS = tuple(key for key in Scenario.__dataclass_fields__ if key != "node_mapping")
 
@@ -132,6 +143,8 @@ _SCENARIO_KEYS = tuple(key for key in Scenario.__dataclass_fields__ if key != "n
 def scenario_from_json(text: str, base_dir) -> Scenario:
     """Parse and range-check a scenario document; the graph is a path relative to base_dir."""
     doc = ScenarioError.known_keys(ScenarioError.decode(text), _SCENARIO_KEYS, "scenario")
+    if "grid" in doc and "chain" in doc:  # an empty chain too: the document holds both keys
+        raise ScenarioError(_GRID_AND_CHAIN)
     graph, node_mapping = load_document(Path(base_dir) / ScenarioError.require(doc, "graph", "scenario", str))
     if node_mapping is None:
         raise ScenarioError(f"graph document {doc['graph']!r} has no node_mapping")
@@ -180,6 +193,13 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
             reps=ScenarioError.integer(g.get("reps", GridSpec.reps), "grid.reps", 1),
             period_us=ScenarioError.number(g.get("period_us", GridSpec.period_us), "grid.period_us", MAX_TIME_US),
         )
+        # a grid without cells compares nothing, and a cell without subscribers delivers nothing
+        if not grid.sizes:
+            raise ScenarioError("grid.sizes: expected at least one size, got []")
+        if not grid.hw_sub_counts:
+            raise ScenarioError("grid.hw_sub_counts: expected at least one count, got []")
+        if grid.sw_sub_count == 0 and 0 in grid.hw_sub_counts:
+            raise ScenarioError("grid.hw_sub_counts[]: 0 with grid.sw_sub_count 0 makes a cell with no subscriber")
 
     jitter = doc.get("jitter_pct")
     compute = ScenarioError.known_keys(
@@ -329,8 +349,8 @@ class _GwActor:
         self._sim = sim
         self.endpoints = endpoints
         # its publications on SMT: a loan to each software subscriber, in copy order
-        readers = tuple(reader for reader in copy_order(endpoints, TopicImpl.GW) if reader[1] == SW_SUB)
-        self._smt_route = _Route(TopicImpl.GW, readers, endpoints, None, size_bytes)
+        readers = [reader for reader in copy_order(endpoints, TopicImpl.GW) if reader[1] == SW_SUB]
+        self._smt_route = _Route.of(TopicImpl.GW, readers, endpoints, None, size_bytes)
         self.state, actions = gw.init(*gateway_ids(endpoints.topic_id))
         self._actions: deque[gw.Action] = deque(actions)
         self._queue: deque[gw.Event] = deque()
@@ -470,19 +490,38 @@ class _Route:
     """How one topic's messages travel, fixed when the engine starts.
 
     ``readers`` are ``copy_order``'s (reader id, role) pairs: the
-    software-side readers in copy-slot order.  ``endpoints.hw_subs`` are
-    served on the hardware side when the topic has one (HMT or GW);
-    ``actor`` is the topic's gateway on GW, else None.  A gateway's own
-    route, for its publications on SMT, holds only the software
-    subscribers and no actor.  ``size_bytes`` is the topic's declared
-    message size, for a publication that does not state its own.
+    software-side readers in copy-slot order.  ``pulls`` and ``sw_subs``
+    split them into a loaned fan-out's two blocks, each in slot order: the
+    hardware subscribers that pull over MEMIF and the software
+    subscribers.  ``endpoints.hw_subs`` are served on the hardware side
+    when the topic has one (HMT or GW); ``actor`` is the topic's gateway on
+    GW, else None.  A gateway's own route, for its publications on SMT,
+    holds only the software subscribers and no actor.  ``size_bytes`` is
+    the topic's declared message size, for a publication that does not
+    state its own.
     """
 
     impl: TopicImpl
     readers: tuple[tuple[str, str], ...]
+    pulls: tuple[str, ...]
+    sw_subs: tuple[str, ...]
     endpoints: TopicEndpoints
     actor: _GwActor | None
     size_bytes: int
+
+    @classmethod
+    def of(
+        cls,
+        impl: TopicImpl,
+        readers: list[tuple[str, str]],
+        endpoints: TopicEndpoints,
+        actor: _GwActor | None,
+        size_bytes: int,
+    ) -> "_Route":
+        """The route over ``readers``, in copy order, with its two blocks split from them once."""
+        pulls = tuple(reader for reader, role in readers if role == HW_PULL)
+        sw_subs = tuple(reader for reader, role in readers if role == SW_SUB)
+        return cls(impl, tuple(readers), pulls, sw_subs, endpoints, actor, size_bytes)
 
 
 class _Sim(_EventLoop):
@@ -519,7 +558,7 @@ class _Sim(_EventLoop):
         size = topic.message_size_bytes
         # on GW hardware subscribers listen on the HMT side, the gateway reads the SMT side
         actor = _GwActor(self, endpoints, size) if impl is TopicImpl.GW else None
-        return _Route(impl, tuple(copy_order(endpoints, impl)), endpoints, actor, size)
+        return _Route.of(impl, copy_order(endpoints, impl), endpoints, actor, size)
 
     # -- primitives --
     #
@@ -538,6 +577,12 @@ class _Sim(_EventLoop):
             relay = self._relays.get(subscriber)
             if relay is not None and relay.in_topic == topic:
                 self.at(now + relay.compute_ns, self.publish, subscriber, relay.out_topic, None, seq)
+
+    def _deliver_all(self, message: gw.Message, subscribers: tuple[str, ...]):
+        """A loaned fan-out's software block: each subscriber, in slot order, takes delivery now."""
+        deliver = self._deliver
+        for subscriber in subscribers:
+            deliver(message, subscriber)
 
     # -- publishing --
 
@@ -573,34 +618,49 @@ class _Sim(_EventLoop):
     def _smt_fanout(self, route: _Route, message: gw.Message, loaned: bool):
         """Hand the message to every software-side reader, by its ``copy_order`` role.
 
-        ``loaned`` fan-out (hardware and gateway publications, already in main memory)
-        reaches all readers at once; a software publisher copies serially,
-        first reader free.
+        A ``loaned`` fan-out (a hardware or gateway publication, already in
+        main memory) makes all its readers ready at once and pushes each of
+        its two blocks as one heap entry under the block's first seq: the
+        hardware pulls at ``now``, then the software subscribers at
+        ``now + dds``. The seq counter still moves on by one per reader. The
+        seqs of a block are consecutive and no other event can take one of
+        them, so nothing could run between the block's readers: one handler
+        runs them in slot order where their own entries would have run.
 
-        A hardware pull in a later serial slot is one event: its copy's
-        ``SW_COPY`` row and its pull sat at adjacent keys, so nothing ran
-        between them. A software subscriber's ``SW_COPY`` row is known in
+        A software publisher copies serially, first reader free, one entry
+        per reader. A hardware pull in a later serial slot is one event: its
+        copy's ``SW_COPY`` row and its pull sat at adjacent keys, so nothing
+        ran between them. A software subscriber's ``SW_COPY`` row is known in
         full now; its heap entry appends the built row.
         """
         heap, now, size, mid = self._heap, self.now_ns, message.size_bytes, message.message_id
-        copy_ns = 0 if loaned else self._copy_ns[size]
         dds_ns = self._dds_ns[size]
         seq = self._seq
+        if loaned:
+            pulls, sw_subs = route.pulls, route.sw_subs
+            if pulls:
+                heappush(heap, (now, seq, self._delegate_pulls, (message, pulls)))
+                seq += len(pulls)
+            if sw_subs:
+                heappush(heap, (now + dds_ns, seq, self._deliver_all, (message, sw_subs)))
+                seq += len(sw_subs)
+            self._seq = seq
+            return
+        copy_ns = self._copy_ns[size]
         for slot, (reader, role) in enumerate(route.readers):
             args = (message, reader)
-            copied = slot and not loaned
             t_ready = now + slot * copy_ns
             if role == SW_SUB:
-                if copied:
+                if slot:
                     row = _tuple_new(TraceEvent, (t_ready, "SW_COPY", mid, reader))
                     heappush(heap, (t_ready, seq, self._trace.append, (row,)))
                     seq += 1
                 heappush(heap, (t_ready + dds_ns, seq, self._deliver, args))
-            elif copied:  # a hardware pull; the gateway's read is always slot 0
+            elif slot:  # a hardware pull; the gateway's read is always slot 0
                 heappush(heap, (t_ready, seq, self._copied_pull, args))
                 seq += 1
             elif role == HW_PULL:
-                heappush(heap, (now, seq, self._delegate_pull, args))
+                heappush(heap, (now, seq, self._delegate_pulls, (message, (reader,))))
             else:
                 heappush(heap, (now, seq, route.actor.offer, (message,)))
             seq += 1
@@ -609,13 +669,19 @@ class _Sim(_EventLoop):
     def _copied_pull(self, message: gw.Message, subscriber: str):
         """A hardware subscriber's serial copy is done: its ``SW_COPY`` row, then its pull."""
         self._trace.append(_tuple_new(TraceEvent, (self.now_ns, "SW_COPY", message.message_id, subscriber)))
-        self._delegate_pull(message, subscriber)
+        self._delegate_pulls(message, (subscriber,))
 
-    def _delegate_pull(self, message: gw.Message, subscriber: str):
-        """A hardware subscriber's delegate fetches its copy over MEMIF after one OSIF round trip."""
+    def _delegate_pulls(self, message: gw.Message, subscribers: tuple[str, ...]):
+        """Each hardware subscriber's delegate, in slot order, fetches its copy over MEMIF after one OSIF round trip.
+
+        A loaned fan-out's hardware block is one call; a serial fan-out's pull is a block of one.
+        """
+        heap, now, osif_ns, start = self._heap, self.now_ns, self._osif_ns, self._start_pull
         seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, (self.now_ns + self._osif_ns(), seq, self._start_pull, (message, subscriber)))
+        for subscriber in subscribers:
+            heappush(heap, (now + osif_ns(), seq, start, (message, subscriber)))
+            seq += 1
+        self._seq = seq
 
     def _start_pull(self, message: gw.Message, subscriber: str):
         self.pool.start(self._memif_bytes(message.size_bytes), self._pulled, message, subscriber)

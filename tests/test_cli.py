@@ -399,6 +399,13 @@ class TestScenarioValidation:
             ({"seed": 1.5}, "seed must be an integer, got 1.5"),
             # the document already holds a policy, which the mapping would silently override
             ({"comm_mapping": dict.fromkeys("ABCDE", "SMT")}, "'policy' and 'comm_mapping' exclude each other"),
+            # a grid without cells, or with a cell that has no subscriber, compares nothing
+            (_grid(sizes=[]), "grid.sizes: expected at least one size"),
+            (_grid(hw_sub_counts=[]), "grid.hw_sub_counts: expected at least one count"),
+            (_grid(hw_sub_counts=[2, 0]), "grid.hw_sub_counts[]: 0 with grid.sw_sub_count 0"),
+            # a grid's star cells have no chain, so the chain would go unchecked
+            ({**_grid(), "chain": ["1", "2"]}, "'grid' and 'chain' exclude each other"),
+            ({**_grid(), "chain": []}, "'grid' and 'chain' exclude each other"),
         ],
     )
     def test_rejected_with_one_line_error(self, workdir, capsys, extra, field):
@@ -527,6 +534,20 @@ class TestChainScenario:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
+
+    def test_compare_rejects_a_grid_with_a_chain(self, tmp_path, data_dir, capsys):
+        # compare runs a grid's star cells, which have no chain, so the chain would go unchecked
+        shutil.copy(data_dir / "reference_graph.json", tmp_path / "reference_graph.json")
+        doc = json.loads((data_dir / "grid_hw_publisher.json").read_text(encoding="utf-8"))
+        doc["chain"] = ["no_such_node", "also_not"]
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("compare", "--scenario", str(scenario), "--policies", "smt,multi-hw-sub") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: scenario: 'grid' and 'chain' exclude each other; a grid's star cells have no chain"
+        ]
 
 
 def _one_line_error(capsys, field):

@@ -314,3 +314,45 @@ def test_gateway_fires_every_rule(monkeypatch):
     digest = "bdee6068980e2355fc23bb7a71a52581fb047edb5395110cfde96dddbd4aa03d"
     id_free = "f8c5be4243d6e49d3a68b41eacb309490616b80d235653886b9c17d1c2d9dc67"
     assert digests(result) == (digest, id_free)
+
+
+def test_loaned_fanouts_tie_with_other_topics_events():
+    """No jitter: two hardware publications on SMT are ready on the same nanosecond, every period.
+
+    ``a``'s pulls are ready on the nanosecond ``b``'s publication and pulls
+    are, and ``a``'s software subscribers take delivery on the nanosecond
+    ``b``'s do and ``ctl``'s next message reaches ``sw_2``, a delivery
+    scheduled after both fan-outs. Each runs in its own ``(time, seq)``
+    place, ``a`` before ``b`` before ``ctl``, and ``b``'s software
+    subscribers in copy order (``sw_1`` before ``sw_3``, though ``b`` lists
+    ``sw_3`` first). On ``g`` the gateway publishes each message on SMT to
+    two software subscribers.
+    """
+    hw, sw = Placement.HW, Placement.SW
+    placements = {"cam_a": hw, "cam_b": hw, "cam_g": hw, "ctl": sw, "hw_1": hw, "hw_2": hw, "hw_3": hw}
+    placements.update(sw_1=sw, sw_2=sw, sw_3=sw)
+    subscribers = {
+        "a": ("hw_1", "hw_2", "sw_1", "sw_2"),
+        "b": ("hw_1", "hw_3", "sw_3", "sw_1"),
+        "c": ("sw_2",),
+        "g": ("hw_2", "hw_3", "sw_2", "sw_3"),
+    }
+    graph = ComputationGraph(
+        nodes=tuple(placements),
+        # a 40 kB fan-out delivers 38 + 370 us after its publication, an 11 kB message 109 us after,
+        # so ``ctl``'s message k + 1 reaches ``sw_2`` on the nanosecond ``a``'s message k does
+        topics=tuple(TopicSpec(t, 11_000 if t == "c" else 40_000, 10.0) for t in subscribers),
+        pub_edges=(("cam_a", "a"), ("cam_b", "b"), ("ctl", "c"), ("cam_g", "g")),
+        sub_edges=tuple((t, sub) for t, subs in subscribers.items() for sub in subs),
+    )
+    scenario = Scenario(
+        graph=graph,
+        node_mapping=NodeMapping(tuple(placements.items())),
+        workload=tuple(WorkloadItem(pub, t, 20, 299.0) for pub, t in graph.pub_edges),
+        seed=12,
+        comm_mapping=CommMapping(tuple((t, TopicImpl.GW if t == "g" else TopicImpl.SMT) for t in subscribers)),
+        jitter_pct=0.0,
+    )
+    digest = "4bf97f39b8d62139820a3fc98cb0705292e983579f75df8a53c296dee31abf9f"
+    id_free = "c9b234032a959edf94c2e0a8cd54bdca55a1c133b962109b9bdfe1bf2b09d2ab"
+    assert digests(simulate(scenario, PLATFORM)) == (digest, id_free)

@@ -308,6 +308,26 @@ class TestEngineCosts:
         assert len(result.deliveries) == len(heap_sizes) == 2000
         assert max(heap_sizes) < 10
 
+    def test_loaned_fanout_pushes_one_heap_entry_per_block(self):
+        """A loaned fan-out pushes its hardware pulls and its software subscribers as one heap entry each.
+
+        A HW publication on SMT to 32 HW and 4 SW subscribers adds two heap
+        entries, not 36, while the seq counter moves on by one per reader.
+        """
+
+        class FanoutPushes(_Sim):
+            def _smt_fanout(self, route, message, loaned):
+                heap, seq = len(self._heap), self._seq
+                super()._smt_fanout(route, message, loaned)
+                pushes.append((loaned, len(self._heap) - heap, self._seq - seq))
+
+        pushes = []
+        scn = star_scenario("hw", 32, 4, S_10US, reps=3, period_us=5000.0, seed=1, policy=SMT)
+        sim = FanoutPushes(scn.graph, scn.node_mapping, scn.resolve_mapping(PLATFORM), PLATFORM, seed=scn.seed)
+        result = sim.run(scn.workload)
+        assert len(result.deliveries) == 3 * 36
+        assert pushes == [(True, 2, 36)] * 3
+
     def test_run_checks_the_workload_without_scanning_publish_edges(self, monkeypatch):
         """``run`` checks each workload item against sets built once, not the graph's publish edges per item.
 
@@ -651,6 +671,15 @@ class TestScenarioDocuments:
                 "hw", 2, 0, 10000, 3, 1000.0, 1, policy=SMT, comm_mapping=CommMapping.from_dict({"t0": "HMT"})
             )
         assert str(caught.value) == "scenario: 'policy' and 'comm_mapping' exclude each other; give one of them"
+
+    def test_scenario_in_code_rejects_both_grid_and_chain(self):
+        # compare_grid would run the star cells and never check the chain
+        graph, node_mapping = star_graph("hw", 2, 0, 10000)
+        grid = GridSpec(publisher_kind="hw", sizes=(10000,), hw_sub_counts=(2,))
+        with pytest.raises(ScenarioError) as caught:
+            Scenario(graph=graph, node_mapping=node_mapping, workload=(), grid=grid, chain=("pub0", "hw_sub_1"))
+        assert str(caught.value) == "scenario: 'grid' and 'chain' exclude each other; a grid's star cells have no chain"
+        assert Scenario(graph=graph, node_mapping=node_mapping, workload=(), grid=grid).chain == ()
 
     @pytest.mark.parametrize("kind", ["HW", "gw", ""])
     def test_star_rejects_an_unknown_publisher_kind(self, kind):
