@@ -22,17 +22,9 @@ from .mapping import (
     mapping_report,
 )
 from .platform_model import PlatformModel
-from .simulator import (
-    Scenario,
-    SimResult,
-    WorkloadItem,
-    compare_grid,
-    compute_stats,
-    load_scenario,
-    run_chain_scenario,
-    simulate,
-    star_scenario,
-)
+from .engine import SimResult
+from .scenario import Scenario, WorkloadItem, load_scenario, star_scenario
+from .simulator import compare_grid, compute_stats, run_chain_scenario, simulate
 from .calibrate import SpeedupTarget
 
 __version__ = "0.1.0"

@@ -38,7 +38,8 @@ from dataclasses import dataclass, asdict, replace
 from .documents import DocumentError
 from .mapping import MappingPolicy, TopicEndpoints, TopicImpl, topic_endpoints
 from .platform_model import PlatformModel
-from .simulator import Scenario, cell_times, star_scenario
+from .scenario import Scenario, star_scenario
+from .simulator import cell_times
 from .timing import NS_PER_US, predict_latency_ns
 
 

@@ -32,17 +32,8 @@ from .gateway import transition_table
 from .graph import load_document
 from .mapping import MappingPolicy, map_communication, mapping_report
 from .platform_model import PlatformModel
-from .simulator import (
-    Scenario,
-    compare_grid,
-    compare_means,
-    compare_to_csv,
-    compute_stats,
-    load_scenario,
-    simulate,
-    stats_to_csv,
-    write_trace_csv,
-)
+from .scenario import Scenario, load_scenario
+from .simulator import compare_grid, compare_means, compare_to_csv, compute_stats, simulate, stats_to_csv, write_trace_csv
 
 
 @contextmanager

@@ -1,6 +1,6 @@
 """The platform's timing rules, and an exact latency model built from them.
 
-The engine in ``topomap.simulator`` charges time with the rules kept
+The engine in ``topomap.engine`` charges time with the rules kept
 here: microseconds round to whole nanoseconds, a transfer at a given
 bandwidth takes the integer ceiling of its nanoseconds, ``Charges``
 prices each cost and its jitter, readers take their copies in copy-slot

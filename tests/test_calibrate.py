@@ -16,7 +16,8 @@ from topomap.calibrate import (
 )
 from topomap.mapping import MappingPolicy
 from topomap.platform_model import PlatformModel
-from topomap.simulator import cell_times, star_scenario
+from topomap.scenario import star_scenario
+from topomap.simulator import cell_times
 from topomap import timing
 
 

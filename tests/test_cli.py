@@ -14,7 +14,8 @@ from topomap.cli import main
 from topomap.gateway import transition_table
 from topomap.graph import DanglingTopicWarning, serialize_graph
 from topomap.platform_model import PlatformModel
-from topomap.simulator import STATS_HEADER, TRACE_HEADER, load_scenario, simulate, star_graph, trace_to_csv
+from topomap.scenario import load_scenario, star_graph
+from topomap.simulator import STATS_HEADER, TRACE_HEADER, simulate, trace_to_csv
 
 
 def run_cli(*argv):

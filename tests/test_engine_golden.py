@@ -21,17 +21,8 @@ from topomap import gateway
 from topomap.graph import ComputationGraph, NodeMapping, Placement, TopicSpec
 from topomap.mapping import CommMapping, MappingPolicy, TopicImpl
 from topomap.platform_model import PlatformModel
-from topomap.simulator import (
-    Scenario,
-    WorkloadItem,
-    compare_grid,
-    compare_to_csv,
-    load_scenario,
-    simulate,
-    star_graph,
-    star_scenario,
-    trace_to_csv,
-)
+from topomap.scenario import Scenario, WorkloadItem, load_scenario, star_graph, star_scenario
+from topomap.simulator import compare_grid, compare_to_csv, simulate, trace_to_csv
 
 PLATFORM = PlatformModel()
 SMT = MappingPolicy.ALWAYS_SMT

@@ -17,7 +17,8 @@ import pytest
 from topomap.graph import ComputationGraph, NodeMapping, Placement, TopicSpec
 from topomap.mapping import CommMapping, MappingPolicy, TopicImpl, map_communication
 from topomap.platform_model import PlatformModel
-from topomap.simulator import Scenario, WorkloadItem, simulate
+from topomap.scenario import Scenario, WorkloadItem
+from topomap.simulator import simulate
 
 PLATFORM = PlatformModel()
 SEEDS = range(16)

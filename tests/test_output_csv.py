@@ -20,14 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_engine_golden import GW, PLATFORM, SMT, star
 
+from topomap.engine import SimResult, TraceEvent
+from topomap.scenario import WorkloadItem, load_scenario
 from topomap.simulator import (
     _TRACE_CHUNK,
     TRACE_HEADER,
-    SimResult,
-    TraceEvent,
     compute_stats,
-    WorkloadItem,
-    load_scenario,
     simulate,
     stats_to_csv,
     trace_to_csv,

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from topomap.graph import ComputationGraph, DanglingTopicWarning, NodeMapping, Placement, TopicSpec
 from topomap.mapping import CommMapping, MappingPolicy, TopicImpl, map_communication, topic_endpoints
 from topomap.platform_model import PlatformModel
-from topomap.simulator import Scenario, WorkloadItem, simulate, trace_to_csv
+from topomap.scenario import Scenario, WorkloadItem
+from topomap.simulator import simulate, trace_to_csv
 from topomap.timing import predict_latency_ns
 
 PLATFORM = PlatformModel()

@@ -6,6 +6,7 @@ import random
 import re
 import signal
 import statistics
+import sys
 import weakref
 from collections import Counter
 
@@ -24,28 +25,29 @@ from topomap.mapping import (
     topic_endpoints,
 )
 from topomap.platform_model import PlatformModel
-from topomap.simulator import (
-    Delivery,
+from topomap.engine import Delivery, SimResult, _Sim
+from topomap.scenario import (
     GridSpec,
     Scenario,
     ScenarioError,
-    SimResult,
+    WorkloadItem,
+    chain_relays,
+    check_workload,
+    load_scenario,
+    scenario_from_json,
+    star_graph,
+    star_scenario,
+)
+from topomap.simulator import (
     STATS_HEADER,
     TRACE_HEADER,
-    WorkloadItem,
     _fanout_latencies,
-    _Sim,
     cell_times,
-    chain_relays,
     compare_grid,
     compare_to_csv,
     compute_stats,
-    load_scenario,
     run_chain_scenario,
-    scenario_from_json,
     simulate,
-    star_graph,
-    star_scenario,
     stats_to_csv,
     trace_to_csv,
 )
@@ -329,10 +331,10 @@ class TestEngineCosts:
         assert pushes == [(True, 2, 36)] * 3
 
     def test_run_checks_the_workload_without_scanning_publish_edges(self, monkeypatch):
-        """``run`` checks each workload item against sets built once, not the graph's publish edges per item.
+        """The workload check tests each item against sets built once, not the graph's publish edges per item.
 
         One item per publish edge of a random graph of 300 topics; before the
-        check used sets, ``run`` made one ``publishers_of`` call per item.
+        check used sets, it made one ``publishers_of`` call per item.
         """
         rng = random.Random(31)
         nodes = [f"n{i}" for i in range(120)]
@@ -358,7 +360,9 @@ class TestEngineCosts:
 
         for name in ("publishers_of", "pub_edges_of"):
             monkeypatch.setattr(ComputationGraph, name, counted(name, getattr(ComputationGraph, name)))
-        result = sim.run(tuple(WorkloadItem(n, t) for n, t in graph.pub_edges))
+        workload = tuple(WorkloadItem(n, t) for n, t in graph.pub_edges)
+        check_workload(graph, workload)
+        result = sim.run(workload)
         publishers = Counter(t for _, t in graph.pub_edges)
         assert len(result.deliveries) == sum(publishers[t] for t, _ in graph.sub_edges)
         assert calls == []
@@ -388,8 +392,8 @@ class TestEngineCosts:
         """Once a run's events start, no ``dataclasses.replace`` and no ``ComputationGraph.topic`` call is made.
 
         A gateway's loop-back copy comes from ``Message.loop_back`` and a
-        publication's declared size from its route; only ``run``'s workload
-        check, before the events, looks each item's topic up. Checked on the
+        publication's declared size from its route; only the workload check,
+        before the events, looks each item's topic up. Checked on the
         packaged chain under multi-hw-sub, whose relays publish at the declared
         size, and on a jittered GW star; the deliveries stay those of the
         unpatched run.
@@ -425,8 +429,16 @@ class TestEngineCosts:
             return wrapper
 
         monkeypatch.setattr(_Sim, "drain", drain)
-        monkeypatch.setattr(dataclasses, "replace", counted("replace", dataclasses.replace))
-        monkeypatch.setattr("topomap.simulator.replace", counted("replace", dataclasses.replace))
+        # every loaded topomap module that holds ``replace``, so code that moves between modules stays guarded
+        real_replace = dataclasses.replace
+        holders = [
+            module
+            for name, module in sys.modules.items()
+            if name.split(".")[0] == "topomap" and vars(module).get("replace") is real_replace
+        ]
+        assert holders
+        for module in (dataclasses, *holders):
+            monkeypatch.setattr(module, "replace", counted("replace", real_replace))
         monkeypatch.setattr(ComputationGraph, "topic", counted("topic", ComputationGraph.topic))
         for label, case in cases.items():
             assert case().deliveries == expected[label], label

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from topomap.mapping import CommMapping, MappingPolicy, TopicClass, TopicImpl, map_communication, topic_endpoints
 from topomap.platform_model import PlatformModel
-from topomap.simulator import simulate, star_scenario
+from topomap.scenario import star_scenario
+from topomap.simulator import simulate
 from topomap import timing
 from topomap.timing import _bytes_ns, _us_to_ns, predict_latency_ns
 
