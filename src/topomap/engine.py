@@ -31,7 +31,10 @@ A loaned fan-out makes all its readers ready at once and pushes two
 blocks, each one heap entry under its first seq: the hardware pulls now,
 the software subscribers one software delivery later. The seq counter
 still moves on by one per reader, and each block's handler runs its
-readers in slot order where their own entries would have run.
+readers in slot order where their own entries would have run. A pull's
+delivery runs inside its pool completion, under the next seq, when that
+completion finished it alone and the heap's head is later than now;
+otherwise it is pushed at the same ``(time, seq)``.
 
 Internally time is integer nanoseconds; all randomness flows from one
 seeded generator, so runs are reproducible event for event. The timing
@@ -448,12 +451,24 @@ class _Sim(_EventLoop):
         self.pool.start(self._memif_bytes(message.size_bytes), self._pulled, message, subscriber)
 
     def _pulled(self, message: gw.Message, subscriber: str):
-        """The pull is done; delivery follows on the same nanosecond."""
+        """The pull is done; delivery follows on the same nanosecond, under the next seq.
+
+        The delivery runs in place when it is the next event anyway: its
+        pool completion finished this flow alone, and the heap's head is
+        later than now. The pool's next ``due`` is always later than now, as
+        ``complete`` finishes every flow due now. Otherwise, when a flow
+        that finished with it or an event on the heap would run first, the
+        delivery is pushed at ``(now, seq)``.
+        """
         now = self.now_ns
         self._trace.append(_tuple_new(TraceEvent, (now, "MEMIF_TRANSFER", message.message_id, subscriber)))
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._heap, (now, seq, self._deliver, (message, subscriber)))
+        heap = self._heap
+        if self.pool.alone and (not heap or heap[0][0] > now):
+            self._deliver(message, subscriber)
+        else:
+            heappush(heap, (now, seq, self._deliver, (message, subscriber)))
 
     def hmt_arrival(self, message: gw.Message, subscribers: tuple[str, ...]):
         """A stream reached each hardware subscriber, in order; each takes delivery after one OSIF round trip."""

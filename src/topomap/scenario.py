@@ -1,6 +1,6 @@
 """The scenario document: its types and reader, the star builders, and the workload and chain rules.
 
-``check_workload`` and ``chain_relays`` state those rules once, for documents
+``check_scenario`` and ``chain_relays`` state those rules once, for documents
 and for scenarios built in code alike; each error is a ``ScenarioError``.
 """
 
@@ -99,6 +99,25 @@ def _item_numbers(i: int, fields: dict) -> tuple[int, float, int | None]:
     )
 
 
+def _run_numbers(nodes, jitter, compute: dict) -> tuple[float | None, tuple[tuple[str, float], ...]]:
+    """The jitter and the per-node compute times, range-checked, the compute times sorted by node."""
+    ScenarioError.known_keys(compute, nodes, "compute_us")
+    compute_us = tuple(
+        sorted((k, ScenarioError.number(v, ("compute_us.{}", k), MAX_TIME_US)) for k, v in compute.items())
+    )
+    return None if jitter is None else ScenarioError.number(jitter, "jitter_pct", upper=1.0), compute_us
+
+
+def check_scenario(scenario: Scenario) -> None:
+    """Check a scenario as the reader does: its workload, its jitter and its compute times.
+
+    A scenario built in code skips the reader; a jitter of 1 or more, or a
+    negative compute time, would run time backwards.
+    """
+    check_workload(scenario.graph, scenario.workload)
+    _run_numbers(scenario.graph.nodes, scenario.jitter_pct, dict(scenario.compute_us))
+
+
 def check_workload(graph: ComputationGraph, workload: tuple[WorkloadItem, ...]) -> None:
     """Check each item's publisher, topic and publish edge against ``graph``, and its numbers as the reader does."""
     nodes, published = set(graph.nodes), set(graph.pub_edges)
@@ -168,9 +187,8 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
         if grid.sw_sub_count == 0 and 0 in grid.hw_sub_counts:
             raise ScenarioError("grid.hw_sub_counts[]: 0 with grid.sw_sub_count 0 makes a cell with no subscriber")
 
-    jitter = doc.get("jitter_pct")
-    compute = ScenarioError.known_keys(
-        ScenarioError.typed(doc.get("compute_us", {}), dict, "compute_us"), graph.nodes, "compute_us"
+    jitter_pct, compute_us = _run_numbers(
+        graph.nodes, doc.get("jitter_pct"), ScenarioError.typed(doc.get("compute_us", {}), dict, "compute_us")
     )
     # only the types; ``chain_relays`` checks the chain against the graph when the scenario runs
     chain = ScenarioError.typed(doc.get("chain", []), list, "chain")
@@ -181,10 +199,8 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
         seed=ScenarioError.integer(doc.get("seed", Scenario.seed), "seed", None),
         comm_mapping=comm_mapping,
         policy=policy,
-        compute_us=tuple(
-            sorted((k, ScenarioError.number(v, ("compute_us.{}", k), MAX_TIME_US)) for k, v in compute.items())
-        ),
-        jitter_pct=None if jitter is None else ScenarioError.number(jitter, "jitter_pct", upper=1.0),
+        compute_us=compute_us,
+        jitter_pct=jitter_pct,
         grid=grid,
         chain=tuple(ScenarioError.typed(node, str, "chain[]") for node in chain),
     )

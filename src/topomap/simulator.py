@@ -1,6 +1,6 @@
 """Running scenarios and reporting their results.
 
-``simulate`` builds the engine, checks the workload and runs it; everything
+``simulate`` builds the engine, checks the scenario and runs it; everything
 else here calls it (``cell_times``, the comparisons, ``run_chain_scenario``)
 or writes what it returns (trace and stats CSV). ``simulate`` is called only
 from here and from ``topomap.cli``, so a caller that swaps it there sees every run.
@@ -21,13 +21,14 @@ from typing import TextIO
 from .engine import SimResult, _Sim
 from .mapping import MappingPolicy, topic_endpoints
 from .platform_model import PlatformModel
-from .scenario import Scenario, ScenarioError, chain_relays, check_workload, star_scenario
+from .scenario import Scenario, ScenarioError, chain_relays, check_scenario, star_scenario
 from .scenario import load_scenario  # noqa: F401 -- tests/test_acceptance.py and perfbench's spans read it here
 from .timing import NS_PER_US
 
 
 def simulate(scenario: Scenario, platform: PlatformModel, seed: int | None = None) -> SimResult:
     """Run the scenario's workload, and every hop of its chain, on ``platform``; ``seed`` overrides the scenario's."""
+    check_scenario(scenario)
     relays = chain_relays(scenario)[0] if scenario.chain else None
     sim = _Sim(
         scenario.graph,
@@ -38,7 +39,6 @@ def simulate(scenario: Scenario, platform: PlatformModel, seed: int | None = Non
         scenario.jitter_pct,
         relays,
     )
-    check_workload(scenario.graph, scenario.workload)
     return sim.run(scenario.workload)
 
 
@@ -258,8 +258,8 @@ def run_chain_scenario(
     if len(chain) == 1 and chain[0] in scenario.graph.nodes:
         return 0.0, 0.0  # source and sink coincide, nothing traverses a topic
     scenario = replace(scenario, chain=tuple(chain))
+    deliveries = simulate(scenario, platform, seed=seed).deliveries  # checks the scenario and its chain
     _, first_topic, last_topic = chain_relays(scenario)
-    deliveries = simulate(scenario, platform, seed=seed).deliveries
     # only the chain's source publishes the first hop topic, so its seqs name the chain's messages
     t_pub = {d.seq: d.t_pub_ns for d in deliveries if d.topic == first_topic}
     t_end = {d.seq: d.t_deliver_ns for d in deliveries if d.topic == last_topic and d.subscriber == chain[-1]}

@@ -166,6 +166,7 @@ class _MemifPool:
         self._started = 0
         self._last_t = 0
         self.due: tuple[int, int] | None = None
+        self.alone = True
         self.segments: list[tuple[int, int, int, float]] = []
 
     # ``start`` and ``complete`` settle (advance ``V`` to now, recording the
@@ -193,7 +194,11 @@ class _MemifPool:
         """Fire ``due``: finish every flow that has drained, in start order.
 
         ``due`` moves on before the callbacks run, one after another, so an
-        event a callback schedules for now runs after all of them.
+        event a callback schedules for now runs after all of them. Every
+        flow left has more than 1e-6 bytes to go, so the next ``due`` is at
+        least one nanosecond later. ``alone`` is false while the callbacks
+        of several flows that finish together run, so a callback can tell
+        that no other one follows it.
         """
         sim, tags = self._sim, self._tags
         now, n = sim.now_ns, len(tags)  # ``due`` is set, so a flow is active
@@ -206,7 +211,8 @@ class _MemifPool:
         done = self._v + 1e-6
         # the head's two children bound every other tag, so when neither has drained the head finishes alone
         if tags[0][0] <= done and (n < 2 or tags[1][0] > done) and (n < 3 or tags[2][0] > done):
-            finished = [heappop(tags)[1:]]
+            _, _, fn, args = heappop(tags)
+            finished = None
         else:
             finished = []
             while tags and tags[0][0] <= done:
@@ -218,8 +224,13 @@ class _MemifPool:
             sim._seq = seq + 1
         else:  # drained: ``V`` rebases
             self.due, self._v = None, 0.0
+        if finished is None:
+            fn(*args)
+            return
+        self.alone = False
         for _, fn, args in finished:
             fn(*args)
+        self.alone = True
 
 
 class _EventLoop:

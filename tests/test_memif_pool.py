@@ -31,7 +31,9 @@ class _Clock:
 def pool_finish(starts, bytes_per_s):
     """Run ``(t_ns, nbytes)`` starts through the pool in the engine's ``(time, seq)`` order.
 
-    Returns each flow's finish time and the order of the callbacks.
+    Returns each flow's finish time and the order of the callbacks. Every
+    completion moves ``due`` on by at least a nanosecond, which lets the
+    engine deliver a pull that finished alone inside its completion.
     """
     clock = _Clock()
     pool = _MemifPool(clock, bytes_per_s)
@@ -55,6 +57,7 @@ def pool_finish(starts, bytes_per_s):
         else:
             clock.now_ns = pool.due[0]
             pool.complete()
+            assert pool.due is None or pool.due[0] > clock.now_ns, (clock.now_ns, pool.due)
     return finished, order
 
 

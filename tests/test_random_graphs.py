@@ -61,7 +61,7 @@ def scenarios(draw):
         workload=tuple(draw(st.permutations(workload))),
         seed=draw(st.integers(0, 2**32 - 1)),
         comm_mapping=CommMapping(tuple(assignments)),
-        jitter_pct=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        jitter_pct=draw(st.sampled_from([0.0, 0.05, 0.3, 0.99])),
     )
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import itertools
 import json
 import random
@@ -330,6 +331,108 @@ class TestEngineCosts:
         assert len(result.deliveries) == 3 * 36
         assert pushes == [(True, 2, 36)] * 3
 
+    @staticmethod
+    def _watched_pulls(scn):
+        """Run ``scn``; per MEMIF pull, whether a tie forced its delivery onto the heap and whether it was pushed.
+
+        A tie forces the push when the pull's pool completion finished
+        another flow too, or when an event waits on the heap at the same
+        nanosecond. Each pull also records the pool's next ``due``, which
+        ``complete`` never leaves on the nanosecond it fires.
+        """
+        pulls, completions = [], []
+
+        class PullWatch(_Sim):
+            def _pulled(self, message, subscriber):
+                now, heap, delivered = self.now_ns, self._heap, len(self._deliveries)
+                head_now = bool(heap) and heap[0][0] == now
+                super()._pulled(message, subscriber)
+                pushed = len(self._deliveries) == delivered
+                pulls.append((len(completions), now, head_now, self.pool.due, pushed))
+
+        sim = PullWatch(scn.graph, scn.node_mapping, scn.resolve_mapping(PLATFORM), PLATFORM, scn.seed, scn.jitter_pct)
+        complete = sim.pool.complete
+
+        def counted():
+            completions.append(sim.now_ns)
+            complete()
+
+        sim.pool.complete = counted
+        result = sim.run(scn.workload)
+        together = Counter(completion for completion, *_ in pulls)
+        for completion, now, head_now, due, pushed in pulls:
+            assert due is None or due[0] > now, (now, due)
+            assert pushed is (together[completion] > 1 or head_now), (now, together[completion], head_now)
+        h = hashlib.sha256(trace_to_csv(result).encode())
+        h.update(repr((result.memif_segments, result.deliveries)).encode())
+        return [pushed for *_, pushed in pulls], [now for _, now, *_ in pulls], h.hexdigest()
+
+    def test_pull_delivers_in_place_unless_a_tie_forces_a_push(self):
+        """A pull's delivery runs inside its pool completion unless a tie forces it onto the heap.
+
+        On a jittered 32-HW + 4-SW SMT star, 1276 of 1280 deliveries run in
+        place; the other 4 are two pairs of pulls that finished together.
+        The output is byte for byte what pushing every delivery gave.
+        """
+        scn = star_scenario("hw", 32, 4, 100_000, reps=40, period_us=5000.0, seed=3, policy=SMT, jitter_pct=0.05)
+        pushed, _, digest = self._watched_pulls(scn)
+        assert Counter(pushed) == {False: 1276, True: 4}
+        assert digest == "f55aad8f55c7cb5f560c4a4e9656bb467e3e728d47a5066a79a8a4c8d1e2a069"
+
+    @staticmethod
+    def _pull_ties(sizes, counts, extra=()):
+        """HW publishers of ``a`` and ``b`` on SMT, one HW subscriber each, and ``ctl``'s software topic ``c``."""
+        hw, sw = Placement.HW, Placement.SW
+        placements = {"cam_a": hw, "cam_b": hw, "hw_a": hw, "hw_b": hw, "ctl": sw, "sw_1": sw}
+        graph = ComputationGraph(
+            nodes=tuple(placements),
+            topics=(TopicSpec("a", sizes[0], 10.0), TopicSpec("b", sizes[1], 10.0), TopicSpec("c", 1000, 10.0)),
+            pub_edges=(("cam_a", "a"), ("cam_b", "b"), ("ctl", "c")),
+            sub_edges=(("a", "hw_a"), ("b", "hw_b"), ("c", "sw_1")),
+        )
+        workload = (WorkloadItem("cam_a", "a", counts[0], 5000.0), WorkloadItem("cam_b", "b", counts[1], 5000.0))
+        return Scenario(
+            graph=graph,
+            node_mapping=NodeMapping(tuple(placements.items())),
+            workload=workload + extra,
+            seed=1,
+            comm_mapping=CommMapping(tuple((t, TopicImpl.SMT) for t in "abc")),
+            jitter_pct=0.0,
+        )
+
+    @pytest.mark.parametrize(
+        "sizes, counts, extra, expected_pushed, digest",
+        [
+            # equal pulls started on one nanosecond finish in one completion: each delivery
+            # waits until both MEMIF_TRANSFER rows are written
+            pytest.param(
+                (S_10US, S_10US), (3, 3), (), [True] * 6,
+                "5034755b1f13c9e15da1ac8f7b3a87eca1831a5310eee0be3c3be24b49bcd38b",
+                id="two-flows-in-one-completion",
+            ),
+            # ``a``'s pull starts at 68 us and takes 100 us; ``ctl``'s second message, published
+            # at 149 us, after the pool last rescheduled, is delivered 19 us later, on the
+            # nanosecond the pull finishes: that delivery runs first, then the pull's
+            pytest.param(
+                (S_100US, S_10US), (3, 0), (WorkloadItem("ctl", "c", 2, 149.0),), [True, False, False],
+                "8a5eeb272edc1774612bd070efb4d98000094a8e340edc6311f1ccfc25efcf21",
+                id="event-on-the-heap-at-the-same-ns",
+            ),
+            # 12,000 and 12,001 bytes: ``b``'s pull finishes 1 ns after ``a``'s, so the pool's
+            # next ``due`` is 1 ns later and both deliver in place; ``complete`` never
+            # reschedules ``due`` on the nanosecond it fires, so no pool tie can force a push
+            pytest.param(
+                (S_10US, S_10US + 1), (3, 3), (), [False] * 6,
+                "b74402a0a7e08dc2e1a42b3f2b36e0c18a6c2aee8b6c61a79a96917af593953a",
+                id="next-due-1-ns-later",
+            ),
+        ],
+    )
+    def test_pull_delivery_ties_at_jitter_zero(self, sizes, counts, extra, expected_pushed, digest):
+        """Each tie that must push a pull's delivery, at jitter 0; the output is what pushing every delivery gave."""
+        pushed, times, got = self._watched_pulls(self._pull_ties(sizes, counts, extra))
+        assert (pushed, got) == (expected_pushed, digest), times
+
     def test_run_checks_the_workload_without_scanning_publish_edges(self, monkeypatch):
         """The workload check tests each item against sets built once, not the graph's publish edges per item.
 
@@ -601,6 +704,52 @@ class TestInvariants:
             scn = Scenario(graph, node_mapping, (WorkloadItem("pub0", "t0", count=2), bad))
             with pytest.raises(ScenarioError, match=message):
                 simulate(scn, PLATFORM)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("jitter_pct", 1.5, "jitter_pct must be a number in [0, 1), got 1.5"),
+            ("jitter_pct", 1, "jitter_pct must be a number in [0, 1), got 1"),
+            ("jitter_pct", -0.2, "jitter_pct must be a number in [0, 1), got -0.2"),
+            ("jitter_pct", True, "jitter_pct must be a number in [0, 1), got True"),
+            ("compute_us", {"gaussian_blur": -5000.0}, "compute_us.gaussian_blur must be a number in [0, "),
+            ("compute_us", {"gaussian_blur": 1e308}, "compute_us.gaussian_blur must be a number in [0, "),
+            ("compute_us", {"gausian_blur": 400.0}, "compute_us: unknown keys ['gausian_blur']"),
+        ],
+    )
+    def test_code_built_jitter_and_compute_are_checked_as_a_document_is(self, data_dir, field, value, message):
+        """A scenario built in code gets the reader's jitter and compute checks, in its wording, when it runs.
+
+        A jitter of 1.5 ran trace time backwards and gave negative latencies,
+        a negative one ran without jitter, a negative compute time ran a
+        chain backwards, and a compute time under no node's name was priced
+        nowhere.
+        """
+        doc = json.loads((data_dir / "chain_scenario.json").read_text(encoding="utf-8"))
+        doc[field] = value
+        with pytest.raises(ScenarioError) as read:
+            scenario_from_json(json.dumps(doc), data_dir)
+        chain = load_scenario(data_dir / "chain_scenario.json")
+        built = dataclasses.replace(chain, **{field: tuple(value.items()) if field == "compute_us" else value})
+        runs = [
+            lambda: simulate(built, PLATFORM),
+            lambda: run_chain_scenario(built, PLATFORM, chain.chain),
+        ]
+        if field == "jitter_pct":
+            star = star_scenario("hw", 4, 2, 10_000, reps=50, period_us=100.0, seed=1, jitter_pct=value)
+            runs.append(lambda: simulate(star, PLATFORM))
+        for run in runs:
+            with pytest.raises(ScenarioError) as ran:
+                run()
+            assert str(ran.value) == str(read.value)
+        assert str(read.value).startswith(message)
+
+    def test_largest_legal_jitter_runs_forward(self):
+        result = simulate(star_scenario("hw", 4, 2, 10_000, reps=50, period_us=100.0, seed=1, jitter_pct=0.99), PLATFORM)
+        assert len(result.deliveries) == 50 * 6
+        assert all(d.t_deliver_ns >= d.t_pub_ns for d in result.deliveries)
+        times = [ev.t_ns for ev in result.trace]
+        assert times == sorted(times)
 
 
 def _endpointless_topic():
