@@ -1,7 +1,8 @@
 """The scenario document: its types and reader, the star builders, and the workload and chain rules.
 
-``check_scenario`` and ``chain_relays`` state those rules once, for documents
-and for scenarios built in code alike; each error is a ``ScenarioError``.
+``check_workload``, ``check_timing`` and ``chain_relays`` state those rules
+once, for documents and for scenarios built in code alike; each error is a
+``ScenarioError``.
 """
 
 from __future__ import annotations
@@ -99,23 +100,23 @@ def _item_numbers(i: int, fields: dict) -> tuple[int, float, int | None]:
     )
 
 
-def _run_numbers(nodes, jitter, compute: dict) -> tuple[float | None, tuple[tuple[str, float], ...]]:
+def _timing_numbers(jitter, compute: dict) -> tuple[float | None, tuple[tuple[str, float], ...]]:
     """The jitter and the per-node compute times, range-checked, the compute times sorted by node."""
-    ScenarioError.known_keys(compute, nodes, "compute_us")
     compute_us = tuple(
         sorted((k, ScenarioError.number(v, ("compute_us.{}", k), MAX_TIME_US)) for k, v in compute.items())
     )
     return None if jitter is None else ScenarioError.number(jitter, "jitter_pct", upper=1.0), compute_us
 
 
-def check_scenario(scenario: Scenario) -> None:
-    """Check a scenario as the reader does: its workload, its jitter and its compute times.
+def check_timing(scenario: Scenario) -> None:
+    """Check a scenario's compute times and jitter as the reader does.
 
     A scenario built in code skips the reader; a jitter of 1 or more, or a
     negative compute time, would run time backwards.
     """
-    check_workload(scenario.graph, scenario.workload)
-    _run_numbers(scenario.graph.nodes, scenario.jitter_pct, dict(scenario.compute_us))
+    compute = dict(scenario.compute_us)
+    ScenarioError.known_keys(compute, scenario.graph.nodes, "compute_us")
+    _timing_numbers(scenario.jitter_pct, compute)
 
 
 def check_workload(graph: ComputationGraph, workload: tuple[WorkloadItem, ...]) -> None:
@@ -187,16 +188,18 @@ def scenario_from_json(text: str, base_dir) -> Scenario:
         if grid.sw_sub_count == 0 and 0 in grid.hw_sub_counts:
             raise ScenarioError("grid.hw_sub_counts[]: 0 with grid.sw_sub_count 0 makes a cell with no subscriber")
 
-    jitter_pct, compute_us = _run_numbers(
-        graph.nodes, doc.get("jitter_pct"), ScenarioError.typed(doc.get("compute_us", {}), dict, "compute_us")
+    compute = ScenarioError.known_keys(
+        ScenarioError.typed(doc.get("compute_us", {}), dict, "compute_us"), graph.nodes, "compute_us"
     )
     # only the types; ``chain_relays`` checks the chain against the graph when the scenario runs
     chain = ScenarioError.typed(doc.get("chain", []), list, "chain")
+    seed = ScenarioError.integer(doc.get("seed", Scenario.seed), "seed", None)
+    jitter_pct, compute_us = _timing_numbers(doc.get("jitter_pct"), compute)
     return Scenario(
         graph=graph,
         node_mapping=node_mapping,
         workload=tuple(workload),
-        seed=ScenarioError.integer(doc.get("seed", Scenario.seed), "seed", None),
+        seed=seed,
         comm_mapping=comm_mapping,
         policy=policy,
         compute_us=compute_us,

@@ -21,14 +21,14 @@ from typing import TextIO
 from .engine import SimResult, _Sim
 from .mapping import MappingPolicy, topic_endpoints
 from .platform_model import PlatformModel
-from .scenario import Scenario, ScenarioError, chain_relays, check_scenario, star_scenario
+from .scenario import Scenario, ScenarioError, chain_relays, check_timing, check_workload, star_scenario
 from .scenario import load_scenario  # noqa: F401 -- tests/test_acceptance.py and perfbench's spans read it here
 from .timing import NS_PER_US
 
 
 def simulate(scenario: Scenario, platform: PlatformModel, seed: int | None = None) -> SimResult:
     """Run the scenario's workload, and every hop of its chain, on ``platform``; ``seed`` overrides the scenario's."""
-    check_scenario(scenario)
+    check_timing(scenario)  # before ``chain_relays`` turns compute times into ns
     relays = chain_relays(scenario)[0] if scenario.chain else None
     sim = _Sim(
         scenario.graph,
@@ -39,6 +39,7 @@ def simulate(scenario: Scenario, platform: PlatformModel, seed: int | None = Non
         scenario.jitter_pct,
         relays,
     )
+    check_workload(scenario.graph, scenario.workload)
     return sim.run(scenario.workload)
 
 

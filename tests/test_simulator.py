@@ -25,6 +25,7 @@ from topomap.mapping import (
     map_communication,
     topic_endpoints,
 )
+from topomap.documents import FieldError
 from topomap.platform_model import PlatformModel
 from topomap.engine import Delivery, SimResult, _Sim
 from topomap.scenario import (
@@ -750,6 +751,35 @@ class TestInvariants:
         assert all(d.t_deliver_ns >= d.t_pub_ns for d in result.deliveries)
         times = [ev.t_ns for ev in result.trace]
         assert times == sorted(times)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"chain": "blur", "jitter_pct": 1.5}, "chain: expected a list"),
+            ({"seed": "one", "compute_us": {"gaussian_blur": -1.0}}, "seed must be"),
+            ({"compute_us": {"gaussian_blur": -1.0}, "jitter_pct": 1.5}, "compute_us.gaussian_blur must be"),
+        ],
+    )
+    def test_reader_reports_the_first_error_in_document_order(self, data_dir, fields, message):
+        """The compute keys, the chain's type, the seed, the compute values and the jitter are read in that order."""
+        doc = json.loads((data_dir / "chain_scenario.json").read_text(encoding="utf-8"))
+        doc.update(fields)
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            scenario_from_json(json.dumps(doc), data_dir)
+
+    def test_run_reports_chain_then_mapping_then_workload_errors(self, data_dir):
+        """``simulate`` checks the chain, then the mapping, then the workload; compute times and jitter come first."""
+        chain = load_scenario(data_dir / "chain_scenario.json")
+        bad_workload = (WorkloadItem(chain.chain[0], "no_such_topic"),)
+        bad_mapping = CommMapping(chain.resolve_mapping(PLATFORM).assignments[1:])
+        cases = [
+            (dict(chain=("nowhere",) + chain.chain, workload=bad_workload), "chain: ['nowhere'] name no node"),
+            (dict(comm_mapping=bad_mapping, policy=None, workload=bad_workload), "comm_mapping must name exactly"),
+            (dict(jitter_pct=1.5, chain=("nowhere",) + chain.chain), "jitter_pct must be"),
+        ]
+        for fields, message in cases:
+            with pytest.raises(FieldError, match=re.escape(message)):
+                simulate(dataclasses.replace(chain, **fields), PLATFORM)
 
 
 def _endpointless_topic():
